@@ -218,7 +218,6 @@ def exact_branch_decomposition(m: MatroidInstance) -> tuple[BranchTree, int]:
     def lam(mask: int, present: int) -> int:
         return rank[mask] + rank[present & ~mask] - rank[present]
 
-    best_width = width(m, _tree_from_edges(n, [(0, 1, 2)])) if n == 2 else None
     start = [(0, 1, 0b10)]
     if n == 2:
         return _tree_from_edges(2, start), lam(0b10, 0b11)

@@ -94,6 +94,25 @@ class KDecomposition:
         return (1 << self.n) - 1
 
 
+def fold(dec: KDecomposition, leaf, combine):
+    """One bottom-up pass over the tree; returns the value of the root.
+
+    A leaf's value is ``leaf(node_id, node)``; an inner node's value is
+    ``combine(node_id, node, left_value, right_value)``.  Each child's value
+    is dropped as soon as its parent is combined, so only the values of
+    subtrees still waiting for their sibling are held at once.
+    """
+    values = {}
+    for node_id in dec.postorder():
+        node = dec.nodes[node_id]
+        if isinstance(node, Leaf):
+            values[node_id] = leaf(node_id, node)
+        else:
+            left, right = node.children
+            values[node_id] = combine(node_id, node, values.pop(left), values.pop(right))
+    return values[dec.root]
+
+
 def node_states(dec: KDecomposition, subset: ElementSet) -> dict[int, tuple[int, int]]:
     """(color, label) of every node for the given subset."""
     states: dict[int, tuple[int, int]] = {}
@@ -127,34 +146,35 @@ def eval_rank(dec: KDecomposition, subset: ElementSet) -> int:
     return node_states(dec, subset)[dec.root][1]
 
 
-def singleton_ranks(dec: KDecomposition) -> list[int]:
-    """eval_rank({e}) for every element e, in one O(n) top-down pass.
+def singleton_ranks(dec: KDecomposition, base: ElementSet = 0) -> list[int]:
+    """eval_rank(base ^ {e}) for every element e, in one O(nK) top-down pass.
 
-    The label of a singleton travels from its leaf to the root against
-    empty siblings (color 0), so the total defect picked up above a node
-    depends only on that node's color.
+    Flipping e changes node states only on the path from its leaf to the
+    root.  Every sibling along that path keeps its state for ``base``, so
+    the label gained above a node depends only on that node's color.
     """
+    states = node_states(dec, base)
     offsets: dict[int, list[int]] = {dec.root: [0] * dec.palette_of(dec.root)}
     ranks = [0] * dec.n
     for node_id in reversed(dec.postorder()):
         node = dec.nodes[node_id]
-        off = offsets[node_id]
+        off = offsets.pop(node_id)
         if isinstance(node, Leaf):
-            ranks[node.element] = (0 if node.loop else 1) + off[1]
+            flipped = 1 - (base >> node.element & 1)
+            ranks[node.element] = (0 if node.loop else flipped) + off[flipped]
             continue
-        for side, child in enumerate(node.children):
-            child_off = [0] * dec.palette_of(child)
-            for gamma in range(len(child_off)):
-                c1, c2 = (gamma, 0) if side == 0 else (0, gamma)
-                try:
-                    up_color = node.color[c1][c2]
-                    drop = node.defect[c1][c2]
-                except IndexError:
-                    raise ValueError(
-                        f"node {node_id}: child color ({c1}, {c2}) outside the table domain"
-                    ) from None
-                child_off[gamma] = off[up_color] - drop
-            offsets[child] = child_off
+        left, right = node.children
+        (c1, l1), (c2, l2) = states[left], states[right]
+        color, defect = node.color, node.defect
+        try:
+            offsets[left] = [
+                off[color[g][c2]] + l2 - defect[g][c2] for g in range(dec.palette_of(left))
+            ]
+            offsets[right] = [
+                off[color[c1][g]] + l1 - defect[c1][g] for g in range(dec.palette_of(right))
+            ]
+        except IndexError:
+            raise ValueError(f"node {node_id}: tables do not match the child palettes") from None
     return ranks
 
 
@@ -255,6 +275,13 @@ def _kv(token: str, key: str, line: int) -> int:
         raise ParseError(line, f"bad integer in {token!r}") from None
 
 
+def _id(token: str, line: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(line, f"node id must be an integer, got {token!r}") from None
+
+
 def serialize(dec: KDecomposition) -> str:
     """Text form of a decomposition; ``parse`` inverts it exactly."""
     out = [f"dw version=1 n={dec.n} K={dw_width(dec)}"]
@@ -300,7 +327,7 @@ def parse(text: str) -> KDecomposition:
         elif tok[0] == "leaf":
             if len(tok) != 4:
                 raise ParseError(lineno, "leaf line needs: leaf <id> elem=<k> loop=<0|1>")
-            node_id = int(tok[1])
+            node_id = _id(tok[1], lineno)
             if node_id in leaves or node_id in inners:
                 raise ParseError(lineno, f"duplicate node id {node_id}")
             loop = _kv(tok[3], "loop", lineno)
@@ -310,7 +337,7 @@ def parse(text: str) -> KDecomposition:
         elif tok[0] == "inner":
             if len(tok) != 5:
                 raise ParseError(lineno, "inner line needs: inner <id> left=<id> right=<id> kv=<k>")
-            node_id = int(tok[1])
+            node_id = _id(tok[1], lineno)
             if node_id in leaves or node_id in inners:
                 raise ParseError(lineno, f"duplicate node id {node_id}")
             inners[node_id] = (
@@ -332,7 +359,7 @@ def parse(text: str) -> KDecomposition:
                 raise ParseError(lineno, "duplicate root line")
             if len(tok) != 2:
                 raise ParseError(lineno, "root line needs: root <id>")
-            root = int(tok[1])
+            root = _id(tok[1], lineno)
         else:
             raise ParseError(lineno, f"unknown record {tok[0]!r}")
     if header is None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .kdecomp import KDecomposition, Leaf, eval_rank
+from .kdecomp import KDecomposition, eval_rank, fold
 from .verify import NotAMatroidError, verify
 
 
@@ -64,17 +64,15 @@ def whitney_coefficients(dec: KDecomposition, check: bool = True) -> WhitneyTabl
         result = verify(dec)
         if not result:
             raise NotAMatroidError(result)
-    tables: dict[int, dict[int, dict[tuple[int, int], int]]] = {}
-    for node_id in dec.postorder():
-        node = dec.nodes[node_id]
-        if isinstance(node, Leaf):
-            tables[node_id] = {0: {(0, 0): 1}, 1: {(1, 0 if node.loop else 1): 1}}
-            continue
-        left, right = node.children
+
+    def leaf(node_id, node):
+        return {0: {(0, 0): 1}, 1: {(1, 0 if node.loop else 1): 1}}
+
+    def combine(node_id, node, table1, table2):
         color, defect = node.color, node.defect
         merged: dict[int, dict[tuple[int, int], int]] = {}
-        for g1, cells1 in tables[left].items():
-            for g2, cells2 in tables[right].items():
+        for g1, cells1 in table1.items():
+            for g2, cells2 in table2.items():
                 g = color[g1][g2]
                 drop = defect[g1][g2]
                 bucket = merged.setdefault(g, {})
@@ -88,10 +86,10 @@ def whitney_coefficients(dec: KDecomposition, check: bool = True) -> WhitneyTabl
                             )
                         key = (n1 + n2, rr)
                         bucket[key] = bucket.get(key, 0) + c1 * c2
-        tables[node_id] = merged
-        del tables[left], tables[right]
+        return merged
+
     counts: dict[tuple[int, int], int] = {}
-    for cells in tables[dec.root].values():
+    for cells in fold(dec, leaf, combine).values():
         for key, c in cells.items():
             counts[key] = counts.get(key, 0) + c
     (rank,) = (r for (size, r) in counts if size == dec.n)
@@ -141,26 +139,21 @@ def _scaled_point_dp(dec: KDecomposition, x, y, reduce=lambda v: v):
                 powers[i] = v
         return powers[k]
 
-    leaf_empty = reduce(x - 1)
-    leaf_loop = reduce((x - 1) * (y - 1))
+    empty = reduce(x - 1)
     one = reduce(1)
-    tables: dict[int, dict[int, object]] = {}
-    for node_id in dec.postorder():
-        node = dec.nodes[node_id]
-        if isinstance(node, Leaf):
-            tables[node_id] = {0: leaf_empty, 1: leaf_loop if node.loop else one}
-            continue
-        left, right = node.children
+
+    def combine(node_id, node, table1, table2):
         color, defect = node.color, node.defect
         merged: dict[int, object] = {}
-        for g1, v1 in tables[left].items():
-            for g2, v2 in tables[right].items():
+        for g1, v1 in table1.items():
+            for g2, v2 in table2.items():
                 g = color[g1][g2]
                 term = reduce(v1 * v2 * power(defect[g1][g2]))
                 merged[g] = reduce(merged.get(g, 0) + term)
-        tables[node_id] = merged
-        del tables[left], tables[right]
-    return reduce(sum(tables[dec.root].values()))
+        return merged
+
+    root = fold(dec, lambda node_id, node: {0: empty, 1: base if node.loop else one}, combine)
+    return reduce(sum(root.values()))
 
 
 def _to_residue(value, mod: int) -> int:
@@ -196,6 +189,6 @@ def evaluate(dec: KDecomposition, x, y, mod: int | None = None, check: bool = Fa
         inv = pow(div, -1, mod)
     except ValueError:
         # x-1 not invertible for this modulus: count coefficients instead
-        return _point_from_table(whitney_coefficients(dec, check=False), x, y) % mod
+        return _to_residue(_point_from_table(whitney_coefficients(dec, check=False), x, y), mod)
     scaled = _scaled_point_dp(dec, rx, ry, reduce=lambda v: v % mod)
     return scaled * inv % mod

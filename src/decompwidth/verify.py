@@ -6,17 +6,18 @@ zero on the empty set, monotone, submodular, and at most 1 on singletons
 checked here without enumerating subsets:
 
 * empty set: structural, the (0, 0) table entries are pinned to (0, 0);
-* submodularity: a bottom-up DP over colored quadruples (gA, gB, gI, gU)
+* submodularity: a bottom-up fold over colored quadruples (gA, gB, gI, gU)
   tracking, per node, the minimum of label(A) + label(B) - label(A|B)
   - label(A&B) over set pairs realizing those four colors;
-* monotonicity: the analogous DP over colored pairs (gA, gB) with A <= B,
-  tracking the minimum of label(B) - label(A);
+* monotonicity: a submodular r has diminishing returns, r(A+e) - r(A) >=
+  r(E) - r(E-e) for e outside A, so it is monotone exactly when r(E-e) <=
+  r(E) for every element e; all n of those ranks come from one linear pass;
 * singletons: all n singleton ranks in one linear pass.
 
 Unreachable color combinations are simply absent from the sparse DP tables
 (an absent entry behaves as +infinity: adding anything keeps it absent).
-The DP keeps one argmin backpointer per entry, so a negative root entry can
-be unfolded into concrete witness sets A and B.
+The DP keeps one argmin backpointer per entry, so a negative root entry is
+unfolded into concrete witness sets A and B before the tables are dropped.
 
 A loop flag that disagrees with the decomposition's own singleton ranks does
 not stop the function from being a matroid rank function, so it is reported
@@ -27,14 +28,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .kdecomp import ElementSet, KDecomposition, Leaf, singleton_ranks, validate_structure
+from .kdecomp import (
+    ElementSet,
+    KDecomposition,
+    Leaf,
+    eval_rank,
+    fold,
+    singleton_ranks,
+    validate_structure,
+)
 
 Quad = tuple[int, int, int, int]
-Pair = tuple[int, int]
 
 # Single-element base cases: (A cap {e}, B cap {e}) ranges over the four
 # subset pairs, giving colors (A, B, A&B, A|B) below, each with defect 0.
-_LEAF_QUADS: tuple[Quad, ...] = ((0, 0, 0, 0), (1, 0, 0, 1), (0, 1, 0, 1), (1, 1, 1, 1))
+_LEAF_TABLE = dict.fromkeys(((0, 0, 0, 0), (1, 0, 0, 1), (0, 1, 0, 1), (1, 1, 1, 1)), 0)
 
 
 @dataclass
@@ -43,30 +51,22 @@ class VerifyResult:
     reason: str | None = None  # "structure" | "empty-set" | "submodularity" | "monotonicity" | "singleton"
     detail: str | None = None
     loop_flag_mismatches: tuple[int, ...] = ()
-    _witness_kind: str | None = field(default=None, repr=False)
-    _root_key: tuple | None = field(default=None, repr=False)
-    _tables: dict | None = field(default=None, repr=False)
-    _back: dict | None = field(default=None, repr=False)
+    _witness: tuple[ElementSet, ElementSet] | None = field(default=None, repr=False)
 
     def __bool__(self) -> bool:
         return self.is_matroid
 
 
 def _submodularity_tables(dec: KDecomposition):
-    """Per node: {quadruple: min defect} plus argmin backpointers."""
-    tables: dict[int, dict[Quad, int]] = {}
+    """Root {quadruple: min defect} plus per-node argmin backpointers."""
     back: dict[int, dict[Quad, tuple[Quad, Quad]]] = {}
-    for node_id in dec.postorder():
-        node = dec.nodes[node_id]
-        if isinstance(node, Leaf):
-            tables[node_id] = {q: 0 for q in _LEAF_QUADS}
-            continue
-        left, right = node.children
+
+    def combine(node_id, node, table1, table2):
         color, defect = node.color, node.defect
         merged: dict[Quad, int] = {}
         pointers: dict[Quad, tuple[Quad, Quad]] = {}
-        for q1, v1 in tables[left].items():
-            for q2, v2 in tables[right].items():
+        for q1, v1 in table1.items():
+            for q2, v2 in table2.items():
                 key = (
                     color[q1[0]][q2[0]],
                     color[q1[1]][q2[1]],
@@ -84,78 +84,61 @@ def _submodularity_tables(dec: KDecomposition):
                 if key not in merged or value < merged[key]:
                     merged[key] = value
                     pointers[key] = (q1, q2)
-        tables[node_id] = merged
         back[node_id] = pointers
-    return tables, back
+        return merged
+
+    return fold(dec, lambda node_id, node: _LEAF_TABLE, combine), back
 
 
-def _monotonicity_tables(dec: KDecomposition):
-    """Per node: {(color(A), color(B)): min label(B) - label(A)} over A <= B."""
-    tables: dict[int, dict[Pair, int]] = {}
-    back: dict[int, dict[Pair, tuple[Pair, Pair]]] = {}
-    for node_id in dec.postorder():
+def _unfold_witness(dec: KDecomposition, back: dict, key: Quad) -> tuple[ElementSet, ElementSet]:
+    """Sets A and B realizing quadruple ``key`` at the root, read off the backpointers."""
+    a_mask = b_mask = 0
+    stack: list[tuple[int, Quad]] = [(dec.root, key)]
+    while stack:
+        node_id, key = stack.pop()
         node = dec.nodes[node_id]
         if isinstance(node, Leaf):
-            tables[node_id] = {(0, 0): 0, (0, 1): 0 if node.loop else 1, (1, 1): 0}
+            a_mask |= key[0] << node.element
+            b_mask |= key[1] << node.element
             continue
-        left, right = node.children
-        color, defect = node.color, node.defect
-        merged: dict[Pair, int] = {}
-        pointers: dict[Pair, tuple[Pair, Pair]] = {}
-        for p1, v1 in tables[left].items():
-            for p2, v2 in tables[right].items():
-                key = (color[p1[0]][p2[0]], color[p1[1]][p2[1]])
-                value = v1 + v2 + defect[p1[0]][p2[0]] - defect[p1[1]][p2[1]]
-                if key not in merged or value < merged[key]:
-                    merged[key] = value
-                    pointers[key] = (p1, p2)
-        tables[node_id] = merged
-        back[node_id] = pointers
-    return tables, back
+        k1, k2 = back[node_id][key]
+        stack.append((node.children[0], k1))
+        stack.append((node.children[1], k2))
+    return a_mask, b_mask
 
 
 def verify(dec: KDecomposition) -> VerifyResult:
     """Full matroid verdict for a decomposition.
 
-    Work per inner node is bounded by the fourth power of the reachable
-    quadruple counts of its children (K^8 in the worst case), so the whole
-    pass is linear in n for fixed width.
+    Work per inner node is the product of the reachable quadruple counts of
+    its two children (K^8 in the worst case); the monotonicity and singleton
+    checks add O(nK).  The whole verdict is linear in n for fixed width.
     """
     defect = validate_structure(dec)
     if defect is not None:
         reason = "empty-set" if defect.kind == "empty-set convention" else "structure"
         return VerifyResult(False, reason, str(defect))
 
-    sub_tables, sub_back = _submodularity_tables(dec)
-    worst_key, worst = None, 0
-    for key, value in sorted(sub_tables[dec.root].items()):
-        if value < worst:
-            worst_key, worst = key, value
-    if worst_key is not None:
+    root, back = _submodularity_tables(dec)
+    worst = min(root, key=lambda key: (root[key], key))
+    if root[worst] < 0:
         return VerifyResult(
             False,
             "submodularity",
-            f"root quadruple {worst_key} has defect minimum {worst}",
-            _witness_kind="submodularity",
-            _root_key=worst_key,
-            _tables=sub_tables,
-            _back=sub_back,
+            f"root quadruple {worst} has defect minimum {root[worst]}",
+            _witness=_unfold_witness(dec, back, worst),
         )
 
-    mono_tables, mono_back = _monotonicity_tables(dec)
-    worst_key, worst = None, 0
-    for key, value in sorted(mono_tables[dec.root].items()):
-        if value < worst:
-            worst_key, worst = key, value
-    if worst_key is not None:
+    full = dec.full_set()
+    full_rank = eval_rank(dec, full)
+    co_ranks = singleton_ranks(dec, full)
+    e = max(range(dec.n), key=co_ranks.__getitem__)
+    if co_ranks[e] > full_rank:
         return VerifyResult(
             False,
             "monotonicity",
-            f"root pair {worst_key} has rank drop {-worst}",
-            _witness_kind="monotonicity",
-            _root_key=worst_key,
-            _tables=mono_tables,
-            _back=mono_back,
+            f"rank(E - {e}) = {co_ranks[e]} exceeds rank(E) = {full_rank}",
+            _witness=(full & ~(1 << e), full),
         )
 
     ranks = singleton_ranks(dec)
@@ -184,20 +167,6 @@ def extract_witness(dec: KDecomposition, result: VerifyResult) -> tuple[ElementS
     Replaying eval_rank on the returned pair reproduces the violation; for
     monotonicity the pair satisfies A <= B with rank(A) > rank(B).
     """
-    if result._witness_kind not in ("submodularity", "monotonicity"):
+    if result._witness is None:
         raise ValueError("witness extraction needs a submodularity or monotonicity verdict")
-    a_mask = b_mask = 0
-    stack: list[tuple[int, tuple]] = [(dec.root, result._root_key)]
-    while stack:
-        node_id, key = stack.pop()
-        node = dec.nodes[node_id]
-        if isinstance(node, Leaf):
-            if key[0]:
-                a_mask |= 1 << node.element
-            if key[1]:
-                b_mask |= 1 << node.element
-            continue
-        k1, k2 = result._back[node_id][key]
-        stack.append((node.children[0], k1))
-        stack.append((node.children[1], k2))
-    return a_mask, b_mask
+    return result._witness

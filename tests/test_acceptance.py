@@ -175,7 +175,7 @@ def test_criterion_3_verification_soundness():
     )
     result = verify(mono_only)
     brute = brute_axiom_check([eval_rank(mono_only, s) for s in range(4)])
-    submod_root = _submodularity_tables(mono_only)[0][mono_only.root]
+    submod_root = _submodularity_tables(mono_only)[0]
     if result.is_matroid or brute.valid or result.reason != "monotonicity":
         report("C3", False, "monotonicity-only case not classified correctly")
     if any(v < 0 for v in submod_root.values()):

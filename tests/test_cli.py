@@ -172,6 +172,26 @@ def test_parse_error_exit_code(tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "lineno,bad",
+    [(2, "leaf x elem=0 loop=0"), (4, "inner x left=0 right=1 kv=1"), (5, "root x")],
+)
+def test_non_integer_node_id_exit_code(tmp_path, lineno, bad):
+    lines = [
+        "dw version=1 n=2 K=1",
+        "leaf 0 elem=0 loop=0",
+        "leaf 1 elem=1 loop=0",
+        "inner 2 left=0 right=1 kv=1",
+        "root 2",
+    ]
+    lines[lineno - 1] = bad
+    path = tmp_path / "bad.dw"
+    path.write_text("\n".join(lines) + "\n")
+    code, _, err = run(["verify", str(path)])
+    assert code == 2
+    assert f"line {lineno}" in err
+
+
 def test_missing_file_exit_code():
     code, _, err = run(["verify", "/nonexistent/path.dw"])
     assert code == 2

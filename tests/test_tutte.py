@@ -197,6 +197,12 @@ def test_modular_degenerate_x_falls_back():
     assert evaluate(dec, 98, 3, mod=mod) == evaluate(dec, 1, 3) % mod
 
 
+def test_modular_degenerate_x_with_rational_y():
+    dec, _ = construct_exact(u23())
+    # x - 1 = 7 vanishes mod 7; T(8, 1/2) = 145/2, which is 6 mod 7
+    assert evaluate(dec, 8, Fraction(1, 2), mod=7) == 6
+
+
 def test_bad_modulus():
     dec, _ = construct_exact(u23())
     with pytest.raises(ValueError):

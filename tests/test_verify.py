@@ -18,10 +18,11 @@ from decompwidth import (
     brute_axiom_check,
     eval_rank,
     extract_witness,
+    singleton_ranks,
     verify,
 )
 from decompwidth.kdecomp import Inner, KDecomposition, Leaf, node_states
-from decompwidth.verify import _monotonicity_tables, _submodularity_tables
+from decompwidth.verify import _submodularity_tables
 
 
 def two_leaf(defect_11=0, loops=(False, False)):
@@ -70,8 +71,8 @@ def test_monotonicity_only_violation():
     assert not result.is_matroid
     assert result.reason == "monotonicity"
     # the submodularity pass alone accepts it
-    tables, _ = _submodularity_tables(dec)
-    assert all(v >= 0 for v in tables[dec.root].values())
+    root, _ = _submodularity_tables(dec)
+    assert all(v >= 0 for v in root.values())
 
 
 def test_monotonicity_witness_replays():
@@ -156,28 +157,18 @@ def brute_quadruple_minima(dec):
     return minima
 
 
-def brute_pair_minima(dec):
-    minima = {}
+def assert_flip_ranks_exact(dec):
     full = dec.full_set()
-    for a, b in submask_pairs(full):
-        if a & ~b:
-            continue
-        ca, la = node_states(dec, a)[dec.root]
-        cb, lb = node_states(dec, b)[dec.root]
-        key = (ca, cb)
-        value = lb - la
-        if key not in minima or value < minima[key]:
-            minima[key] = value
-    return minima
+    for base in (0, full, full & 0x55555555):
+        assert singleton_ranks(dec, base) == [eval_rank(dec, base ^ 1 << e) for e in range(dec.n)]
 
 
 @pytest.mark.parametrize("make", [u12, u23, parallel_coloop, c5_linear, mk4_linear])
 def test_dp_minima_exact(make):
     dec, _ = construct_exact(make())
-    sub_tables, _ = _submodularity_tables(dec)
-    assert sub_tables[dec.root] == brute_quadruple_minima(dec)
-    mono_tables, _ = _monotonicity_tables(dec)
-    assert mono_tables[dec.root] == brute_pair_minima(dec)
+    root, _ = _submodularity_tables(dec)
+    assert root == brute_quadruple_minima(dec)
+    assert_flip_ranks_exact(dec)
 
 
 def test_dp_minima_exact_after_mutations():
@@ -195,10 +186,9 @@ def test_dp_minima_exact_after_mutations():
             node.defect[g1][g2] = rng.randrange(3)
         if (g1, g2) == (0, 0):
             continue  # structural convention handled elsewhere
-        sub_tables, _ = _submodularity_tables(dec)
-        assert sub_tables[dec.root] == brute_quadruple_minima(dec)
-        mono_tables, _ = _monotonicity_tables(dec)
-        assert mono_tables[dec.root] == brute_pair_minima(dec)
+        root, _ = _submodularity_tables(dec)
+        assert root == brute_quadruple_minima(dec)
+        assert_flip_ranks_exact(dec)
 
 
 # ---------------------------------------------------------------------------
@@ -235,3 +225,15 @@ def test_mutation_verdicts_agree_with_brute_force(make, seed):
         result = verify(dec)
         table = [eval_rank(dec, s) for s in range(1 << dec.n)]
         assert result.is_matroid == brute_axiom_check(table).valid
+        if result.reason == "submodularity":
+            a, b = extract_witness(dec, result)
+            assert table[a | b] + table[a & b] > table[a] + table[b]
+            continue
+        # the quadruple DP accepted: monotonicity fails exactly when brute force says so
+        not_monotone = any(
+            table[a] > table[b] for a, b in submask_pairs(dec.full_set()) if a & ~b == 0
+        )
+        assert (result.reason == "monotonicity") == not_monotone
+        if not_monotone:
+            a, b = extract_witness(dec, result)
+            assert a & ~b == 0 and table[a] > table[b]

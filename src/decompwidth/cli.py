@@ -35,6 +35,14 @@ def _load_decomposition(path: str) -> kdecomp.KDecomposition:
     return kdecomp.parse(_read(path))
 
 
+def _reject_structure(dec: kdecomp.KDecomposition) -> bool:
+    """Report the first structural defect on stderr; True when there is one."""
+    defect = kdecomp.validate_structure(dec)
+    if defect is not None:
+        print(f"not matroid: structure ({defect})", file=sys.stderr)
+    return defect is not None
+
+
 def _parse_set(text: str, n: int) -> int:
     mask = 0
     if text.strip() == "":
@@ -116,6 +124,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_rank(args) -> int:
     dec = _load_decomposition(args.decomposition)
+    if _reject_structure(dec):
+        return 1
     mask = _parse_set(args.set, dec.n)
     print(kdecomp.eval_rank(dec, mask))
     return 0
@@ -140,9 +150,7 @@ def _cmd_tutte(args) -> int:
 
 def _cmd_tutte_eval(args) -> int:
     dec = _load_decomposition(args.decomposition)
-    defect = kdecomp.validate_structure(dec)
-    if defect is not None:
-        print(f"not matroid: structure ({defect})", file=sys.stderr)
+    if _reject_structure(dec):
         return 1
     x = _parse_rational(args.x)
     y = _parse_rational(args.y)
@@ -161,6 +169,8 @@ def _cmd_bw(args) -> int:
 
 def _cmd_check(args) -> int:
     dec = _load_decomposition(args.decomposition)
+    if _reject_structure(dec):
+        return 1
     m = _load_matroid(args.matroid)
     if m.n != dec.n:
         print(f"mismatch: matroid has {m.n} elements, decomposition {dec.n}", file=sys.stderr)

@@ -6,9 +6,10 @@ zero on the empty set, monotone, submodular, and at most 1 on singletons
 checked here without enumerating subsets:
 
 * empty set: structural, the (0, 0) table entries are pinned to (0, 0);
-* submodularity: a bottom-up fold over colored quadruples (gA, gB, gI, gU)
-  tracking, per node, the minimum of label(A) + label(B) - label(A|B)
-  - label(A&B) over set pairs realizing those four colors;
+* submodularity: in its local form, label(A+e) + label(A+f) >=
+  label(A+e+f) + label(A) for every A and every pair e != f outside A, in
+  one bottom-up fold whose state at a node depends on how many of e and f
+  lie in its subtree (N, P and Q below);
 * monotonicity: a submodular r has diminishing returns, r(A+e) - r(A) >=
   r(E) - r(E-e) for e outside A, so it is monotone exactly when r(E-e) <=
   r(E) for every element e; all n of those ranks come from one linear pass;
@@ -16,8 +17,9 @@ checked here without enumerating subsets:
 
 Unreachable color combinations are simply absent from the sparse DP tables
 (an absent entry behaves as +infinity: adding anything keeps it absent).
-The DP keeps one argmin backpointer per entry, so a negative root entry is
-unfolded into concrete witness sets A and B before the tables are dropped.
+The DP keeps one backpointer per entry, so a negative root entry is unfolded
+into A, e and f, and the witness sets A+e and A+f, before the tables are
+dropped.
 
 A loop flag that disagrees with the decomposition's own singleton ranks does
 not stop the function from being a matroid rank function, so it is reported
@@ -40,9 +42,17 @@ from .kdecomp import (
 
 Quad = tuple[int, int, int, int]
 
-# Single-element base cases: (A cap {e}, B cap {e}) ranges over the four
-# subset pairs, giving colors (A, B, A&B, A|B) below, each with defect 0.
-_LEAF_TABLE = dict.fromkeys(((0, 0, 0, 0), (1, 0, 0, 1), (0, 1, 0, 1), (1, 1, 1, 1)), 0)
+# Fold state kinds.  With A fixed and e, f pinned outside A, a subtree holding
+# neither pinned element is summarized by one color (N), one holding a pinned
+# element x by the colors of A' and A'+x (P), and one holding both by the
+# quadruple of colors of A', A'+e, A'+f, A'+e+f (Q), A' being A cut down to
+# the subtree.  Only Q carries a value: for N and P the four restricted sets
+# coincide in pairs, so their signed label sum is 0.
+N, P, Q = 0, 1, 2
+
+# A leaf is colored 0 or 1 when its element is not pinned (in A or not), and
+# carries A' = {} and A'+x = {x} when it is.
+_LEAF_STATE = ({0: None, 1: None}, {(0, 1): None}, {})
 
 
 @dataclass
@@ -57,62 +67,113 @@ class VerifyResult:
         return self.is_matroid
 
 
+def _quad(c0: int, c1: int, c2: int, c3: int) -> Quad:
+    """Q key with its middle pair sorted: swapping e and f gives the same key."""
+    return (c0, c1, c2, c3) if c1 <= c2 else (c0, c2, c1, c3)
+
+
 def _submodularity_tables(dec: KDecomposition):
-    """Root {quadruple: min defect} plus per-node argmin backpointers."""
-    back: dict[int, dict[Quad, tuple[Quad, Quad]]] = {}
+    """Root {Q key: min of label(A+e) + label(A+f) - label(A+e+f) - label(A)}
+    plus per-node backpointers.
 
-    def combine(node_id, node, table1, table2):
+    The function is submodular exactly when every root minimum is >= 0.
+    ``back[node_id]`` holds the node's N, P and Q states, each mapped to the
+    pair of child states (kind, key, kind, key) it was first or best reached
+    from.
+    """
+    back: dict[int, tuple[dict, dict, dict]] = {}
+
+    def combine(node_id, node, left, right):
         color, defect = node.color, node.defect
-        merged: dict[Quad, int] = {}
-        pointers: dict[Quad, tuple[Quad, Quad]] = {}
-        for q1, v1 in table1.items():
-            for q2, v2 in table2.items():
-                key = (
-                    color[q1[0]][q2[0]],
-                    color[q1[1]][q2[1]],
-                    color[q1[2]][q2[2]],
-                    color[q1[3]][q2[3]],
+        n1, p1, q1 = left
+        n2, p2, q2 = right
+        nset: dict[int, tuple] = {}
+        for a in n1:
+            row = color[a]
+            for b in n2:
+                nset.setdefault(row[b], (N, a, N, b))
+        pset: dict[tuple[int, int], tuple] = {}
+        for pair in p1:
+            ra, rx = color[pair[0]], color[pair[1]]
+            for b in n2:
+                pset.setdefault((ra[b], rx[b]), (P, pair, N, b))
+        for b in n1:
+            row = color[b]
+            for pair in p2:
+                pset.setdefault((row[pair[0]], row[pair[1]]), (N, b, P, pair))
+
+        qset: dict[Quad, int] = {}
+        pointers: dict[Quad, tuple] = {}
+
+        def offer(key, value, pointer):
+            if key not in qset or value < qset[key]:
+                qset[key] = value
+                pointers[key] = pointer
+
+        for quad, v in q1.items():
+            r0, r1, r2, r3 = (color[g] for g in quad)
+            d0, d1, d2, d3 = (defect[g] for g in quad)
+            for b in n2:
+                offer(
+                    _quad(r0[b], r1[b], r2[b], r3[b]),
+                    v - d1[b] - d2[b] + d3[b] + d0[b],
+                    (Q, quad, N, b),
                 )
-                value = (
-                    v1
-                    + v2
-                    - defect[q1[0]][q2[0]]
-                    - defect[q1[1]][q2[1]]
-                    + defect[q1[2]][q2[2]]
-                    + defect[q1[3]][q2[3]]
+        for b in n1:
+            row, drop = color[b], defect[b]
+            for quad, v in q2.items():
+                g0, g1, g2, g3 = quad
+                offer(
+                    _quad(row[g0], row[g1], row[g2], row[g3]),
+                    v - drop[g1] - drop[g2] + drop[g3] + drop[g0],
+                    (N, b, Q, quad),
                 )
-                if key not in merged or value < merged[key]:
-                    merged[key] = value
-                    pointers[key] = (q1, q2)
-        back[node_id] = pointers
-        return merged
+        # e on the left, f on the right; the other way round gives the same
+        # sorted keys and values
+        for e_pair in p1:
+            a, ax = e_pair
+            ra, rx, da, dx = color[a], color[ax], defect[a], defect[ax]
+            for f_pair in p2:
+                b, bf = f_pair
+                offer(
+                    _quad(ra[b], rx[b], ra[bf], rx[bf]),
+                    da[b] + dx[bf] - dx[b] - da[bf],
+                    (P, e_pair, P, f_pair),
+                )
+        back[node_id] = (nset, pset, pointers)
+        return nset, pset, qset
 
-    return fold(dec, lambda node_id, node: _LEAF_TABLE, combine), back
+    return fold(dec, lambda node_id, node: _LEAF_STATE, combine)[Q], back
 
 
-def _unfold_witness(dec: KDecomposition, back: dict, key: Quad) -> tuple[ElementSet, ElementSet]:
-    """Sets A and B realizing quadruple ``key`` at the root, read off the backpointers."""
-    a_mask = b_mask = 0
-    stack: list[tuple[int, Quad]] = [(dec.root, key)]
+def _unfold_local(dec: KDecomposition, back: dict, key: Quad) -> tuple[ElementSet, int, int]:
+    """A set A and elements e, f outside it realizing root Q key ``key``."""
+    a_mask = 0
+    pinned: list[int] = []
+    stack: list[tuple[int, int, object]] = [(dec.root, Q, key)]
     while stack:
-        node_id, key = stack.pop()
+        node_id, kind, key = stack.pop()
         node = dec.nodes[node_id]
         if isinstance(node, Leaf):
-            a_mask |= key[0] << node.element
-            b_mask |= key[1] << node.element
+            if kind == P:
+                pinned.append(node.element)
+            else:
+                a_mask |= key << node.element
             continue
-        k1, k2 = back[node_id][key]
-        stack.append((node.children[0], k1))
-        stack.append((node.children[1], k2))
-    return a_mask, b_mask
+        k1, key1, k2, key2 = back[node_id][kind][key]
+        stack.append((node.children[0], k1, key1))
+        stack.append((node.children[1], k2, key2))
+    e, f = sorted(pinned)
+    return a_mask, e, f
 
 
 def verify(dec: KDecomposition) -> VerifyResult:
     """Full matroid verdict for a decomposition.
 
-    Work per inner node is the product of the reachable quadruple counts of
-    its two children (K^8 in the worst case); the monotonicity and singleton
-    checks add O(nK).  The whole verdict is linear in n for fixed width.
+    Work per inner node for submodularity is O(|Q| K + |P|^2) <= O(K^5),
+    Q and P being the children's reachable color quadruples and pairs; the
+    monotonicity and singleton checks add O(nK).  The whole verdict is
+    linear in n for fixed width.
     """
     defect = validate_structure(dec)
     if defect is not None:
@@ -120,13 +181,15 @@ def verify(dec: KDecomposition) -> VerifyResult:
         return VerifyResult(False, reason, str(defect))
 
     root, back = _submodularity_tables(dec)
-    worst = min(root, key=lambda key: (root[key], key))
-    if root[worst] < 0:
+    worst = min(root, key=lambda key: (root[key], key), default=None)
+    if worst is not None and root[worst] < 0:
+        a, e, f = _unfold_local(dec, back, worst)
         return VerifyResult(
             False,
             "submodularity",
-            f"root quadruple {worst} has defect minimum {root[worst]}",
-            _witness=_unfold_witness(dec, back, worst),
+            f"rank(A+{e}) + rank(A+{f}) falls {-root[worst]} short of "
+            f"rank(A+{e}+{f}) + rank(A), root colors {worst}",
+            _witness=(a | 1 << e, a | 1 << f),
         )
 
     full = dec.full_set()

@@ -1,5 +1,6 @@
 """Shared corpus builders and helpers."""
 
+import copy
 import random
 
 from decompwidth import (
@@ -122,6 +123,26 @@ def construct_exact(m):
     tree, w = exact_branch_decomposition(m)
     dec = construct(m, root_tree(tree))
     return dec, w
+
+
+def mutate_tables(dec, rng):
+    """Copy of ``dec`` with one or two random color or defect entries redrawn."""
+    out = copy.deepcopy(dec)
+    inner_ids = [i for i, node in out.nodes.items() if isinstance(node, Inner)]
+    for _ in range(rng.randrange(1, 3)):
+        # the (0, 0) entry is pinned by the decomposition definition; touching
+        # it is a structural defect, not a table mutation
+        while True:
+            node = out.nodes[rng.choice(inner_ids)]
+            g1 = rng.randrange(len(node.color))
+            g2 = rng.randrange(len(node.color[0]))
+            if (g1, g2) != (0, 0):
+                break
+        if rng.random() < 0.5:
+            node.color[g1][g2] = rng.randrange(node.palette)
+        else:
+            node.defect[g1][g2] = rng.randrange(0, 3)
+    return out
 
 
 def left_deep_rooted_tree(n):

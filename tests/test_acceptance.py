@@ -3,7 +3,6 @@
 Run with ``pytest tests/test_acceptance.py -s`` to see the report lines.
 """
 
-import copy
 import gc
 import io
 import random
@@ -20,6 +19,7 @@ from conftest import (
     loop_coloop,
     loops_and_parallels,
     mk4_linear,
+    mutate_tables,
     named_corpus,
     parallel_coloop,
     path_caterpillar_decomposition,
@@ -106,25 +106,6 @@ def test_criterion_2_width_bounds():
     if u23_k > 1 or fano_k > 4:
         ok = False
     report("C2", ok, f"u23 K={u23_k} (<=1), fano K={fano_k} (<=4), all bounds hold")
-
-
-def mutate_tables(dec, rng):
-    out = copy.deepcopy(dec)
-    inner_ids = [i for i, node in out.nodes.items() if isinstance(node, Inner)]
-    for _ in range(rng.randrange(1, 3)):
-        # the (0, 0) entry is pinned by the decomposition definition; touching
-        # it is a structural defect, not a table mutation
-        while True:
-            node = out.nodes[rng.choice(inner_ids)]
-            g1 = rng.randrange(len(node.color))
-            g2 = rng.randrange(len(node.color[0]))
-            if (g1, g2) != (0, 0):
-                break
-        if rng.random() < 0.5:
-            node.color[g1][g2] = rng.randrange(node.palette)
-        else:
-            node.defect[g1][g2] = rng.randrange(0, 3)
-    return out
 
 
 def test_criterion_3_verification_soundness():

@@ -77,6 +77,38 @@ def test_verify_rejects_mutation(tmp_path, u23_files):
     assert "A={" in out and "B={" in out
 
 
+ORPHAN_LEAF_DW = """dw version=1 n=3 K=1
+leaf 0 elem=0 loop=0
+leaf 1 elem=1 loop=0
+leaf 2 elem=2 loop=0
+inner 3 left=0 right=1 kv=2
+phi 3 1 0 1 0
+phi 3 0 1 1 0
+phi 3 1 1 1 1
+root 3
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rank", "{dw}", "--set", "2"],
+        ["rank", "{dw}", "--set", "0,1,2"],
+        ["check", "{dw}", "--matroid", "{matroid}", "--exhaustive"],
+        ["tutte-eval", "{dw}", "--x", "2", "--y", "2"],
+    ],
+)
+def test_structure_defect_rejected(tmp_path, u23_files, argv):
+    # leaf 2 hangs off no inner node, so the file defines no rank function
+    matroid, _ = u23_files
+    dw = tmp_path / "orphan.dw"
+    dw.write_text(ORPHAN_LEAF_DW)
+    code, out, err = run([a.format(dw=dw, matroid=matroid) for a in argv])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("not matroid: structure (tree at node 2: referenced 0 times")
+
+
 def test_check_exhaustive(u23_files):
     matroid, dw = u23_files
     code, out, _ = run(["check", dw, "--matroid", matroid, "--exhaustive"])

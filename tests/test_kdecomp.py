@@ -3,9 +3,21 @@
 import copy
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import construct_exact, fano, path_caterpillar_decomposition, u23
-from decompwidth import dw_width, eval_rank, singleton_ranks, validate_structure
+from decompwidth import (
+    MatroidInstance,
+    construct,
+    dw_width,
+    eval_rank,
+    field_of_order,
+    greedy_branch_decomposition,
+    root_tree,
+    singleton_ranks,
+    validate_structure,
+)
 from decompwidth.errors import ParseError
 from decompwidth.kdecomp import Inner, KDecomposition, Leaf, node_states, parse, serialize
 
@@ -207,6 +219,24 @@ def test_validate_cycle():
 
 def test_roundtrip_fano():
     dec, _ = construct_exact(fano())
+    assert parse(serialize(dec)) == dec
+
+
+@st.composite
+def small_linear_matroids(draw):
+    q = draw(st.sampled_from([2, 3, 4]))
+    rows = draw(st.integers(min_value=1, max_value=3))
+    cols = draw(st.integers(min_value=1, max_value=8))
+    row = st.lists(st.integers(min_value=0, max_value=q - 1), min_size=cols, max_size=cols)
+    matrix = draw(st.lists(row, min_size=rows, max_size=rows))
+    return MatroidInstance.linear(field_of_order(q), matrix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_linear_matroids())
+def test_roundtrip_random_linear(m):
+    tree, _ = greedy_branch_decomposition(m)
+    dec = construct(m, root_tree(tree))
     assert parse(serialize(dec)) == dec
 
 

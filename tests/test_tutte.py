@@ -12,6 +12,7 @@ from conftest import (
     loop_coloop,
     mk4_graphic,
     mk4_linear,
+    mutate_tables,
     named_corpus,
     parallel_coloop,
     single_loop,
@@ -24,9 +25,10 @@ from decompwidth import (
     brute_whitney,
     evaluate,
     to_tutte,
+    verify,
     whitney_coefficients,
 )
-from decompwidth.kdecomp import Inner, KDecomposition, Leaf
+from decompwidth.kdecomp import Inner, KDecomposition, Leaf, node_states
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +109,31 @@ def test_whitney_unchecked_negative_rank_raises():
     )
     with pytest.raises(ValueError):
         whitney_coefficients(dec, check=False)
+
+
+def test_whitney_unchecked_non_matroid_mutants():
+    # unchecked counting stops with a plain ValueError exactly when some
+    # subset has a negative label at some node; other non-matroids are counted
+    rng = random.Random(5)
+    raised = counted = 0
+    for make in (u23, parallel_coloop, mk4_linear):
+        base, _ = construct_exact(make())
+        for _ in range(40):
+            dec = mutate_tables(base, rng)
+            if verify(dec):
+                continue
+            if any(
+                label < 0
+                for subset in range(1 << dec.n)
+                for _, label in node_states(dec, subset).values()
+            ):
+                with pytest.raises(ValueError, match="^negative rank label .* does not define a matroid$"):
+                    whitney_coefficients(dec, check=False)
+                raised += 1
+            else:
+                assert whitney_coefficients(dec, check=False).total() == 1 << dec.n
+                counted += 1
+    assert raised and counted
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ from conftest import (
     construct_exact,
     fano,
     mk4_linear,
+    mutate_tables,
     parallel_coloop,
+    single_loop,
     u12,
     u23,
 )
@@ -56,7 +58,9 @@ def submask_pairs(mask):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("make", [u12, u23, parallel_coloop, c5_linear, mk4_linear, fano])
+@pytest.mark.parametrize(
+    "make", [single_loop, u12, u23, parallel_coloop, c5_linear, mk4_linear, fano]
+)
 def test_constructed_decompositions_verify(make):
     dec, _ = construct_exact(make())
     result = verify(dec)
@@ -114,6 +118,35 @@ def test_submodularity_violation_with_witness():
         )
 
 
+def dense_balanced(n, palette, seed):
+    """Balanced tree over n leaves (a power of two) whose inner nodes all have
+    the given palette and random color and defect tables, (0, 0) pinned."""
+    rng = random.Random(seed)
+    nodes = {e: Leaf(e, False) for e in range(n)}
+    level = list(nodes)
+    while len(level) > 1:
+        parents = []
+        for left, right in zip(level[::2], level[1::2]):
+            rows, cols = (2 if child < n else palette for child in (left, right))
+            color = [[rng.randrange(palette) for _ in range(cols)] for _ in range(rows)]
+            defect = [[rng.randrange(3) for _ in range(cols)] for _ in range(rows)]
+            color[0][0] = defect[0][0] = 0
+            nodes[len(nodes)] = Inner((left, right), palette, color, defect)
+            parents.append(len(nodes) - 1)
+        level = parents
+    return KDecomposition(n, nodes, level[0])
+
+
+def test_dense_tables_rejected_with_replayable_witness():
+    # about 10^4 reachable color quadruples per node: a DP pairing the two
+    # children's quadruples would need some 10^8 steps per node here
+    dec = dense_balanced(32, 12, seed=12)
+    result = verify(dec)
+    assert result.reason == "submodularity"
+    a, b = extract_witness(dec, result)
+    assert eval_rank(dec, a | b) + eval_rank(dec, a & b) > eval_rank(dec, a) + eval_rank(dec, b)
+
+
 def test_witness_requires_violation():
     dec, _ = construct_exact(u23())
     result = verify(dec)
@@ -140,20 +173,25 @@ def test_loop_flag_mismatch_is_informational():
 # ---------------------------------------------------------------------------
 
 
-def brute_quadruple_minima(dec):
+def brute_local_minima(dec):
+    """Root table of the local-axiom DP by enumeration: for every A and every
+    ordered e != f outside A, the colors of A, A+e, A+f, A+e+f (middle pair
+    sorted) mapped to the least label(A+e) + label(A+f) - label(A+e+f) - label(A)."""
+    states = [node_states(dec, s)[dec.root] for s in range(1 << dec.n)]
     minima = {}
-    full = dec.full_set()
-    for a, b in submask_pairs(full):
-        states = {
-            "A": node_states(dec, a)[dec.root],
-            "B": node_states(dec, b)[dec.root],
-            "I": node_states(dec, a & b)[dec.root],
-            "U": node_states(dec, a | b)[dec.root],
-        }
-        key = (states["A"][0], states["B"][0], states["I"][0], states["U"][0])
-        value = states["A"][1] + states["B"][1] - states["U"][1] - states["I"][1]
-        if key not in minima or value < minima[key]:
-            minima[key] = value
+    for a in range(1 << dec.n):
+        outside = [1 << e for e in range(dec.n) if not a >> e & 1]
+        for e in outside:
+            for f in outside:
+                if e == f:
+                    continue
+                (c0, l0), (c1, l1), (c2, l2), (c3, l3) = (
+                    states[a], states[a | e], states[a | f], states[a | e | f]
+                )
+                key = (c0, min(c1, c2), max(c1, c2), c3)
+                value = l1 + l2 - l3 - l0
+                if key not in minima or value < minima[key]:
+                    minima[key] = value
     return minima
 
 
@@ -163,11 +201,11 @@ def assert_flip_ranks_exact(dec):
         assert singleton_ranks(dec, base) == [eval_rank(dec, base ^ 1 << e) for e in range(dec.n)]
 
 
-@pytest.mark.parametrize("make", [u12, u23, parallel_coloop, c5_linear, mk4_linear])
+@pytest.mark.parametrize("make", [single_loop, u12, u23, parallel_coloop, c5_linear, mk4_linear])
 def test_dp_minima_exact(make):
     dec, _ = construct_exact(make())
     root, _ = _submodularity_tables(dec)
-    assert root == brute_quadruple_minima(dec)
+    assert root == brute_local_minima(dec)
     assert_flip_ranks_exact(dec)
 
 
@@ -187,7 +225,7 @@ def test_dp_minima_exact_after_mutations():
         if (g1, g2) == (0, 0):
             continue  # structural convention handled elsewhere
         root, _ = _submodularity_tables(dec)
-        assert root == brute_quadruple_minima(dec)
+        assert root == brute_local_minima(dec)
         assert_flip_ranks_exact(dec)
 
 
@@ -196,40 +234,24 @@ def test_dp_minima_exact_after_mutations():
 # ---------------------------------------------------------------------------
 
 
-def mutate(dec, rng):
-    out = copy.deepcopy(dec)
-    inner_ids = [i for i, nd in out.nodes.items() if isinstance(nd, Inner)]
-    for _ in range(rng.randrange(1, 3)):
-        # the (0, 0) entry is pinned by the decomposition definition; touching
-        # it is a structural defect, not a table mutation
-        while True:
-            node = out.nodes[rng.choice(inner_ids)]
-            g1 = rng.randrange(len(node.color))
-            g2 = rng.randrange(len(node.color[0]))
-            if (g1, g2) != (0, 0):
-                break
-        if rng.random() < 0.5:
-            node.color[g1][g2] = rng.randrange(node.palette)
-        else:
-            node.defect[g1][g2] = rng.randrange(0, 3)
-    return out
-
-
 @pytest.mark.parametrize("make,seed", [(u23, 1), (parallel_coloop, 2), (c5_linear, 3)])
 def test_mutation_verdicts_agree_with_brute_force(make, seed):
     m = make()
     base, _ = construct_exact(m)
     rng = random.Random(seed)
     for _ in range(40):
-        dec = mutate(base, rng)
+        dec = mutate_tables(base, rng)
         result = verify(dec)
         table = [eval_rank(dec, s) for s in range(1 << dec.n)]
         assert result.is_matroid == brute_axiom_check(table).valid
         if result.reason == "submodularity":
+            # the witness is (A+e, A+f) and its defect is the root minimum
             a, b = extract_witness(dec, result)
-            assert table[a | b] + table[a & b] > table[a] + table[b]
+            assert bin(a & ~b).count("1") == 1 == bin(b & ~a).count("1")
+            root, _ = _submodularity_tables(dec)
+            assert table[a] + table[b] - table[a | b] - table[a & b] == min(root.values()) < 0
             continue
-        # the quadruple DP accepted: monotonicity fails exactly when brute force says so
+        # the submodularity DP accepted: monotonicity fails exactly when brute force says so
         not_monotone = any(
             table[a] > table[b] for a, b in submask_pairs(dec.full_set()) if a & ~b == 0
         )

@@ -39,7 +39,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ParseError
+from .errors import ParseError, integers, keyed, records
+from .kdecomp import tree_defect
 from .matroids import ElementSet, MatroidInstance
 
 Edge = tuple[int, int]
@@ -213,7 +214,6 @@ def exact_branch_decomposition(m: MatroidInstance) -> tuple[BranchTree, int]:
     rank = [m.rank(s) for s in range(1 << n)]
     if n == 1:
         return BranchTree(1, {0: ()}), 0
-    full = (1 << n) - 1
 
     def lam(mask: int, present: int) -> int:
         return rank[mask] + rank[present & ~mask] - rank[present]
@@ -338,7 +338,6 @@ def root_tree(tree: BranchTree, edge: Edge | None = None) -> RootedBranchTree:
     children: dict[int, tuple[int, int]] = {}
     root = n
     next_id = n + 1
-    placeholders: dict[int, tuple[int, int]] = {}  # new id -> (old node, old parent)
     if tree.directed_min_leaf(u, v) < tree.directed_min_leaf(v, u):
         u, v = v, u  # the side with the smaller minimum leaf goes left
     # iterative top-down relabeling; the worklist order fixes the new ids
@@ -405,21 +404,18 @@ def parse_branch_tree(text: str) -> BranchTree | RootedBranchTree:
     n = None
     node_lines: list[tuple[int, int, list[str]]] = []
     root_token = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tok = line.split()
+    for lineno, tok in records(text):
         if tok[0] == "bd":
             if n is not None:
                 raise ParseError(lineno, "duplicate header")
-            if len(tok) != 2 or not tok[1].startswith("n="):
+            if len(tok) != 2:
                 raise ParseError(lineno, "header must be 'bd n=<n>'")
-            n = int(tok[1][2:])
+            n = keyed(tok[1], "n", lineno)
         elif tok[0] == "node":
             if len(tok) not in (4, 5):
                 raise ParseError(lineno, "node line needs an id and 2 or 3 children")
-            node_lines.append((lineno, int(tok[1]), tok[2:]))
+            node_id = integers(tok[1:2], lineno, "node id must be an integer")[0]
+            node_lines.append((lineno, node_id, tok[2:]))
         elif tok[0] == "root":
             if len(tok) != 2:
                 raise ParseError(lineno, "root line needs one token")
@@ -431,14 +427,11 @@ def parse_branch_tree(text: str) -> BranchTree | RootedBranchTree:
 
     def resolve(token: str, lineno: int) -> int:
         if token.startswith("L"):
-            try:
-                leaf = int(token[1:])
-            except ValueError:
-                raise ParseError(lineno, f"bad leaf token {token!r}") from None
+            leaf = integers([token[1:]], lineno, "leaf tokens need an integer after L")[0]
             if not 0 <= leaf < n:
                 raise ParseError(lineno, f"leaf {leaf} outside 0..{n - 1}")
             return leaf
-        value = int(token)
+        value = integers([token], lineno, "expected L<k> or an inner node id")[0]
         if value < n:
             raise ParseError(lineno, f"inner node id {value} collides with leaf ids")
         return value
@@ -455,11 +448,10 @@ def parse_branch_tree(text: str) -> BranchTree | RootedBranchTree:
             if node_id in children:
                 raise ParseError(lineno, f"duplicate node {node_id}")
             children[node_id] = (resolve(tokens[0], lineno), resolve(tokens[1], lineno))
-        rooted = RootedBranchTree(n, children, root)
-        leaves = [x for x in rooted.postorder() if x < n]
-        if sorted(leaves) != list(range(n)):
-            raise ParseError(1, "leaves reachable from the root are not exactly 0..n-1")
-        return rooted
+        defect = tree_defect({*range(n), *children}, root, children)
+        if defect is not None:
+            raise ParseError(1, str(defect))
+        return RootedBranchTree(n, children, root)
 
     adj: dict[int, list[int]] = {leaf: [] for leaf in range(n)}
     for lineno, node_id, tokens in node_lines:

@@ -385,7 +385,6 @@ def rref(field: FieldSpec, d: int, rows) -> Subspace:
         if len(row) != d:
             raise ValueError("rows have mixed ambient dimensions")
         work.append(list(row))
-    basis: list[list[int]] = []
     col = 0
     r = 0
     while col < d and r < len(work):
@@ -423,8 +422,9 @@ def intersect(u1: Subspace, u2: Subspace) -> Subspace:
     zero = (0,) * d
     stacked += [row + zero for row in u2.rows]
     reduced = rref(u1.field, 2 * d, stacked)
-    inter = [row[d:] for row in reduced.rows if not any(row[:d])]
-    return rref(u1.field, d, inter)
+    # rows with a zero left half are the bottom of the RREF; their right
+    # halves are already reduced against each other
+    return Subspace(u1.field, d, tuple(row[d:] for row in reduced.rows if not any(row[:d])))
 
 
 def enumerate_subspaces(space: Subspace) -> list[Subspace]:

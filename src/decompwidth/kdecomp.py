@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ParseError
+from .errors import ParseError, integers, keyed, records
 
 ElementSet = int  # bitmask over ground-set elements
 
@@ -194,24 +194,46 @@ class StructureDefect:
         return f"{self.kind}{where}: {self.message}"
 
 
-def validate_structure(dec: KDecomposition) -> StructureDefect | None:
-    """First structural defect, or None when the decomposition is well formed."""
-    if dec.root not in dec.nodes:
-        return StructureDefect("tree", None, f"root {dec.root} is not a node")
+def tree_defect(nodes, root: int, children: dict[int, tuple[int, ...]]) -> StructureDefect | None:
+    """First reason why ``children`` (inner node -> its children) is not one
+    tree over ``nodes`` rooted at ``root``, or None when it is."""
+    if root not in nodes:
+        return StructureDefect("tree", None, f"root {root} is not a node")
     referenced: dict[int, int] = {}
-    for node_id, node in dec.nodes.items():
-        if isinstance(node, Inner):
-            for child in node.children:
-                if child not in dec.nodes:
-                    return StructureDefect("tree", node_id, f"child {child} is undefined")
-                referenced[child] = referenced.get(child, 0) + 1
-    if referenced.get(dec.root):
-        return StructureDefect("tree", dec.root, "root appears as a child")
-    for node_id in dec.nodes:
-        if node_id != dec.root and referenced.get(node_id, 0) != 1:
+    for node_id, kids in children.items():
+        for child in kids:
+            if child not in nodes:
+                return StructureDefect("tree", node_id, f"child {child} is undefined")
+            referenced[child] = referenced.get(child, 0) + 1
+    if referenced.get(root):
+        return StructureDefect("tree", root, "root appears as a child")
+    for node_id in nodes:
+        if node_id != root and referenced.get(node_id, 0) != 1:
             return StructureDefect(
                 "tree", node_id, f"referenced {referenced.get(node_id, 0)} times; expected once"
             )
+    # every other node now has exactly one parent, so the walk down from the
+    # root meets no node twice, and the nodes it misses lie on a cycle
+    reached = {root}
+    stack = [root]
+    while stack:
+        kids = children.get(stack.pop(), ())
+        reached.update(kids)
+        stack.extend(kids)
+    for node_id in nodes:
+        if node_id not in reached:
+            return StructureDefect("tree", node_id, "not reachable from the root")
+    return None
+
+
+def validate_structure(dec: KDecomposition) -> StructureDefect | None:
+    """First structural defect, or None when the decomposition is well formed."""
+    children = {
+        node_id: node.children for node_id, node in dec.nodes.items() if isinstance(node, Inner)
+    }
+    defect = tree_defect(dec.nodes, dec.root, children)
+    if defect is not None:
+        return defect
     for node_id, node in sorted(dec.nodes.items()):
         if isinstance(node, Inner) and len(node.children) != 2:
             return StructureDefect("arity", node_id, f"{len(node.children)} children; expected 2")
@@ -266,22 +288,6 @@ def validate_structure(dec: KDecomposition) -> StructureDefect | None:
 # '#' starts a comment line.  All integers decimal.
 
 
-def _kv(token: str, key: str, line: int) -> int:
-    if not token.startswith(key + "="):
-        raise ParseError(line, f"expected {key}=<int>, got {token!r}")
-    try:
-        return int(token[len(key) + 1 :])
-    except ValueError:
-        raise ParseError(line, f"bad integer in {token!r}") from None
-
-
-def _id(token: str, line: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(line, f"node id must be an integer, got {token!r}") from None
-
-
 def serialize(dec: KDecomposition) -> str:
     """Text form of a decomposition; ``parse`` inverts it exactly."""
     out = [f"dw version=1 n={dec.n} K={dw_width(dec)}"]
@@ -313,53 +319,45 @@ def parse(text: str) -> KDecomposition:
     inners: dict[int, tuple[int, int, int, int]] = {}
     phis: list[tuple[int, int, int, int, int, int]] = []
     root: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tok = line.split()
+    for lineno, tok in records(text):
         if tok[0] == "dw":
             if header is not None:
                 raise ParseError(lineno, "duplicate header")
             if len(tok) != 4 or tok[1] != "version=1":
                 raise ParseError(lineno, "header must be 'dw version=1 n=<n> K=<K>'")
-            header = (_kv(tok[2], "n", lineno), _kv(tok[3], "K", lineno))
+            header = (keyed(tok[2], "n", lineno), keyed(tok[3], "K", lineno))
         elif tok[0] == "leaf":
             if len(tok) != 4:
                 raise ParseError(lineno, "leaf line needs: leaf <id> elem=<k> loop=<0|1>")
-            node_id = _id(tok[1], lineno)
+            node_id = integers(tok[1:2], lineno, "node id must be an integer")[0]
             if node_id in leaves or node_id in inners:
                 raise ParseError(lineno, f"duplicate node id {node_id}")
-            loop = _kv(tok[3], "loop", lineno)
+            loop = keyed(tok[3], "loop", lineno)
             if loop not in (0, 1):
                 raise ParseError(lineno, "loop flag must be 0 or 1")
-            leaves[node_id] = (lineno, _kv(tok[2], "elem", lineno), bool(loop))
+            leaves[node_id] = (lineno, keyed(tok[2], "elem", lineno), bool(loop))
         elif tok[0] == "inner":
             if len(tok) != 5:
                 raise ParseError(lineno, "inner line needs: inner <id> left=<id> right=<id> kv=<k>")
-            node_id = _id(tok[1], lineno)
+            node_id = integers(tok[1:2], lineno, "node id must be an integer")[0]
             if node_id in leaves or node_id in inners:
                 raise ParseError(lineno, f"duplicate node id {node_id}")
             inners[node_id] = (
                 lineno,
-                _kv(tok[2], "left", lineno),
-                _kv(tok[3], "right", lineno),
-                _kv(tok[4], "kv", lineno),
+                keyed(tok[2], "left", lineno),
+                keyed(tok[3], "right", lineno),
+                keyed(tok[4], "kv", lineno),
             )
         elif tok[0] == "phi":
             if len(tok) != 6:
                 raise ParseError(lineno, "phi line needs: phi <id> <g1> <g2> <color> <rdef>")
-            try:
-                vals = [int(t) for t in tok[1:]]
-            except ValueError:
-                raise ParseError(lineno, "phi entries must be integers") from None
-            phis.append((lineno, *vals))
+            phis.append((lineno, *integers(tok[1:], lineno, "phi entries must be integers")))
         elif tok[0] == "root":
             if root is not None:
                 raise ParseError(lineno, "duplicate root line")
             if len(tok) != 2:
                 raise ParseError(lineno, "root line needs: root <id>")
-            root = _id(tok[1], lineno)
+            root = integers(tok[1:2], lineno, "node id must be an integer")[0]
         else:
             raise ParseError(lineno, f"unknown record {tok[0]!r}")
     if header is None:

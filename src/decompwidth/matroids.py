@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, integers, keyed, records
 from .gf import FieldSpec, field_of_order, rref
 from .tutte import WhitneyTable
 
@@ -43,13 +43,6 @@ def iter_elements(mask: ElementSet):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def mask_of(elements) -> ElementSet:
-    mask = 0
-    for e in elements:
-        mask |= 1 << e
-    return mask
 
 
 class MatroidInstance:
@@ -297,27 +290,17 @@ def incidence_matrix(num_vertices: int, edges) -> list[tuple[int, ...]]:
 
 
 def parse_matroid(text: str) -> MatroidInstance:
-    lines: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            lines.append((lineno, line))
+    lines = list(records(text))
     if not lines:
         raise ParseError(1, "empty matroid file")
-    lineno, header = lines[0]
-    tok = header.split()
+    lineno, tok = lines[0]
     if tok[0] != "matroid" or len(tok) < 2:
         raise ParseError(lineno, "header must start with 'matroid <kind>'")
     kind = tok[1]
     opts: dict[str, int] = {}
     for t in tok[2:]:
-        if "=" not in t:
-            raise ParseError(lineno, f"expected key=value, got {t!r}")
-        key, _, val = t.partition("=")
-        try:
-            opts[key] = int(val)
-        except ValueError:
-            raise ParseError(lineno, f"bad integer in {t!r}") from None
+        key = t.partition("=")[0]
+        opts[key] = keyed(t, key, lineno)
     body = lines[1:]
 
     if kind == "linear":
@@ -332,11 +315,8 @@ def parse_matroid(text: str) -> MatroidInstance:
         if len(body) != d:
             raise ParseError(lineno, f"expected {d} matrix rows, found {len(body)}")
         rows = []
-        for row_lineno, line in body:
-            try:
-                row = [int(t) for t in line.split()]
-            except ValueError:
-                raise ParseError(row_lineno, "matrix entries must be integers") from None
+        for row_lineno, tokens in body:
+            row = integers(tokens, row_lineno, "matrix entries must be integers")
             if len(row) != n:
                 raise ParseError(row_lineno, f"expected {n} entries, found {len(row)}")
             for x in row:
@@ -352,14 +332,10 @@ def parse_matroid(text: str) -> MatroidInstance:
         if len(body) != opts["edges"]:
             raise ParseError(lineno, f"expected {opts['edges']} edge lines, found {len(body)}")
         edges = []
-        for edge_lineno, line in body:
-            parts = line.split()
-            if len(parts) != 2:
+        for edge_lineno, tokens in body:
+            if len(tokens) != 2:
                 raise ParseError(edge_lineno, "edge line needs two endpoints")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(edge_lineno, "endpoints must be integers") from None
+            u, v = integers(tokens, edge_lineno, "endpoints must be integers")
             if not (0 <= u < opts["vertices"] and 0 <= v < opts["vertices"]):
                 raise ParseError(edge_lineno, f"endpoint outside 0..{opts['vertices'] - 1}")
             edges.append((u, v))

@@ -14,9 +14,9 @@ exact Python integers.
 and color it accumulates sums of (x-1)^(|Ev|-label) (y-1)^(|F|-label), so
 combining children only multiplies by ((x-1)(y-1))^defect and a single
 division by (x-1)^(n-r) remains at the root.  That keeps the work at O(K^2)
-per node.  At x = 1 (where the final division is undefined) and at y = 1 the
-coefficient table is used instead, with 0^0 = 1.  Arithmetic is exact
-rational, or modular when a modulus is given.
+per node.  Where that division is undefined (x = 1, or x - 1 not invertible
+modulo the given modulus) the coefficient table is used instead, with
+0^0 = 1.  Arithmetic is exact rational, or modular when a modulus is given.
 """
 
 from __future__ import annotations
@@ -92,8 +92,10 @@ def whitney_coefficients(dec: KDecomposition, check: bool = True) -> WhitneyTabl
     for cells in fold(dec, leaf, combine).values():
         for key, c in cells.items():
             counts[key] = counts.get(key, 0) + c
-    (rank,) = (r for (size, r) in counts if size == dec.n)
-    return WhitneyTable(dec.n, rank, counts)
+    ranks = [r for (size, r) in counts if size == dec.n]
+    if len(ranks) != 1:
+        raise ValueError(f"the leaves do not hold the {dec.n} elements once each")
+    return WhitneyTable(dec.n, ranks[0], counts)
 
 
 def to_tutte(table: WhitneyTable) -> TuttePolynomial:
@@ -119,7 +121,7 @@ def _point_from_table(table: WhitneyTable, x, y):
     )
 
 
-def _scaled_point_dp(dec: KDecomposition, x, y, reduce=lambda v: v):
+def _scaled_point_dp(dec: KDecomposition, x, y, reduce):
     """sum over F of (x-1)^(n-r(F)) (y-1)^(|F|-r(F)), via per-color sums.
 
     Each node carries, per color, the sum of (x-1)^(|Ev|-label) *
@@ -164,9 +166,9 @@ def _to_residue(value, mod: int) -> int:
 def evaluate(dec: KDecomposition, x, y, mod: int | None = None, check: bool = False):
     """Tutte polynomial value at (x, y): exact Fraction, or a residue mod ``mod``.
 
-    Generic points take the O(K^2 n) per-color pass; x = 1 or y = 1 (and
-    moduli where x - 1 is not invertible) fall back to the coefficient
-    table.  No floating point anywhere.
+    Points where (x - 1)^(n - r) is invertible take the O(K^2 n) per-color
+    pass; the rest (x = 1 below full rank, or x - 1 not invertible modulo
+    ``mod``) fall back to the coefficient table.  No floating point anywhere.
     """
     if mod is not None and mod <= 0:
         raise ValueError(f"modulus must be positive, got {mod}")
@@ -177,18 +179,15 @@ def evaluate(dec: KDecomposition, x, y, mod: int | None = None, check: bool = Fa
     x = Fraction(x)
     y = Fraction(y)
     if mod is None:
-        if x == 1 or y == 1:
-            return Fraction(_point_from_table(whitney_coefficients(dec, check=False), x, y))
-        scaled = _scaled_point_dp(dec, x, y)
-        rank = eval_rank(dec, dec.full_set())
-        return scaled / (x - 1) ** (dec.n - rank)
-    rx = _to_residue(x, mod)
-    ry = _to_residue(y, mod)
+        ring, reduce, inverse_power = Fraction, (lambda v: v), (lambda v, k: 1 / v**k)
+    else:
+        ring, reduce, inverse_power = (
+            (lambda v: _to_residue(v, mod)), (lambda v: v % mod), (lambda v, k: pow(v, -k, mod))
+        )
+    rx, ry = ring(x), ring(y)
     try:
-        div = pow((rx - 1) % mod, dec.n - eval_rank(dec, dec.full_set()), mod)
-        inv = pow(div, -1, mod)
-    except ValueError:
-        # x-1 not invertible for this modulus: count coefficients instead
-        return _to_residue(_point_from_table(whitney_coefficients(dec, check=False), x, y), mod)
-    scaled = _scaled_point_dp(dec, rx, ry, reduce=lambda v: v % mod)
-    return scaled * inv % mod
+        inv = inverse_power(rx - 1, dec.n - eval_rank(dec, dec.full_set()))
+    except (ValueError, ZeroDivisionError):
+        # x - 1 is zero or not invertible: count coefficients instead
+        return ring(_point_from_table(whitney_coefficients(dec, check=False), x, y))
+    return reduce(_scaled_point_dp(dec, rx, ry, reduce) * inv)

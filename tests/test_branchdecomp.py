@@ -315,3 +315,37 @@ def test_parse_branch_tree_errors():
         parse_branch_tree("bd n=3\nnode 1 L0 L1 L2\n")  # id collides with leaves
     with pytest.raises(ParseError):
         parse_branch_tree("bd n=4\nnode 4 L0 L1 L2\n")  # leaf 3 missing
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("bd n=x\n", 1),
+        ("# header below\nbd n=3\nnode x L0 4\n", 3),
+        ("bd n=3\nnode 3 L0 4\nnode 4 L1 Lx\nroot 3\n", 3),
+        ("bd n=3\nnode 3 L0 y\nnode 4 L1 L2\nroot 3\n", 2),
+        ("bd n=3\nnode 3 L0 4\nnode 4 L1 L2\n\nroot z\n", 5),
+    ],
+)
+def test_parse_branch_tree_bad_tokens_name_their_line(text, line):
+    with pytest.raises(ParseError) as err:
+        parse_branch_tree(text)
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # a cycle through the root: the walk down from it would never end
+        ("bd n=2\nnode 2 L0 3\nnode 3 L1 2\nroot 2\n", "tree at node 2: root appears as a child"),
+        ("bd n=2\nnode 2 L0 L1\nnode 3 2 7\nroot 3\n", "tree at node 3: child 7 is undefined"),
+        ("bd n=3\nnode 3 L0 4\nnode 4 L1 L1\nroot 3\n", "tree at node 1: referenced 2 times"),
+        (
+            "bd n=4\nnode 4 L0 L1\nnode 5 6 L2\nnode 6 5 L3\nroot 4\n",
+            "tree at node 2: not reachable from the root",
+        ),
+    ],
+)
+def test_parse_rooted_tree_checks_the_tree(text, message):
+    with pytest.raises(ParseError, match=f"^line 1: {message}"):
+        parse_branch_tree(text)

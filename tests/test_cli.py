@@ -1,13 +1,34 @@
 """Command-line surface: pipelines, formats, exit codes, determinism."""
 
 import copy
+import functools
 import io
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import construct_exact, fano, u23
-from decompwidth import format_matroid
+from conftest import (
+    c5_graphic,
+    construct_exact,
+    fano,
+    loops_and_parallels,
+    mk4_linear,
+    parallel_coloop,
+    u12,
+    u23,
+)
+from decompwidth import (
+    MatroidInstance,
+    construct,
+    exact_branch_decomposition,
+    format_branch_tree,
+    format_matroid,
+    root_tree,
+)
 from decompwidth.cli import main
 from decompwidth.kdecomp import Inner, serialize
 
@@ -107,6 +128,38 @@ def test_structure_defect_rejected(tmp_path, u23_files, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("not matroid: structure (tree at node 2: referenced 0 times")
+
+
+# every node is referenced once, but inner nodes 5 and 6 only reach each other
+CYCLE_OFF_THE_ROOT_DW = """dw version=1 n=4 K=1
+leaf 0 elem=0 loop=0
+leaf 1 elem=1 loop=0
+leaf 2 elem=2 loop=0
+leaf 3 elem=3 loop=0
+inner 4 left=0 right=1 kv=2
+inner 5 left=6 right=2 kv=1
+inner 6 left=5 right=3 kv=1
+phi 4 1 0 1 0
+phi 4 0 1 1 0
+phi 4 1 1 1 1
+root 4
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "{dw}"],
+        ["tutte", "{dw}"],
+        ["tutte-eval", "{dw}", "--x", "2", "--y", "2"],
+    ],
+)
+def test_unreachable_nodes_rejected(tmp_path, argv):
+    dw = tmp_path / "cycle.dw"
+    dw.write_text(CYCLE_OFF_THE_ROOT_DW)
+    code, out, err = run([a.format(dw=dw) for a in argv])
+    assert code == 1
+    assert "structure (tree at node 2: not reachable from the root)" in out + err
 
 
 def test_check_exhaustive(u23_files):
@@ -224,6 +277,16 @@ def test_non_integer_node_id_exit_code(tmp_path, lineno, bad):
     assert f"line {lineno}" in err
 
 
+def test_bd_parse_error_names_its_line(tmp_path, u23_files):
+    matroid, _ = u23_files
+    bd = tmp_path / "bad.bd"
+    bd.write_text("bd n=x\n")
+    code, out, err = run(["construct", "--matroid", matroid, "--bd", str(bd)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 1: bad integer in 'n=x'\n"
+
+
 def test_missing_file_exit_code():
     code, _, err = run(["verify", "/nonexistent/path.dw"])
     assert code == 2
@@ -258,3 +321,97 @@ def test_deterministic_output(u23_files):
     a = run(["construct", "--matroid", matroid])
     b = run(["construct", "--matroid", matroid])
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: mutated files never escape main
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def fuzz_corpus():
+    """(kind, text, companion) for small files the writers produce.
+
+    The companion is the matroid a ``.bd`` tree is constructed against, or
+    the rooted tree a matroid is constructed over.
+    """
+    out = []
+    for m in (u12(), u23(), parallel_coloop(), loops_and_parallels(), mk4_linear(), fano()):
+        tree, _ = exact_branch_decomposition(m)
+        rooted = root_tree(tree)
+        out.append(("dw", serialize(construct(m, rooted)), None))
+        out.append(("bd", format_branch_tree(tree), format_matroid(m)))
+        out.append(("bd", format_branch_tree(rooted), format_matroid(m)))
+        out.append(("matroid", format_matroid(m), format_branch_tree(rooted)))
+    out.append(("matroid", format_matroid(c5_graphic()), None))
+    out.append(("matroid", format_matroid(MatroidInstance.uniform(2, 4)), None))
+    return out
+
+
+FUZZ_COMMANDS = {
+    "dw": [
+        ["verify", "{file}"],
+        ["rank", "{file}", "--set", "0,1"],
+        ["tutte", "{file}"],
+        ["tutte-eval", "{file}", "--x", "2", "--y", "2"],
+        ["tutte-eval", "{file}", "--x", "1", "--y", "1", "--mod", "7"],
+    ],
+    "bd": [["construct", "--matroid", "{companion}", "--bd", "{file}"]],
+    "matroid": [
+        ["oracle-tutte", "--matroid", "{file}"],
+        ["construct", "--matroid", "{file}", "--bd", "{companion}"],
+    ],
+}
+
+# drawn integers stay small: a declared palette of 10^8 makes the .dw parser
+# allocate dense tables of that size, which is a separate problem
+FUZZ_KEYS = (
+    "n", "K", "elem", "loop", "left", "right", "kv", "q", "rows", "cols", "r", "vertices", "edges"
+)
+FUZZ_TOKENS = st.one_of(
+    st.integers(-2, 9).map(str),
+    st.sampled_from(
+        ["x", "L", "Lx", "L9", "L-1", "=", "n=", "1.5", "#", "version=2", "dw", "root", "node"]
+    ),
+    st.builds("{}={}".format, st.sampled_from(FUZZ_KEYS), st.integers(-2, 9)),
+)
+
+
+@st.composite
+def mutated(draw, text):
+    """``text`` with one to three token or line edits."""
+    lines = [line.split() for line in text.splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            lines.append([])
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        edit = draw(st.sampled_from(("replace", "insert", "drop", "delete", "duplicate", "swap")))
+        if edit == "replace" and line:
+            line[draw(st.integers(0, len(line) - 1))] = draw(FUZZ_TOKENS)
+        elif edit == "insert":
+            line.insert(draw(st.integers(0, len(line))), draw(FUZZ_TOKENS))
+        elif edit == "drop" and line:
+            del line[draw(st.integers(0, len(line) - 1))]
+        elif edit == "delete":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, list(line))
+        elif edit == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(" ".join(tokens) for tokens in lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_files_never_escape_main(data):
+    kind, text, companion = data.draw(st.sampled_from(fuzz_corpus()))
+    bad = data.draw(mutated(text))
+    with tempfile.TemporaryDirectory() as tmp:
+        path, other = Path(tmp, "input"), Path(tmp, "companion")
+        path.write_text(bad)
+        other.write_text(companion or "")
+        for argv in FUZZ_COMMANDS[kind]:
+            code, _, _ = run([a.format(file=path, companion=other) for a in argv])
+            assert code in (0, 1, 2)

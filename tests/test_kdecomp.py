@@ -212,6 +212,16 @@ def test_validate_cycle():
     assert validate_structure(dec) is not None
 
 
+def test_validate_cycle_off_the_root():
+    # every node is referenced once, but 5 and 6 only reach each other
+    nodes = {e: Leaf(e, False) for e in range(4)}
+    nodes[4] = Inner((0, 1), 1, [[0, 0], [0, 0]], [[0, 0], [0, 0]])
+    nodes[5] = Inner((6, 2), 1, [[0, 0]], [[0, 0]])
+    nodes[6] = Inner((5, 3), 1, [[0, 0]], [[0, 0]])
+    defect = validate_structure(KDecomposition(4, nodes, 4))
+    assert str(defect) == "tree at node 2: not reachable from the root"
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------

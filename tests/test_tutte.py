@@ -136,6 +136,21 @@ def test_whitney_unchecked_non_matroid_mutants():
     assert raised and counted
 
 
+def test_whitney_unchecked_missing_element_says_so():
+    # n = 3, but the leaves hold only elements 0 and 1
+    dec = KDecomposition(
+        3,
+        {
+            0: Leaf(0, False),
+            1: Leaf(1, False),
+            2: Inner((0, 1), 2, [[0, 1], [1, 1]], [[0, 0], [0, 1]]),
+        },
+        2,
+    )
+    with pytest.raises(ValueError, match="^the leaves do not hold the 3 elements once each$"):
+        whitney_coefficients(dec, check=False)
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
@@ -228,6 +243,24 @@ def test_modular_degenerate_x_with_rational_y():
     dec, _ = construct_exact(u23())
     # x - 1 = 7 vanishes mod 7; T(8, 1/2) = 145/2, which is 6 mod 7
     assert evaluate(dec, 8, Fraction(1, 2), mod=7) == 6
+
+
+def test_evaluate_degenerate_points_match_the_table():
+    # x = 1 below full rank, y = 1, and x - 1 not invertible modulo 7 or 9
+    # (x = 8, x = 4); exact values are Fractions and residues are ints
+    points = [(x, 1) for x in (2, Fraction(5, 2), 0, Fraction(-3, 4), 1, 4, 8)]
+    points += [(1, 3), (1, Fraction(1, 2))]
+    for _, m, _ in named_corpus():
+        dec, _ = construct_exact(m)
+        poly = to_tutte(whitney_coefficients(dec, check=False))
+        for x, y in points:
+            want = poly.evaluate(Fraction(x), Fraction(y))
+            got = evaluate(dec, x, y)
+            assert type(got) is Fraction and got == want
+            for mod in (7, 9, 1000000007):
+                residue = want.numerator * pow(want.denominator, -1, mod) % mod
+                got = evaluate(dec, x, y, mod=mod)
+                assert type(got) is int and got == residue
 
 
 def test_bad_modulus():

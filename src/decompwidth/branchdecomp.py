@@ -304,18 +304,15 @@ def caterpillar_tree(n: int, order: list[int]) -> BranchTree:
 
 def default_root_edge(tree: BranchTree) -> Edge | None:
     """Deterministic rooting edge: smallest (min leaf, mask) of the side
-    away from leaf 0."""
+    away from leaf 0.
+
+    That side never holds leaf 0, so its minimum leaf is at least 1, and
+    among the sides that hold leaf 1 the mask {1} is the smallest.  The
+    minimum is therefore the pendant edge of leaf 1.
+    """
     if tree.n <= 1:
         return None
-    best_key, best_edge = None, None
-    masks = tree._compute_masks()
-    for edge in tree.edges():
-        _, away = masks[edge]
-        low = (away & -away).bit_length() - 1
-        key = (low, away)
-        if best_key is None or key < best_key:
-            best_key, best_edge = key, edge
-    return best_edge
+    return tuple(sorted((1, tree.adj[1][0])))
 
 
 def root_tree(tree: BranchTree, edge: Edge | None = None) -> RootedBranchTree:
@@ -453,6 +450,9 @@ def parse_branch_tree(text: str) -> BranchTree | RootedBranchTree:
             raise ParseError(1, str(defect))
         return RootedBranchTree(n, children, root)
 
+    if 0 < n <= 2 and not node_lines:
+        # the forced shape, which the writer leaves out
+        return caterpillar_tree(n, list(range(n)))
     adj: dict[int, list[int]] = {leaf: [] for leaf in range(n)}
     for lineno, node_id, tokens in node_lines:
         if node_id < n:

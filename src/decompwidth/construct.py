@@ -1,10 +1,10 @@
 """Build a decomposition from a linear representation and a rooted branch tree.
 
 For every tree node v let the subtree span be the hull of the column vectors
-under v, the outside span the hull of all remaining columns, and the
-boundary their intersection.  The boundary's dimension is at most the width
-of the branch decomposition, and subsets of the subtree's elements interact
-with the rest of the matroid only through the trace of their span inside the
+under v, and the boundary B_v its intersection with the hull of all
+remaining columns.  The boundary's dimension is at most the width of the
+branch decomposition, and subsets of the subtree's elements interact with
+the rest of the matroid only through the trace of their span inside the
 boundary.  Colors therefore name boundary subspaces: color 0 is always the
 trivial space; further colors are allocated on demand, at most one per
 boundary subspace that is actually reachable, which keeps palettes at or
@@ -23,9 +23,18 @@ color 1 to "no subspace" instead and zeroing those table entries would turn
 defects off for coloops and overcount ranks (three elements suffice: a
 parallel pair plus a coloop comes out rank 3 instead of 2).
 
-Construction walks the tree three times (spans up, outside spans down,
-tables up) and touches every palette pair once per node; all subspace work
-happens in dimension at most the branch width.
+Construction walks the tree three times and touches every palette pair once
+per node.  Subtree spans go up.  Boundaries come down from B_root = {0}: a
+child c with sibling s under v gets
+
+    B_c = span(E_c) meet (span(E_s) + B_v),
+
+since span(E_s) + B_v lies in span(E - E_c), and any x in B_c is a + b with
+a in span(E_s) and b in span(E - E_v), so b = x - a lies in span(E_v) and
+hence in B_v.  Tables go up.  Only the subtree spans and the boundaries are
+kept.  Vectors keep the ambient length d: boundaries and color spaces have
+dimension at most the width, but subtree spans reach the rank r, and every
+hull and intersect works on rows of length d.
 """
 
 from __future__ import annotations
@@ -44,8 +53,6 @@ _LEMMA_LIMIT = 12
 class NodeSubspaceData:
     """Per-node geometry backing the color tables."""
 
-    subtree_span: Subspace
-    outside_span: Subspace
     boundary: Subspace
     color_spaces: list[Subspace]  # index = color; [0] is the trivial space
 
@@ -53,7 +60,7 @@ class NodeSubspaceData:
 def node_subspace_data(
     m: MatroidInstance, tree: RootedBranchTree
 ) -> dict[int, NodeSubspaceData]:
-    """Subtree span, outside span and boundary for every tree node."""
+    """Boundary of every tree node, with its color spaces still empty."""
     if m.kind != "linear":
         raise ValueError("construction needs a linear (represented) matroid")
     if m.n != tree.n:
@@ -67,17 +74,13 @@ def node_subspace_data(
             span[node] = rref(field, d, [m.columns[node]])
         else:
             span[node] = hull(span[kids[0]], span[kids[1]])
-    outside: dict[int, Subspace] = {tree.root: Subspace.zero(field, d)}
+    data = {tree.root: NodeSubspaceData(Subspace.zero(field, d), [])}
     for node in reversed(order):
         kids = tree.children.get(node, ())
         if kids:
-            left, right = kids
-            outside[left] = hull(span[right], outside[node])
-            outside[right] = hull(span[left], outside[node])
-    data = {}
-    for node in order:
-        boundary = intersect(span[node], outside[node])
-        data[node] = NodeSubspaceData(span[node], outside[node], boundary, [])
+            for child, sibling in (kids, kids[::-1]):
+                reach = hull(span[sibling], data[node].boundary)
+                data[child] = NodeSubspaceData(intersect(span[child], reach), [])
     return data
 
 
@@ -99,9 +102,7 @@ def construct_with_data(
         node_data = data[node]
         kids = tree.children.get(node, ())
         if not kids:
-            boundary = node_data.boundary
-            selected = boundary if not boundary.is_trivial() else trivial
-            node_data.color_spaces = [trivial, selected]
+            node_data.color_spaces = [trivial, node_data.boundary]
             is_loop = not any(m.columns[node])
             nodes[node] = Leaf(node, is_loop)
             continue

@@ -251,9 +251,6 @@ class FieldSpec:
             return pow(a, self.p - 2, self.p)
         return self._exp[(self.q - 1) - self._log[a]]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def elements(self) -> range:
         return range(self.q)
 
@@ -350,18 +347,6 @@ class Subspace:
                 for j in range(piv, self.d):
                     v[j] = f.sub(v[j], f.mul(c, row[j]))
         return not any(v)
-
-    def vectors(self):
-        """Every vector of the subspace (q^dim of them); test-sized use only."""
-        f = self.field
-        for coeffs in product(f.elements(), repeat=self.dim):
-            v = [0] * self.d
-            for c, row in zip(coeffs, self.rows):
-                if c:
-                    for j, x in enumerate(row):
-                        if x:
-                            v[j] = f.add(v[j], f.mul(c, x))
-            yield tuple(v)
 
     def __eq__(self, other) -> bool:
         return (

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ParseError, integers, keyed, records
 from .gf import FieldSpec, field_of_order, rref
 from .tutte import WhitneyTable
@@ -177,6 +175,8 @@ def _gf2_rank(column_bits: list[int], subset: ElementSet) -> int:
 def _validate_rank_table(table, n: int) -> None:
     """Fail fast on non-matroid tables: normalization, monotone and locally
     submodular steps suffice (they imply the subset-pair forms)."""
+    import numpy as np
+
     r = np.asarray(table, dtype=np.int64)
     if r[0] != 0:
         raise ValueError("rank of the empty set must be 0")
@@ -249,6 +249,8 @@ def brute_axiom_check(table) -> AxiomVerdict:
         raise ValueError("rank table length must be a power of two")
     if n > _AXIOM_PAIR_LIMIT:
         raise ValueError(f"subset-pair check limited to n <= {_AXIOM_PAIR_LIMIT}")
+    import numpy as np
+
     r = np.asarray(table, dtype=np.int64)
     if r[0] != 0:
         return AxiomVerdict(False, "empty", (0,))

@@ -189,5 +189,10 @@ def evaluate(dec: KDecomposition, x, y, mod: int | None = None, check: bool = Fa
         inv = inverse_power(rx - 1, dec.n - eval_rank(dec, dec.full_set()))
     except (ValueError, ZeroDivisionError):
         # x - 1 is zero or not invertible: count coefficients instead
-        return ring(_point_from_table(whitney_coefficients(dec, check=False), x, y))
+        table = whitney_coefficients(dec, check=False)
+        if any(rk > table.r for _, rk in table.counts):
+            raise ValueError(
+                "rank label above r(E) while counting; the decomposition does not define a matroid"
+            ) from None
+        return ring(_point_from_table(table, x, y))
     return reduce(_scaled_point_dp(dec, rx, ry, reduce) * inv)

@@ -15,6 +15,7 @@ from conftest import (
 )
 from decompwidth import (
     BranchTree,
+    FieldSpec,
     MatroidInstance,
     RootedBranchTree,
     caterpillar_tree,
@@ -278,6 +279,27 @@ def test_default_root_edge_deterministic():
     assert default_root_edge(tree) == default_root_edge(caterpillar_tree(5, [0, 1, 2, 3, 4]))
 
 
+def test_default_root_edge_is_the_brute_force_minimum():
+    # smallest (min leaf, mask) of the side away from leaf 0, over every edge
+    def brute(tree):
+        keys = {}
+        for u, v in tree.edges():
+            near, away = (u, v) if brute_side_mask(tree, v, u) & 1 else (v, u)
+            mask = brute_side_mask(tree, near, away)
+            keys[(mask & -mask).bit_length() - 1, mask] = (u, v)
+        return keys[min(keys)]
+
+    rng = random.Random(3)
+    gf3 = FieldSpec(3)
+    trees = [caterpillar_tree(n, rng.sample(range(n), n)) for n in range(2, 12)]
+    for _ in range(30):
+        rows, cols = rng.randint(1, 4), rng.randint(2, 8)
+        m = MatroidInstance.linear(gf3, [[rng.randrange(3) for _ in range(cols)] for _ in range(rows)])
+        trees += [exact_branch_decomposition(m)[0], greedy_branch_decomposition(m)[0]]
+    for tree in trees:
+        assert default_root_edge(tree) == brute(tree)
+
+
 # ---------------------------------------------------------------------------
 # text format
 # ---------------------------------------------------------------------------
@@ -290,6 +312,13 @@ def test_unrooted_roundtrip():
     assert {frozenset((u, v)) for u, v in again.edges()} == {
         frozenset((u, v)) for u, v in tree.edges()
     }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_small_caterpillar_roundtrip(n):
+    # n <= 2 trees are written with no node lines and read back in their forced shape
+    tree = caterpillar_tree(n, list(range(n)))
+    assert parse_branch_tree(format_branch_tree(tree)) == tree
 
 
 def test_rooted_roundtrip():

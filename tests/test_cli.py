@@ -241,6 +241,23 @@ def test_construct_with_bd_file(tmp_path):
     assert out.strip() == "ok 128 subsets"
 
 
+def test_bw_output_feeds_construct_on_two_elements(tmp_path):
+    matroid_path = tmp_path / "u12.matroid"
+    matroid_path.write_text(format_matroid(u12()))
+    bd_path = tmp_path / "u12.bd"
+    code, out, err = run(["bw", "--matroid", str(matroid_path)])
+    assert code == 0, err
+    bd_path.write_text(out)
+    dw_path = tmp_path / "u12.dw"
+    code, _, err = run(
+        ["construct", "--matroid", str(matroid_path), "--bd", str(bd_path), "-o", str(dw_path)]
+    )
+    assert code == 0, err
+    code, out, _ = run(["check", str(dw_path), "--matroid", str(matroid_path), "--exhaustive"])
+    assert code == 0
+    assert out.strip() == "ok 4 subsets"
+
+
 def test_construct_to_stdout(tmp_path):
     matroid_path = tmp_path / "u23.matroid"
     matroid_path.write_text(format_matroid(u23()))

@@ -1,6 +1,7 @@
 """Building decompositions from representations, and their geometry."""
 
 import copy
+import random
 
 import pytest
 
@@ -11,6 +12,7 @@ from conftest import (
     left_deep_rooted_tree,
     mk4_graphic,
     mk4_linear,
+    named_corpus,
     parallel_coloop,
     path_caterpillar_decomposition,
     path_matroid,
@@ -23,7 +25,9 @@ from decompwidth import (
     dw_width,
     eval_rank,
     exact_branch_decomposition,
+    field_of_order,
     galois_number,
+    greedy_branch_decomposition,
     hull,
     intersect,
     color_consistency_check,
@@ -87,6 +91,27 @@ def test_boundary_dimension_bounded_by_width():
     data = node_subspace_data(m, rooted)
     for node_data in data.values():
         assert node_data.boundary.dim <= width
+
+
+def _random_linear(rng, q):
+    rows, cols = rng.randint(1, 4), rng.randint(1, 8)
+    matrix = [[rng.randrange(q) if rng.random() < 0.7 else 0 for _ in range(cols)] for _ in range(rows)]
+    return MatroidInstance.linear(field_of_order(q), matrix)
+
+
+def test_boundaries_meet_the_inside_and_outside_spans():
+    # the top-down recursion must give span(E_v) meet span(E - E_v) at every node
+    rng = random.Random(11)
+    instances = [m for _, m, _ in named_corpus() if m.kind == "linear"]
+    instances += [_random_linear(rng, q) for q in (2, 3, 4, 5, 9) for _ in range(8)]
+    for m in instances:
+        for search in (exact_branch_decomposition, greedy_branch_decomposition):
+            rooted = root_tree(search(m)[0])
+            masks = rooted.subtree_masks()
+            for node, node_data in node_subspace_data(m, rooted).items():
+                inside = rref(m.field, m.dim, [m.columns[e] for e in range(m.n) if masks[node] >> e & 1])
+                outside = rref(m.field, m.dim, [m.columns[e] for e in range(m.n) if not masks[node] >> e & 1])
+                assert node_data.boundary == intersect(inside, outside)
 
 
 def test_defects_within_zero_to_width():

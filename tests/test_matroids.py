@@ -1,6 +1,10 @@
 """Rank oracles, brute-force reference algorithms, and the text format."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +23,7 @@ from conftest import (
     u12,
     u23,
 )
+import decompwidth
 from decompwidth import (
     MatroidInstance,
     brute_axiom_check,
@@ -294,3 +299,17 @@ def test_parse_rejects_bad_entries():
         parse_matroid("")
     with pytest.raises(ParseError):
         parse_matroid("matroid fancy n=2\n")
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy serves only the explicit-table validator and the brute axiom check
+    src = Path(decompwidth.__file__).resolve().parents[1]
+    probe = "import sys, decompwidth; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

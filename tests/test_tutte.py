@@ -263,6 +263,29 @@ def test_evaluate_degenerate_points_match_the_table():
                 assert type(got) is int and got == residue
 
 
+def test_table_fallback_refuses_labels_above_full_rank():
+    # x = 1 below full rank reads the Whitney table, where a subset labelled
+    # above r(E) would raise 0 to a negative power
+    rng = random.Random(7)
+    refused = 0
+    for _, m, _ in named_corpus():
+        if m.n < 2:
+            continue
+        base, _ = construct_exact(m)
+        for _ in range(10):
+            dec = mutate_tables(base, rng)
+            try:
+                table = whitney_coefficients(dec, check=False)
+            except ValueError:
+                continue
+            if table.r < dec.n and any(rk > table.r for _, rk in table.counts):
+                for mod in (None, 7):
+                    with pytest.raises(ValueError, match=r"^rank label above r\(E\) .* does not define a matroid$"):
+                        evaluate(dec, 1, 1, mod=mod)
+                refused += 1
+    assert refused
+
+
 def test_bad_modulus():
     dec, _ = construct_exact(u23())
     with pytest.raises(ValueError):

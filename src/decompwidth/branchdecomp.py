@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ParseError, integers, keyed, records
-from .kdecomp import tree_defect
+from .kdecomp import tree_defect, tree_postorder
 from .matroids import ElementSet, MatroidInstance
 
 Edge = tuple[int, int]
@@ -54,17 +54,21 @@ class BranchTree:
     def __init__(self, n: int, adj: dict[int, tuple[int, ...]]):
         self.n = n
         self.adj = {u: tuple(sorted(vs)) for u, vs in adj.items()}
-        self._masks: dict[Edge, ElementSet] | None = None
-        self._validate()
+        self._masks = self._validate()
 
-    def _validate(self) -> None:
+    def _validate(self) -> dict[Edge, tuple[int, ElementSet]]:
+        """Check the shape; per edge, (the endpoint away from leaf 0, its
+        side's leaf mask).
+
+        One walk from leaf 0 both checks connectivity and orients every edge.
+        """
         n = self.n
         if n < 1:
             raise ValueError("branch tree needs at least one element")
         if n == 1:
             if set(self.adj) != {0} or self.adj[0]:
                 raise ValueError("a 1-element branch tree is a single isolated leaf")
-            return
+            return {}
         for leaf in range(n):
             if len(self.adj.get(leaf, ())) != 1:
                 raise ValueError(f"leaf {leaf} must have degree 1")
@@ -74,52 +78,28 @@ class BranchTree:
         for u in inner:
             if len(self.adj[u]) != 3:
                 raise ValueError(f"inner node {u} must have degree 3")
-        # connectivity
-        seen = set()
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            stack.extend(self.adj[u])
+        order = [(0, -1)]  # (node, the neighbor it was reached from)
+        seen = {0}
+        for u, _ in order:
+            for v in self.adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    order.append((v, u))
         if len(seen) != len(self.adj):
             raise ValueError("branch tree is not connected")
+        sub = {u: 1 << u if u < n else 0 for u, _ in order}
+        masks: dict[Edge, tuple[int, ElementSet]] = {}
+        for u, parent in reversed(order[1:]):
+            sub[parent] |= sub[u]
+            masks[(min(u, parent), max(u, parent))] = (u, sub[u])
+        return masks
 
     def edges(self) -> list[Edge]:
         return sorted((u, v) for u, vs in self.adj.items() for v in vs if u < v)
 
-    def _compute_masks(self) -> dict[Edge, tuple[int, ElementSet]]:
-        """Per edge: (the endpoint away from leaf 0, its side's leaf mask).
-
-        One DFS from leaf 0 covers every edge.
-        """
-        if self._masks is not None:
-            return self._masks
-        masks: dict[Edge, tuple[int, ElementSet]] = {}
-        order: list[tuple[int, int]] = []
-        stack = [(0, -1)]
-        while stack:
-            u, parent = stack.pop()
-            order.append((u, parent))
-            for v in self.adj[u]:
-                if v != parent:
-                    stack.append((v, u))
-        sub: dict[int, int] = {}
-        for u, parent in reversed(order):
-            mask = 1 << u if u < self.n else 0
-            for v in self.adj[u]:
-                if v != parent:
-                    mask |= sub[v]
-            sub[u] = mask
-            if parent >= 0:
-                masks[(min(u, parent), max(u, parent))] = (u, mask)
-        self._masks = masks
-        return masks
-
     def side_mask(self, u: int, v: int) -> ElementSet:
         """Elements on v's side of the edge (u, v)."""
-        entry = self._compute_masks().get((min(u, v), max(u, v)))
+        entry = self._masks.get((min(u, v), max(u, v)))
         if entry is None:
             raise ValueError(f"({u}, {v}) is not a tree edge")
         away_node, away_mask = entry
@@ -143,7 +123,8 @@ class RootedBranchTree:
     """Rooted binary tree from subdividing one branch-tree edge.
 
     Leaves keep ids 0..n-1; the n-1 inner nodes (root included) each have
-    exactly two children.
+    exactly two children.  Construction checks the shape and raises
+    ValueError on any defect ``tree_defect`` names.
     """
 
     n: int
@@ -151,18 +132,15 @@ class RootedBranchTree:
     root: int
     _masks: dict[int, ElementSet] | None = field(default=None, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        nodes = {*range(self.n), *self.children}
+        leaves = [v for v in nodes if v not in self.children]
+        defect = tree_defect(nodes, self.root, self.children, leaves, self.n)
+        if defect is not None:
+            raise ValueError(str(defect))
+
     def postorder(self) -> list[int]:
-        order: list[int] = []
-        stack: list[tuple[int, bool]] = [(self.root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            stack.append((node, True))
-            for child in reversed(self.children.get(node, ())):
-                stack.append((child, False))
-        return order
+        return tree_postorder(self.root, self.children)
 
     def subtree_masks(self) -> dict[int, ElementSet]:
         if self._masks is None:
@@ -195,8 +173,6 @@ def _tree_from_edges(n: int, edge_list: list[tuple[int, int, int]]) -> BranchTre
     for u, v, _ in edge_list:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    if n == 1:
-        adj = {0: []}
     return BranchTree(n, {u: tuple(vs) for u, vs in adj.items()})
 
 
@@ -218,12 +194,8 @@ def exact_branch_decomposition(m: MatroidInstance) -> tuple[BranchTree, int]:
     def lam(mask: int, present: int) -> int:
         return rank[mask] + rank[present & ~mask] - rank[present]
 
-    start = [(0, 1, 0b10)]
-    if n == 2:
-        return _tree_from_edges(2, start), lam(0b10, 0b11)
-
     best: list = [None, n + 1]  # edges snapshot, width
-    stack: list[tuple[int, list[tuple[int, int, int]]]] = [(2, start)]
+    stack: list[tuple[int, list[tuple[int, int, int]]]] = [(2, [(0, 1, 0b10)])]
     # depth-first, explicit stack; children pushed in reverse keeps the
     # insertion order identical to the recursive formulation
     while stack:
@@ -445,10 +417,10 @@ def parse_branch_tree(text: str) -> BranchTree | RootedBranchTree:
             if node_id in children:
                 raise ParseError(lineno, f"duplicate node {node_id}")
             children[node_id] = (resolve(tokens[0], lineno), resolve(tokens[1], lineno))
-        defect = tree_defect({*range(n), *children}, root, children)
-        if defect is not None:
-            raise ParseError(1, str(defect))
-        return RootedBranchTree(n, children, root)
+        try:
+            return RootedBranchTree(n, children, root)
+        except ValueError as exc:
+            raise ParseError(1, str(exc)) from None
 
     if 0 < n <= 2 and not node_lines:
         # the forced shape, which the writer leaves out

@@ -168,6 +168,8 @@ def _cmd_bw(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     dec = _load_decomposition(args.decomposition)
     if _reject_structure(dec):
         return 1

@@ -7,11 +7,12 @@ multiply through log/antilog tables keyed by the smallest primitive element,
 so construction is deterministic: the same (p, m) always yields the same
 tables.
 
-Irreducible polynomials are taken from an embedded list covering every prime
-power up to 256; for larger extension fields (p^m <= 2^16) the
-lexicographically smallest monic irreducible polynomial is derived, which is
-again a pure function of (p, m).  Every polynomial, embedded or derived, is
-re-checked for irreducibility by trial division when the field is built.
+The reduction polynomial is the lexicographically smallest monic irreducible
+polynomial of degree m over GF(p), a pure function of (p, m), derived by
+trial division.  The one exception is GF(2^8), which keeps
+x^8 + x^4 + x^3 + x^2 + 1 (the smallest is x^8 + x^4 + x^3 + x + 1), so that
+GF(256) element codes keep their meaning in existing files.  The polynomial is
+re-checked for irreducibility when the field is built.
 
 Subspaces are kept in reduced row echelon form with no zero rows, so two
 Subspace values compare equal exactly when they describe the same set of
@@ -25,26 +26,10 @@ from itertools import combinations, product
 
 FVector = tuple[int, ...]
 
-# Irreducible polynomials for GF(p^m), p^m <= 256, m >= 2.  Encoded as the
-# integer whose base-p digits (little-endian) are the coefficients; all are
-# monic of degree m.
+# Reduction polynomials that differ from the smallest irreducible one.  Encoded
+# as the integer whose base-p digits (little-endian) are the coefficients.
 _IRREDUCIBLE: dict[tuple[int, int], int] = {
-    (2, 2): 0b111,            # x^2 + x + 1
-    (2, 3): 0b1011,           # x^3 + x + 1
-    (2, 4): 0b10011,          # x^4 + x + 1
-    (2, 5): 0b100101,         # x^5 + x^2 + 1
-    (2, 6): 0b1000011,        # x^6 + x + 1
-    (2, 7): 0b10000011,       # x^7 + x + 1
     (2, 8): 0b100011101,      # x^8 + x^4 + x^3 + x^2 + 1
-    (3, 2): 10,               # x^2 + 1
-    (3, 3): 34,               # x^3 + 2x + 1
-    (3, 4): 86,               # x^4 + x + 2
-    (3, 5): 250,              # x^5 + 2x + 1
-    (5, 2): 27,               # x^2 + 2
-    (5, 3): 131,              # x^3 + x + 1
-    (7, 2): 50,               # x^2 + 1
-    (11, 2): 122,             # x^2 + 1
-    (13, 2): 171,             # x^2 + 2
 }
 
 _MAX_EXT_ORDER = 1 << 16

@@ -17,7 +17,12 @@ The empty set must color and label every node with 0, which pins the (0, 0)
 entry of every table to color 0 / defect 0.
 
 Everything here treats decompositions as immutable once built; evaluation
-caches the traversal order on the instance.
+caches the traversal order on the instance.  The first walk checks the shape
+with ``tree_defect`` and raises ValueError unless the nodes form one binary
+tree whose leaves hold 0..n-1 once each, so no pass ever runs on a malformed
+tree; ``validate_structure`` reports the same defects, and then the table
+checks, without raising.  Rooted branch trees (``branchdecomp``) are checked
+and walked by the same two functions.
 """
 
 from __future__ import annotations
@@ -54,40 +59,36 @@ class KDecomposition:
         node = self.nodes[node_id]
         return 2 if isinstance(node, Leaf) else node.palette
 
+    def _children(self) -> dict[int, tuple[int, ...]]:
+        """Inner node -> its children."""
+        return {v: node.children for v, node in self.nodes.items() if isinstance(node, Inner)}
+
+    def _shape_defect(self) -> StructureDefect | None:
+        """``tree_defect`` of the node map."""
+        elements = [node.element for node in self.nodes.values() if isinstance(node, Leaf)]
+        return tree_defect(self.nodes, self.root, self._children(), elements, self.n)
+
     def postorder(self) -> list[int]:
-        """Children-before-parent order, computed iteratively and cached."""
+        """Children-before-parent order, cached.
+
+        The shape is checked on the first call: ValueError when the nodes do
+        not form a binary tree whose leaves hold 0..n-1 once each.
+        """
         if self._postorder is None:
-            order: list[int] = []
-            stack: list[tuple[int, bool]] = [(self.root, False)]
-            seen = set()
-            while stack:
-                node_id, expanded = stack.pop()
-                if expanded:
-                    order.append(node_id)
-                    continue
-                if node_id in seen:
-                    raise ValueError("decomposition tree contains a cycle")
-                seen.add(node_id)
-                stack.append((node_id, True))
-                node = self.nodes.get(node_id)
-                if node is None:
-                    raise ValueError(f"undefined node id {node_id}")
-                if isinstance(node, Inner):
-                    for child in reversed(node.children):
-                        stack.append((child, False))
-            self._postorder = order
+            defect = self._shape_defect()
+            if defect is not None:
+                raise ValueError(str(defect))
+            self._postorder = tree_postorder(self.root, self._children())
         return self._postorder
 
     def subtree_elements(self, node_id: int) -> ElementSet:
         """Bitmask of ground-set elements under ``node_id``."""
+        self.postorder()
         mask = 0
-        stack = [node_id]
-        while stack:
-            node = self.nodes[stack.pop()]
+        for v in tree_postorder(node_id, self._children()):
+            node = self.nodes[v]
             if isinstance(node, Leaf):
                 mask |= 1 << node.element
-            else:
-                stack.extend(node.children)
         return mask
 
     def full_set(self) -> ElementSet:
@@ -194,9 +195,31 @@ class StructureDefect:
         return f"{self.kind}{where}: {self.message}"
 
 
-def tree_defect(nodes, root: int, children: dict[int, tuple[int, ...]]) -> StructureDefect | None:
+def tree_postorder(root: int, children: dict[int, tuple[int, ...]]) -> list[int]:
+    """Children-before-parent order of the tree under ``root``, each node's
+    children in their given order; ``children`` maps inner nodes only.
+
+    The caller vouches that the walk down from ``root`` meets no node twice
+    (``tree_defect`` checks it): a cycle would never end.
+    """
+    order: list[int] = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(children.get(node, ()))
+    # the reversed node-right-left preorder is the left-right-node postorder
+    order.reverse()
+    return order
+
+
+def tree_defect(
+    nodes, root: int, children: dict[int, tuple[int, ...]], elements, n: int
+) -> StructureDefect | None:
     """First reason why ``children`` (inner node -> its children) is not one
-    tree over ``nodes`` rooted at ``root``, or None when it is."""
+    binary tree over ``nodes`` rooted at ``root`` whose leaves hold the
+    elements 0..n-1 once each, or None when it is.  ``elements`` lists the
+    element of every leaf."""
     if root not in nodes:
         return StructureDefect("tree", None, f"root {root} is not a node")
     referenced: dict[int, int] = {}
@@ -214,36 +237,28 @@ def tree_defect(nodes, root: int, children: dict[int, tuple[int, ...]]) -> Struc
             )
     # every other node now has exactly one parent, so the walk down from the
     # root meets no node twice, and the nodes it misses lie on a cycle
-    reached = {root}
-    stack = [root]
-    while stack:
-        kids = children.get(stack.pop(), ())
-        reached.update(kids)
-        stack.extend(kids)
+    reached = set(tree_postorder(root, children))
     for node_id in nodes:
         if node_id not in reached:
             return StructureDefect("tree", node_id, "not reachable from the root")
+    for node_id in sorted(children):
+        if len(children[node_id]) != 2:
+            return StructureDefect(
+                "arity", node_id, f"{len(children[node_id])} children; expected 2"
+            )
+    elements = sorted(elements)
+    if elements != list(range(n)):
+        return StructureDefect(
+            "leaf bijection", None, f"leaf elements {elements} are not exactly 0..{n - 1}"
+        )
     return None
 
 
 def validate_structure(dec: KDecomposition) -> StructureDefect | None:
     """First structural defect, or None when the decomposition is well formed."""
-    children = {
-        node_id: node.children for node_id, node in dec.nodes.items() if isinstance(node, Inner)
-    }
-    defect = tree_defect(dec.nodes, dec.root, children)
+    defect = dec._shape_defect()
     if defect is not None:
         return defect
-    for node_id, node in sorted(dec.nodes.items()):
-        if isinstance(node, Inner) and len(node.children) != 2:
-            return StructureDefect("arity", node_id, f"{len(node.children)} children; expected 2")
-    elements = sorted(
-        node.element for node in dec.nodes.values() if isinstance(node, Leaf)
-    )
-    if elements != list(range(dec.n)):
-        return StructureDefect(
-            "leaf bijection", None, f"leaf elements {elements} are not exactly 0..{dec.n - 1}"
-        )
     for node_id, node in sorted(dec.nodes.items()):
         if isinstance(node, Leaf):
             continue

@@ -92,10 +92,10 @@ def whitney_coefficients(dec: KDecomposition, check: bool = True) -> WhitneyTabl
     for cells in fold(dec, leaf, combine).values():
         for key, c in cells.items():
             counts[key] = counts.get(key, 0) + c
-    ranks = [r for (size, r) in counts if size == dec.n]
-    if len(ranks) != 1:
-        raise ValueError(f"the leaves do not hold the {dec.n} elements once each")
-    return WhitneyTable(dec.n, ranks[0], counts)
+    # fold's shape check puts each element on exactly one leaf, so E is the
+    # only counted subset of size n
+    [full_rank] = [r for (size, r) in counts if size == dec.n]
+    return WhitneyTable(dec.n, full_rank, counts)
 
 
 def to_tutte(table: WhitneyTable) -> TuttePolynomial:

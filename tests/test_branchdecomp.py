@@ -378,3 +378,19 @@ def test_parse_branch_tree_bad_tokens_name_their_line(text, line):
 def test_parse_rooted_tree_checks_the_tree(text, message):
     with pytest.raises(ParseError, match=f"^line 1: {message}"):
         parse_branch_tree(text)
+
+
+@pytest.mark.parametrize(
+    "n,children,root,message",
+    [
+        # a cycle through the root: the walk down from it would never end
+        (3, {3: (0, 4), 4: (1, 3)}, 3, "tree at node 3: root appears as a child"),
+        (3, {3: (0, 4), 4: (1, 1)}, 3, "tree at node 1: referenced 2 times; expected once"),
+        (3, {3: (0, 4), 4: (1, 2, 5), 5: ()}, 3, "arity at node 4: 3 children; expected 2"),
+        (3, {1: (0, 2)}, 1, "leaf bijection: leaf elements [0, 2] are not exactly 0..2"),
+    ],
+)
+def test_rooted_tree_checks_its_shape(n, children, root, message):
+    with pytest.raises(ValueError) as err:
+        RootedBranchTree(n, children, root)
+    assert str(err.value) == message

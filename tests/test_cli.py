@@ -176,6 +176,16 @@ def test_check_sampled(u23_files):
     assert out.strip() == "ok 50 subsets"
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_check_refuses_samples_below_one(u23_files, samples):
+    # checking no subset is not a pass
+    matroid, dw = u23_files
+    code, out, err = run(["check", dw, "--matroid", matroid, f"--samples={samples}"])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --samples must be at least 1, got {samples}\n"
+
+
 def test_check_detects_mismatch(tmp_path, u23_files):
     matroid, _ = u23_files
     dec, _ = construct_exact(u23())

@@ -97,6 +97,33 @@ def test_large_extension_field_derived_polynomial():
         assert f.mul(a, f.inv(a)) == 1
 
 
+# The element encoding of GF(p^m) is fixed by its reduction polynomial; a
+# different polynomial would silently change the meaning of matroid files.
+PINNED_POLYNOMIALS = {
+    (2, 2): 7,
+    (2, 3): 11,
+    (2, 4): 19,
+    (2, 5): 37,
+    (2, 6): 67,
+    (2, 7): 131,
+    (2, 8): 285,
+    (3, 2): 10,
+    (3, 3): 34,
+    (3, 4): 86,
+    (3, 5): 250,
+    (5, 2): 27,
+    (5, 3): 131,
+    (7, 2): 50,
+    (11, 2): 122,
+    (13, 2): 171,
+}
+
+
+@pytest.mark.parametrize("p,m", sorted(PINNED_POLYNOMIALS))
+def test_reduction_polynomial_is_pinned(p, m):
+    assert FieldSpec(p, m).poly == PINNED_POLYNOMIALS[(p, m)]
+
+
 def test_unsupported_fields_rejected():
     with pytest.raises(ValueError):
         FieldSpec(4)  # not prime

@@ -12,11 +12,13 @@ from decompwidth import (
     construct,
     dw_width,
     eval_rank,
+    evaluate,
     field_of_order,
     greedy_branch_decomposition,
     root_tree,
     singleton_ranks,
     validate_structure,
+    whitney_coefficients,
 )
 from decompwidth.errors import ParseError
 from decompwidth.kdecomp import Inner, KDecomposition, Leaf, node_states, parse, serialize
@@ -220,6 +222,61 @@ def test_validate_cycle_off_the_root():
     nodes[6] = Inner((5, 3), 1, [[0, 0]], [[0, 0]])
     defect = validate_structure(KDecomposition(4, nodes, 4))
     assert str(defect) == "tree at node 2: not reachable from the root"
+
+
+def orphan_cycle_decomposition():
+    nodes = {e: Leaf(e, False) for e in range(4)}
+    nodes[4] = Inner((0, 1), 1, [[0, 0], [0, 0]], [[0, 0], [0, 0]])
+    nodes[5] = Inner((6, 2), 1, [[0, 0]], [[0, 0]])
+    nodes[6] = Inner((5, 3), 1, [[0, 0]], [[0, 0]])
+    return KDecomposition(4, nodes, 4)
+
+
+def third_child_decomposition():
+    # a root with a third child holding element 2
+    nodes = {e: Leaf(e, False) for e in range(3)}
+    nodes[3] = Inner((0, 1, 2), 3, [[0, 1], [1, 2]], [[0, 0], [0, 0]])
+    return KDecomposition(3, nodes, 3)
+
+
+def shared_leaf_decomposition():
+    # leaf 0 under both sides of the root; leaf 1 under neither
+    nodes = {0: Leaf(0, False), 1: Leaf(1, False)}
+    nodes[2] = Inner((0, 0), 2, [[0, 1], [1, 1]], [[0, 0], [0, 1]])
+    return KDecomposition(2, nodes, 2)
+
+
+def repeated_element_decomposition():
+    nodes = {0: Leaf(0, False), 1: Leaf(0, False)}
+    nodes[2] = Inner((0, 1), 2, [[0, 1], [1, 1]], [[0, 0], [0, 1]])
+    return KDecomposition(2, nodes, 2)
+
+
+MALFORMED = [
+    (orphan_cycle_decomposition, "tree at node 2: not reachable from the root"),
+    (third_child_decomposition, "arity at node 3: 3 children; expected 2"),
+    (shared_leaf_decomposition, "tree at node 0: referenced 2 times; expected once"),
+    (repeated_element_decomposition, "leaf bijection: leaf elements [0, 0] are not exactly 0..1"),
+]
+
+
+@pytest.mark.parametrize("make,message", MALFORMED)
+def test_every_pass_refuses_a_malformed_shape(make, message):
+    # no evaluation may return a value on a node map that is not one binary
+    # tree whose leaves hold 0..n-1 once each
+    passes = [
+        lambda dec: eval_rank(dec, dec.full_set()),
+        singleton_ranks,
+        lambda dec: evaluate(dec, 2, 2),
+        lambda dec: whitney_coefficients(dec, check=False),
+        lambda dec: dec.subtree_elements(dec.root),
+    ]
+    for run in passes:
+        dec = make()
+        with pytest.raises(ValueError) as err:
+            run(dec)
+        assert str(err.value) == message
+        assert str(validate_structure(dec)) == message
 
 
 # ---------------------------------------------------------------------------

@@ -351,21 +351,11 @@ def format_branch_tree(tree: BranchTree | RootedBranchTree) -> str:
         return "\n".join(out) + "\n"
     n = tree.n
     out = [f"bd n={n}"]
-    if n >= 3:
-        # orient from the inner node next to leaf 0; that node lists all
-        # three neighbors, every other inner node its two children
-        start = tree.adj[0][0]
-        stack = [(start, -1)]
-        lines = {}
-        while stack:
-            node, parent = stack.pop()
-            if node < n:
-                continue
-            kids = [w for w in tree.adj[node] if w != parent]
-            lines[node] = " ".join(_child_token(c, n) for c in kids)
-            stack.extend((w, node) for w in kids)
-        for node in sorted(lines):
-            out.append(f"node {node} {lines[node]}")
+    for node in sorted(u for u in tree.adj if u >= n):
+        # the neighbors away from leaf 0, and leaf 0 itself when adjacent:
+        # the inner node next to leaf 0 lists all three
+        kids = [w for w in tree.adj[node] if w == 0 or not tree.side_mask(node, w) & 1]
+        out.append(f"node {node} " + " ".join(_child_token(c, n) for c in kids))
     return "\n".join(out) + "\n"
 
 

@@ -17,12 +17,14 @@ The empty set must color and label every node with 0, which pins the (0, 0)
 entry of every table to color 0 / defect 0.
 
 Everything here treats decompositions as immutable once built; evaluation
-caches the traversal order on the instance.  The first walk checks the shape
-with ``tree_defect`` and raises ValueError unless the nodes form one binary
-tree whose leaves hold 0..n-1 once each, so no pass ever runs on a malformed
-tree; ``validate_structure`` reports the same defects, and then the table
-checks, without raising.  Rooted branch trees (``branchdecomp``) are checked
-and walked by the same two functions.
+caches the traversal order on the instance.  The first walk runs
+``validate_structure`` and raises ValueError with its text unless the nodes
+form one binary tree whose leaves hold 0..n-1 once each and whose tables
+match the child palettes, keep their colors in the node's palette, have no
+negative defect and respect the empty-set convention.  So every pass indexes
+the tables unguarded and never runs on a malformed decomposition.  Rooted
+branch trees (``branchdecomp``) are checked and walked by the same
+``tree_defect`` and ``tree_postorder``.
 """
 
 from __future__ import annotations
@@ -63,19 +65,14 @@ class KDecomposition:
         """Inner node -> its children."""
         return {v: node.children for v, node in self.nodes.items() if isinstance(node, Inner)}
 
-    def _shape_defect(self) -> StructureDefect | None:
-        """``tree_defect`` of the node map."""
-        elements = [node.element for node in self.nodes.values() if isinstance(node, Leaf)]
-        return tree_defect(self.nodes, self.root, self._children(), elements, self.n)
-
     def postorder(self) -> list[int]:
         """Children-before-parent order, cached.
 
-        The shape is checked on the first call: ValueError when the nodes do
-        not form a binary tree whose leaves hold 0..n-1 once each.
+        The decomposition is checked on the first call: ValueError carrying
+        the text of ``validate_structure``'s first defect.
         """
         if self._postorder is None:
-            defect = self._shape_defect()
+            defect = validate_structure(self)
             if defect is not None:
                 raise ValueError(str(defect))
             self._postorder = tree_postorder(self.root, self._children())
@@ -116,6 +113,8 @@ def fold(dec: KDecomposition, leaf, combine):
 
 def node_states(dec: KDecomposition, subset: ElementSet) -> dict[int, tuple[int, int]]:
     """(color, label) of every node for the given subset."""
+    if subset & ~dec.full_set():
+        raise ValueError("subset contains elements outside the ground set")
     states: dict[int, tuple[int, int]] = {}
     for node_id in dec.postorder():
         node = dec.nodes[node_id]
@@ -125,14 +124,7 @@ def node_states(dec: KDecomposition, subset: ElementSet) -> dict[int, tuple[int,
         else:
             c1, l1 = states[node.children[0]]
             c2, l2 = states[node.children[1]]
-            try:
-                color = node.color[c1][c2]
-                drop = node.defect[c1][c2]
-            except IndexError:
-                raise ValueError(
-                    f"node {node_id}: child color ({c1}, {c2}) outside the declared table domain"
-                ) from None
-            states[node_id] = (color, l1 + l2 - drop)
+            states[node_id] = (node.color[c1][c2], l1 + l2 - node.defect[c1][c2])
     return states
 
 
@@ -142,8 +134,6 @@ def eval_rank(dec: KDecomposition, subset: ElementSet) -> int:
     May be negative for decompositions that do not describe a matroid;
     rejecting those is the verifier's job.
     """
-    if subset & ~dec.full_set():
-        raise ValueError("subset contains elements outside the ground set")
     return node_states(dec, subset)[dec.root][1]
 
 
@@ -167,15 +157,12 @@ def singleton_ranks(dec: KDecomposition, base: ElementSet = 0) -> list[int]:
         left, right = node.children
         (c1, l1), (c2, l2) = states[left], states[right]
         color, defect = node.color, node.defect
-        try:
-            offsets[left] = [
-                off[color[g][c2]] + l2 - defect[g][c2] for g in range(dec.palette_of(left))
-            ]
-            offsets[right] = [
-                off[color[c1][g]] + l1 - defect[c1][g] for g in range(dec.palette_of(right))
-            ]
-        except IndexError:
-            raise ValueError(f"node {node_id}: tables do not match the child palettes") from None
+        offsets[left] = [
+            off[color[g][c2]] + l2 - defect[g][c2] for g in range(dec.palette_of(left))
+        ]
+        offsets[right] = [
+            off[color[c1][g]] + l1 - defect[c1][g] for g in range(dec.palette_of(right))
+        ]
     return ranks
 
 
@@ -256,7 +243,8 @@ def tree_defect(
 
 def validate_structure(dec: KDecomposition) -> StructureDefect | None:
     """First structural defect, or None when the decomposition is well formed."""
-    defect = dec._shape_defect()
+    elements = [node.element for node in dec.nodes.values() if isinstance(node, Leaf)]
+    defect = tree_defect(dec.nodes, dec.root, dec._children(), elements, dec.n)
     if defect is not None:
         return defect
     for node_id, node in sorted(dec.nodes.items()):
@@ -283,7 +271,8 @@ def validate_structure(dec: KDecomposition) -> StructureDefect | None:
                     return StructureDefect(
                         "palette bound", node_id, f"defect[{g1}][{g2}] is negative"
                     )
-        if node.color[0][0] != 0 or node.defect[0][0] != 0:
+        # an empty domain means a child of palette < 1, reported at that child
+        if lp > 0 and rp > 0 and (node.color[0][0] != 0 or node.defect[0][0] != 0):
             return StructureDefect(
                 "empty-set convention", node_id, "(0, 0) table entry must be color 0, defect 0"
             )

@@ -55,8 +55,11 @@ def whitney_coefficients(dec: KDecomposition, check: bool = True) -> WhitneyTabl
     """Size/rank subset counts of the matroid described by ``dec``.
 
     With ``check`` the decomposition is verified first and a
-    NotAMatroidError raised on failure; callers that already verified (or
-    accept garbage-in) may waive it.  Per node the convolution touches only
+    NotAMatroidError raised on failure; callers that already verified may
+    waive it.  Unchecked, a malformed decomposition still raises ValueError
+    (the first walk runs ``validate_structure``), counting stops with
+    ValueError at the first negative rank label, and other non-matroids are
+    counted as their tables say.  Per node the convolution touches only
     reachable (color, size, label) triples, so the work is bounded by
     K^2 * n1 * n2 * r^2 over the child subtree sizes.
     """
@@ -185,8 +188,9 @@ def evaluate(dec: KDecomposition, x, y, mod: int | None = None, check: bool = Fa
             (lambda v: _to_residue(v, mod)), (lambda v: v % mod), (lambda v, k: pow(v, -k, mod))
         )
     rx, ry = ring(x), ring(y)
+    corank = dec.n - eval_rank(dec, dec.full_set())
     try:
-        inv = inverse_power(rx - 1, dec.n - eval_rank(dec, dec.full_set()))
+        inv = inverse_power(rx - 1, corank)
     except (ValueError, ZeroDivisionError):
         # x - 1 is zero or not invertible: count coefficients instead
         table = whitney_coefficients(dec, check=False)

@@ -321,6 +321,13 @@ def test_small_caterpillar_roundtrip(n):
     assert parse_branch_tree(format_branch_tree(tree)) == tree
 
 
+def test_unrooted_text_orients_away_from_leaf_0():
+    # leaf 0 hangs off the middle of the spine: its inner neighbor lists all
+    # three neighbors, every other inner node the two away from leaf 0
+    tree = caterpillar_tree(5, [2, 3, 0, 1, 4])
+    assert format_branch_tree(tree) == "bd n=5\nnode 5 L2 L3\nnode 6 L0 5 7\nnode 7 L1 L4\n"
+
+
 def test_rooted_roundtrip():
     rooted = root_tree(exact_branch_decomposition(u23())[0])
     again = parse_branch_tree(format_branch_tree(rooted))

@@ -83,6 +83,14 @@ def test_node_states_track_colors_and_labels():
     assert states[2] == (0, 0)
 
 
+def test_node_states_and_singleton_ranks_reject_foreign_elements():
+    dec, _ = construct_exact(u23())
+    for subset in (-1, 0b1000, 1 << 50):
+        for run in (node_states, singleton_ranks):
+            with pytest.raises(ValueError, match="^subset contains elements outside the ground set$"):
+                run(dec, subset)
+
+
 def test_malformed_table_domain_raises():
     dec = KDecomposition(
         2,
@@ -252,22 +260,59 @@ def repeated_element_decomposition():
     return KDecomposition(2, nodes, 2)
 
 
+def two_leaf_root(palette, color, defect):
+    def make():
+        nodes = {0: Leaf(0, False), 1: Leaf(1, False)}
+        nodes[2] = Inner((0, 1), palette, color, defect)
+        return KDecomposition(2, nodes, 2)
+
+    return make
+
+
+def empty_palette_child_decomposition():
+    # node 4 declares palette 0, so its parent's tables have no columns
+    nodes = {e: Leaf(e, False) for e in range(3)}
+    nodes[3] = Inner((0, 4), 1, [[], []], [[], []])
+    nodes[4] = Inner((1, 2), 0, [[0, 0], [0, 0]], [[0, 0], [0, 0]])
+    return KDecomposition(3, nodes, 3)
+
+
 MALFORMED = [
     (orphan_cycle_decomposition, "tree at node 2: not reachable from the root"),
     (third_child_decomposition, "arity at node 3: 3 children; expected 2"),
     (shared_leaf_decomposition, "tree at node 0: referenced 2 times; expected once"),
     (repeated_element_decomposition, "leaf bijection: leaf elements [0, 0] are not exactly 0..1"),
+    (
+        two_leaf_root(2, [[0, 1]], [[0, 0]]),
+        "palette bound at node 2: color table domain is not 2x2",
+    ),
+    (
+        two_leaf_root(2, [[0, 1], [1, 7]], [[0, 0], [0, 1]]),
+        "palette bound at node 2: color[1][1]=7 outside 0..1",
+    ),
+    (
+        two_leaf_root(2, [[0, 1], [1, 1]], [[0, 0], [0, -1]]),
+        "palette bound at node 2: defect[1][1] is negative",
+    ),
+    (
+        two_leaf_root(2, [[1, 1], [1, 1]], [[0, 0], [0, 1]]),
+        "empty-set convention at node 2: (0, 0) table entry must be color 0, defect 0",
+    ),
+    (empty_palette_child_decomposition, "palette bound at node 4: palette size must be >= 1"),
 ]
 
 
 @pytest.mark.parametrize("make,message", MALFORMED)
 def test_every_pass_refuses_a_malformed_shape(make, message):
-    # no evaluation may return a value on a node map that is not one binary
-    # tree whose leaves hold 0..n-1 once each
+    # no evaluation may return a value on a decomposition that
+    # validate_structure rejects, whether its tree or its tables are at fault
     passes = [
         lambda dec: eval_rank(dec, dec.full_set()),
+        lambda dec: node_states(dec, 0),
         singleton_ranks,
         lambda dec: evaluate(dec, 2, 2),
+        lambda dec: evaluate(dec, 1, 1),
+        lambda dec: evaluate(dec, 2, 2, mod=7),
         lambda dec: whitney_coefficients(dec, check=False),
         lambda dec: dec.subtree_elements(dec.root),
     ]

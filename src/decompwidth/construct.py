@@ -23,18 +23,30 @@ color 1 to "no subspace" instead and zeroing those table entries would turn
 defects off for coloops and overcount ranks (three elements suffice: a
 parallel pair plus a coloop comes out rank 3 instead of 2).
 
-Construction walks the tree three times and touches every palette pair once
-per node.  Subtree spans go up.  Boundaries come down from B_root = {0}: a
-child c with sibling s under v gets
+Construction works in separator-row coordinates, as multifrontal
+elimination does (Duff & Reid, ACM TOMS 1983; George, SIAM J. Numer. Anal.
+1973).  The separator rows S_v are the matrix rows touched by columns both
+inside and outside E_v.  They lie in S_c1 | S_c2 and are found bottom-up
+from per-row touch counts; the rest of S_c1 | S_c2 become interior at v.
+Every space kept at v is zero off S_v and is stored on those rows only.
+The tree is walked three times:
 
-    B_c = span(E_c) meet (span(E_s) + B_v),
+* Up: U_v, the vectors of span(E_v) zero off S_v, is (U_c1 + U_c2) meet
+  {zero on the rows interior at v}.  A leaf gets span(col) when no row of
+  its column is private to it, and {0} otherwise.
+* Down: W_v, the vectors of span(E - E_v) zero off S_v, starts from
+  W_root = {0}.  A child c with sibling s gets W_c = (U_s + W_v) meet
+  {zero off S_c}: rows interior to s, or outside v, cannot cancel between
+  the summands.  Then B_v = U_v meet W_v.
+* Tables: the palette pairs of v combine in the coordinates S_c1 | S_c2.
 
-since span(E_s) + B_v lies in span(E - E_c), and any x in B_c is a + b with
-a in span(E_s) and b in span(E - E_v), so b = x - a lies in span(E_v) and
-hence in B_v.  Tables go up.  Only the subtree spans and the boundaries are
-kept.  Vectors keep the ambient length d: boundaries and color spaces have
-dimension at most the width, but subtree spans reach the rank r, and every
-hull and intersect works on rows of length d.
+Coordinates keep the increasing row order, and RREF over an ordered subset
+of the coordinates is the RREF in GF(q)^d with the zero coordinates
+dropped, so every space, color and table entry is the one GF(q)^d gives,
+while a node works on vectors of length |S_c1 | S_c2|.  On a dense matrix
+every S_v but the root's is every row, and moving between equal coordinate
+lists is the identity.  Only ``node_subspace_data`` and
+``construct_with_data`` lift their spaces back into GF(q)^d.
 """
 
 from __future__ import annotations
@@ -42,11 +54,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .branchdecomp import RootedBranchTree
-from .gf import Subspace, hull, intersect, rref
+from .gf import FieldSpec, FVector, Subspace, hull, intersect, rref
 from .kdecomp import ElementSet, Inner, KDecomposition, Leaf, node_states
 from .matroids import MatroidInstance
 
 _LEMMA_LIMIT = 12
+
+Coords = tuple[int, ...]  # matrix rows in increasing order
 
 
 @dataclass
@@ -57,36 +71,152 @@ class NodeSubspaceData:
     color_spaces: list[Subspace]  # index = color; [0] is the trivial space
 
 
-def node_subspace_data(
-    m: MatroidInstance, tree: RootedBranchTree
-) -> dict[int, NodeSubspaceData]:
-    """Boundary of every tree node, with its color spaces still empty."""
+def _moved(rows: tuple[FVector, ...], src: Coords, dst: Coords) -> tuple[FVector, ...]:
+    """Vectors on coordinates ``src`` rewritten on ``dst``; their entries
+    on rows outside ``dst`` must be zero."""
+    if src == dst:
+        return rows
+    at = {row: k for k, row in enumerate(dst)}
+    out = []
+    for vec in rows:
+        moved = [0] * len(dst)
+        for row, x in zip(src, vec):
+            if x:
+                moved[at[row]] = x
+        out.append(tuple(moved))
+    return tuple(out)
+
+
+def _lift(space: Subspace, src: Coords, dst: Coords) -> Subspace:
+    """``space`` moved between ordered coordinate lists."""
+    if src == dst:
+        return space
+    return Subspace(space.field, len(dst), _moved(space.rows, src, dst))
+
+
+def _meet(field: FieldSpec, parts, interior: Coords, keep: Coords) -> Subspace:
+    """Span of ``parts`` ((space, coordinates) pairs inside interior + keep)
+    meet {zero on ``interior``}, on the coordinates ``keep``.
+
+    The interior rows are eliminated first, so the RREF rows that are zero
+    there have their pivots in ``keep`` and form its canonical basis.
+    """
+    order = interior + keep
+    rows = [v for space, coords in parts for v in _moved(space.rows, coords, order)]
+    reduced = rref(field, len(order), rows)
+    if not interior:
+        return reduced
+    skip = len(interior)
+    return Subspace(field, len(keep), tuple(v[skip:] for v in reduced.rows if not any(v[:skip])))
+
+
+def _boundaries(m: MatroidInstance, tree: RootedBranchTree):
+    """Postorder, separator rows S_v, the coordinates S_c1 | S_c2 of every
+    inner node, and every boundary on its separator rows."""
     if m.kind != "linear":
         raise ValueError("construction needs a linear (represented) matroid")
     if m.n != tree.n:
         raise ValueError(f"matroid has {m.n} elements but the tree has {tree.n} leaves")
-    field, d = m.field, m.dim
+    field = m.field
     order = tree.postorder()
-    span: dict[int, Subspace] = {}
+    touched = [tuple(i for i, x in enumerate(col) if x) for col in m.columns]
+    total = [0] * m.dim
+    for rows in touched:
+        for i in rows:
+            total[i] += 1
+    inside: dict[int, dict[int, int]] = {}  # per S_v row: columns under v touching it
+    seps: dict[int, Coords] = {}
+    joint: dict[int, Coords] = {}
+    up: dict[int, Subspace] = {}
     for node in order:
         kids = tree.children.get(node, ())
         if not kids:
-            span[node] = rref(field, d, [m.columns[node]])
-        else:
-            span[node] = hull(span[kids[0]], span[kids[1]])
-    data = {tree.root: NodeSubspaceData(Subspace.zero(field, d), [])}
+            sep = seps[node] = tuple(i for i in touched[node] if total[i] > 1)
+            inside[node] = dict.fromkeys(sep, 1)
+            private = len(sep) < len(touched[node])
+            up[node] = rref(field, len(sep), [] if private else [[m.columns[node][i] for i in sep]])
+            continue
+        left, right = kids
+        counts = inside.pop(left)
+        for i, c in inside.pop(right).items():
+            counts[i] = counts.get(i, 0) + c
+        inside[node] = {i: c for i, c in counts.items() if c < total[i]}
+        joint[node] = tuple(sorted(counts))
+        seps[node] = tuple(i for i in joint[node] if i in inside[node])
+        interior = tuple(i for i in joint[node] if i not in inside[node])
+        parts = ((up[left], seps[left]), (up[right], seps[right]))
+        up[node] = _meet(field, parts, interior, seps[node])
+    outside = {tree.root: Subspace.zero(field, 0)}
+    boundary = {tree.root: outside[tree.root]}
     for node in reversed(order):
         kids = tree.children.get(node, ())
-        if kids:
-            for child, sibling in (kids, kids[::-1]):
-                reach = hull(span[sibling], data[node].boundary)
-                data[child] = NodeSubspaceData(intersect(span[child], reach), [])
-    return data
+        if not kids:
+            continue
+        above = (outside.pop(node), seps[node])
+        for child, sibling in (kids, kids[::-1]):
+            keep = seps[child]
+            interior = tuple(i for i in joint[node] if i not in keep)
+            outside[child] = _meet(field, ((up[sibling], seps[sibling]), above), interior, keep)
+        for child in kids:
+            boundary[child] = intersect(up.pop(child), outside[child])
+    return order, seps, joint, boundary
+
+
+def _local_tables(m: MatroidInstance, tree: RootedBranchTree):
+    """Per node in postorder: (node, its Leaf or Inner, S_v, boundary, color
+    spaces), every space on the coordinates S_v.  A child's color spaces
+    are dropped once its parent's table is built."""
+    order, seps, joint, boundary = _boundaries(m, tree)
+    field = m.field
+    spaces: dict[int, list[Subspace]] = {}
+    for node in order:
+        own = seps[node]
+        bound = boundary.pop(node)
+        kids = tree.children.get(node, ())
+        if not kids:
+            spaces[node] = [Subspace.zero(field, len(own)), bound]
+            yield node, Leaf(node, not any(m.columns[node])), own, bound, spaces[node]
+            continue
+        left, right = kids
+        coords = joint[node]
+        spaces_left = [_lift(s, seps[left], coords) for s in spaces.pop(left)]
+        spaces_right = [_lift(s, seps[right], coords) for s in spaces.pop(right)]
+        local_bound = _lift(bound, own, coords)
+        color_of: dict[Subspace, int] = {Subspace.zero(field, len(coords)): 0}
+        color_spaces = spaces[node] = [Subspace.zero(field, len(own))]
+        color_table = [[0] * len(spaces_right) for _ in spaces_left]
+        defect_table = [[0] * len(spaces_right) for _ in spaces_left]
+        for g1, s1 in enumerate(spaces_left):
+            for g2, s2 in enumerate(spaces_right):
+                joined = hull(s1, s2)
+                trace = intersect(local_bound, joined)
+                color = color_of.get(trace)
+                if color is None:
+                    color = len(color_spaces)
+                    color_of[trace] = color
+                    color_spaces.append(_lift(trace, coords, own))
+                color_table[g1][g2] = color
+                defect_table[g1][g2] = s1.dim + s2.dim - joined.dim
+        inner = Inner((left, right), len(color_spaces), color_table, defect_table)
+        yield node, inner, own, bound, color_spaces
+
+
+def node_subspace_data(
+    m: MatroidInstance, tree: RootedBranchTree
+) -> dict[int, NodeSubspaceData]:
+    """Boundary of every tree node, with its color spaces still empty."""
+    _, seps, _, boundary = _boundaries(m, tree)
+    rows = tuple(range(m.dim))
+    return {
+        node: NodeSubspaceData(_lift(space, seps[node], rows), [])
+        for node, space in boundary.items()
+    }
 
 
 def construct(m: MatroidInstance, tree: RootedBranchTree) -> KDecomposition:
     """Decomposition whose rank evaluation equals the matroid's rank oracle."""
-    return construct_with_data(m, tree)[0]
+    nodes = {node: entry for node, entry, *_ in _local_tables(m, tree)}
+    return KDecomposition(tree.n, nodes, tree.root)
 
 
 def construct_with_data(
@@ -94,38 +224,13 @@ def construct_with_data(
 ) -> tuple[KDecomposition, dict[int, NodeSubspaceData]]:
     """Like :func:`construct`, also returning the per-node geometry with the
     color-to-subspace association filled in."""
-    data = node_subspace_data(m, tree)
-    field, d = m.field, m.dim
-    trivial = Subspace.zero(field, d)
+    rows = tuple(range(m.dim))
     nodes: dict[int, Leaf | Inner] = {}
-    for node in tree.postorder():
-        node_data = data[node]
-        kids = tree.children.get(node, ())
-        if not kids:
-            node_data.color_spaces = [trivial, node_data.boundary]
-            is_loop = not any(m.columns[node])
-            nodes[node] = Leaf(node, is_loop)
-            continue
-        left, right = kids
-        spaces_left = data[left].color_spaces
-        spaces_right = data[right].color_spaces
-        color_of: dict[Subspace, int] = {trivial: 0}
-        node_data.color_spaces = [trivial]
-        color_table = [[0] * len(spaces_right) for _ in spaces_left]
-        defect_table = [[0] * len(spaces_right) for _ in spaces_left]
-        for g1, s1 in enumerate(spaces_left):
-            for g2, s2 in enumerate(spaces_right):
-                joined = hull(s1, s2)
-                trace = intersect(node_data.boundary, joined)
-                color = color_of.get(trace)
-                if color is None:
-                    color = len(node_data.color_spaces)
-                    color_of[trace] = color
-                    node_data.color_spaces.append(trace)
-                color_table[g1][g2] = color
-                defect_table[g1][g2] = s1.dim + s2.dim - joined.dim
-        nodes[node] = Inner(
-            (left, right), len(node_data.color_spaces), color_table, defect_table
+    data: dict[int, NodeSubspaceData] = {}
+    for node, entry, coords, bound, color_spaces in _local_tables(m, tree):
+        nodes[node] = entry
+        data[node] = NodeSubspaceData(
+            _lift(bound, coords, rows), [_lift(s, coords, rows) for s in color_spaces]
         )
     return KDecomposition(tree.n, nodes, tree.root), data
 

@@ -314,6 +314,9 @@ def parse_matroid(text: str) -> MatroidInstance:
         except ValueError as exc:
             raise ParseError(lineno, str(exc)) from None
         d, n = opts["rows"], opts["cols"]
+        if d == 0 and n > 0:
+            # a matrix with no rows has no columns to read n from
+            raise ParseError(lineno, f"rows=0 cannot hold cols={n}; loops need a zero row")
         if len(body) != d:
             raise ParseError(lineno, f"expected {d} matrix rows, found {len(body)}")
         rows = []

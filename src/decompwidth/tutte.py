@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .kdecomp import KDecomposition, eval_rank, fold
 from .verify import NotAMatroidError, verify
@@ -102,19 +101,41 @@ def whitney_coefficients(dec: KDecomposition, check: bool = True) -> WhitneyTabl
 
 
 def to_tutte(table: WhitneyTable) -> TuttePolynomial:
-    """Expand the (x-1), (y-1) basis into monomial coefficients."""
-    coeffs: dict[tuple[int, int], int] = {}
-    r = table.r
+    """Expand the (x-1), (y-1) basis into monomial coefficients.
+
+    The counts are grouped by corank a = r - r' into polynomials in (y-1),
+    each is shifted to y by Horner's rule, and then the coefficient of every
+    y^j, a polynomial in (x-1), is shifted to x the same way.  That is
+    O(n r (n + r)) integer operations, where expanding each count by the
+    binomial theorem would be O(n^2 r^2).
+    """
+    by_corank: dict[int, dict[int, int]] = {}
     for (size, rk), count in table.counts.items():
-        a, b = r - rk, size - rk
-        for i in range(a + 1):
-            ci = comb(a, i) * (-1) ** (a - i)
-            for j in range(b + 1):
-                term = count * ci * comb(b, j) * (-1) ** (b - j)
-                if term:
-                    key = (i, j)
-                    coeffs[key] = coeffs.get(key, 0) + term
-    return TuttePolynomial({k: v for k, v in coeffs.items() if v})
+        row = by_corank.setdefault(table.r - rk, {})
+        row[size - rk] = row.get(size - rk, 0) + count
+    by_y: dict[int, dict[int, int]] = {}
+    for a, row in by_corank.items():
+        for j, c in enumerate(_shift(row)):
+            if c:
+                by_y.setdefault(j, {})[a] = c
+    coeffs: dict[tuple[int, int], int] = {}
+    for j, column in by_y.items():
+        for i, c in enumerate(_shift(column)):
+            if c:
+                coeffs[(i, j)] = c
+    return TuttePolynomial(coeffs)
+
+
+def _shift(poly: dict[int, int]) -> list[int]:
+    """Coefficients in t of the sum of poly[k] (t-1)^k, by Horner's rule."""
+    top = max(poly)
+    out = [0] * (top + 1)
+    for k in range(top, -1, -1):
+        # out <- out * (t - 1) + poly[k]; out has degree top - k - 1 here
+        for i in range(top - k, 0, -1):
+            out[i] = out[i - 1] - out[i]
+        out[0] = poly.get(k, 0) - out[0]
+    return out
 
 
 def _point_from_table(table: WhitneyTable, x, y):

@@ -284,6 +284,15 @@ def test_parse_error_exit_code(tmp_path):
     assert "line 2" in err
 
 
+def test_matroid_without_rows_but_with_columns_is_refused(tmp_path):
+    bad = tmp_path / "loops.matroid"
+    bad.write_text("# two loops\nmatroid linear q=2 rows=0 cols=2\n")
+    code, out, err = run(["construct", "--matroid", str(bad)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 2: rows=0 cannot hold cols=2; loops need a zero row\n"
+
+
 @pytest.mark.parametrize(
     "lineno,bad",
     [(2, "leaf x elem=0 loop=0"), (4, "inner x left=0 right=1 kv=1"), (5, "root x")],

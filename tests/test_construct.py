@@ -1,6 +1,7 @@
 """Building decompositions from representations, and their geometry."""
 
 import copy
+import importlib
 import random
 
 import pytest
@@ -29,6 +30,7 @@ from decompwidth import (
     galois_number,
     greedy_branch_decomposition,
     hull,
+    incidence_matrix,
     intersect,
     color_consistency_check,
     node_subspace_data,
@@ -182,6 +184,72 @@ def test_single_element_construction():
     dec, _ = construct_exact(m)
     assert eval_rank(dec, 1) == 0
     assert dec.nodes[0].loop
+
+
+# ---------------------------------------------------------------------------
+# per-node work in separator coordinates
+# ---------------------------------------------------------------------------
+
+
+def ladder_matroid(k):
+    """The 2 x k ladder's GF(2) incidence columns: rung i, then the rails
+    from column i to i + 1."""
+    edges = []
+    for i in range(k):
+        edges.append((2 * i, 2 * i + 1))
+        if i + 1 < k:
+            edges += [(2 * i, 2 * i + 2), (2 * i + 1, 2 * i + 3)]
+    return MatroidInstance.linear(GF2, incidence_matrix(2 * k, edges))
+
+
+def banded_matroid(n, band=5):
+    """GF(2) column j on rows j//2 .. j//2 + band - 1, its top entry 1."""
+    rng = random.Random(n)
+    rows = [[0] * n for _ in range((n - 1) // 2 + band)]
+    for j in range(n):
+        rows[j // 2][j] = 1
+        for i in range(j // 2 + 1, j // 2 + band):
+            rows[i][j] = rng.randrange(2)
+    return MatroidInstance.linear(GF2, rows)
+
+
+def subspace_work(monkeypatch, m):
+    """Calls to construct's rref, hull and intersect over the column-order
+    caterpillar, and the longest vector any of them returns."""
+    module = importlib.import_module("decompwidth.construct")
+    lengths = []
+    with monkeypatch.context() as patch:
+        for name in ("rref", "hull", "intersect"):
+
+            def recorded(*args, op=getattr(module, name)):
+                out = op(*args)
+                lengths.append(out.d)
+                return out
+
+            patch.setattr(module, name, recorded)
+        construct(m, left_deep_rooted_tree(m.n))
+    return len(lengths), max(lengths)
+
+
+def test_construct_work_per_element_stays_flat_on_ladders(monkeypatch):
+    # the ambient dimension is 2k; a separator holds at most 2 rows, and
+    # the union of two children's separators at most 3
+    per_element = []
+    for k in (16, 32, 64):
+        m = ladder_matroid(k)
+        calls, longest = subspace_work(monkeypatch, m)
+        assert longest <= 3, k
+        per_element.append(calls / m.n)
+    for small, large in zip(per_element, per_element[1:]):
+        assert large < 1.1 * small, per_element
+
+
+def test_construct_vectors_stay_band_long_on_banded_matrices(monkeypatch):
+    for n in (20, 40, 80):
+        m = banded_matroid(n)
+        assert m.dim == (n - 1) // 2 + 5
+        _, longest = subspace_work(monkeypatch, m)
+        assert longest <= 5, n
 
 
 # ---------------------------------------------------------------------------

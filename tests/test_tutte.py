@@ -3,8 +3,11 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     construct_exact,
@@ -81,6 +84,54 @@ def test_tutte_coefficients_nonnegative():
         dec, _ = construct_exact(m)
         poly = to_tutte(whitney_coefficients(dec, check=False))
         assert all(c >= 0 for c in poly.coeffs.values()), name
+
+
+def binomial_expansion(table):
+    """Reference: expand every count N(n', r') (x-1)^a (y-1)^b term by term."""
+    coeffs = {}
+    for (size, rk), count in table.counts.items():
+        a, b = table.r - rk, size - rk
+        for i in range(a + 1):
+            for j in range(b + 1):
+                term = count * comb(a, i) * (-1) ** (a - i) * comb(b, j) * (-1) ** (b - j)
+                coeffs[(i, j)] = coeffs.get((i, j), 0) + term
+    return {key: c for key, c in coeffs.items() if c}
+
+
+def test_to_tutte_matches_binomial_expansion_on_corpus():
+    for name, m, oracle in named_corpus():
+        for table in (brute_whitney(m), brute_whitney(oracle)):
+            assert to_tutte(table).coeffs == binomial_expansion(table), name
+
+
+@st.composite
+def whitney_tables(draw):
+    r = draw(st.integers(0, 5))
+    n = draw(st.integers(r, r + 6))
+    cells = st.integers(0, r).flatmap(
+        lambda rk: st.tuples(st.integers(rk, n), st.just(rk))
+    )
+    counts = draw(st.dictionaries(cells, st.integers(-50, 50), min_size=1, max_size=12))
+    return WhitneyTable(n, r, counts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(whitney_tables())
+def test_to_tutte_matches_binomial_expansion_on_drawn_tables(table):
+    assert to_tutte(table).coeffs == binomial_expansion(table)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        WhitneyTable(3, 0, {(3, 0): 1}),  # three loops: y^3
+        WhitneyTable(4, 2, {(0, 0): 1}),  # one cell, corank 2
+        WhitneyTable(5, 2, {(4, 1): 7}),  # one cell off both axes
+        WhitneyTable(2, 0, {(0, 0): 1, (1, 0): 2, (2, 0): 1}),  # r = 0
+    ],
+)
+def test_to_tutte_matches_binomial_expansion_on_edge_tables(table):
+    assert to_tutte(table).coeffs == binomial_expansion(table)
 
 
 def test_whitney_check_rejects_non_matroid():

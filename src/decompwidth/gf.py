@@ -17,11 +17,23 @@ re-checked for irreducibility when the field is built.
 Subspaces are kept in reduced row echelon form with no zero rows, so two
 Subspace values compare equal exactly when they describe the same set of
 vectors.
+
+Elimination works on whole rows through two kernels that each field picks
+once and caches: scaling a row by c, and subtracting c times a pivot row.
+Odd prime fields compute ``(x - c * y) % p`` per entry.  Fields of order at
+most 256 (``_TABLE_LIMIT``) index a full multiplication table, and
+characteristic 2 subtracts with xor (plain xor when c = 1); the other
+extension fields also index a subtraction table.  Larger extension fields,
+whose tables would hold q^2 entries, call the ``FieldSpec`` methods per
+entry.  ``rref`` and ``rank`` share one elimination loop: ``rref`` clears
+every pivot column above and below the pivot, ``rank`` only below it and
+counts the pivots.  Both refuse entries outside 0..q-1, which a table
+would otherwise index past or silently accept.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 
 FVector = tuple[int, ...]
@@ -34,6 +46,7 @@ _IRREDUCIBLE: dict[tuple[int, int], int] = {
 
 _MAX_EXT_ORDER = 1 << 16
 _MAX_PRIME_ORDER = 1 << 31
+_TABLE_LIMIT = 256  # largest order whose row kernels index q x q tables
 
 
 def _is_prime(p: int) -> bool:
@@ -239,6 +252,49 @@ class FieldSpec:
     def elements(self) -> range:
         return range(self.q)
 
+    @cached_property
+    def _row_kernels(self):
+        """``(scale, reduce)``: ``scale(c, row)`` is c·row and
+        ``reduce(row, c, pivot)`` is row − c·pivot, both as new lists."""
+        q, p = self.q, self.p
+        if p != 2 and self.m == 1:
+            def scale(c, row):
+                return [c * x % p for x in row]
+
+            def reduce(row, c, pivot):
+                return [(x - c * y) % p for x, y in zip(row, pivot)]
+
+        elif q <= _TABLE_LIMIT:
+            mul = [[self.mul(a, b) for b in range(q)] for a in range(q)]
+
+            def scale(c, row):
+                times = mul[c]
+                return [times[x] for x in row]
+
+            if p == 2:
+                def reduce(row, c, pivot):
+                    if c == 1:
+                        return [x ^ y for x, y in zip(row, pivot)]
+                    times = mul[c]
+                    return [x ^ times[y] for x, y in zip(row, pivot)]
+            else:
+                sub = [[self.sub(a, b) for b in range(q)] for a in range(q)]
+
+                def reduce(row, c, pivot):
+                    times = mul[c]
+                    return [sub[x][times[y]] for x, y in zip(row, pivot)]
+
+        else:
+            mul, sub = self.mul, self.sub
+
+            def scale(c, row):
+                return [mul(c, x) for x in row]
+
+            def reduce(row, c, pivot):
+                return [sub(x, mul(c, y)) for x, y in zip(row, pivot)]
+
+        return scale, reduce
+
     def __eq__(self, other) -> bool:
         return isinstance(other, FieldSpec) and (self.p, self.m) == (other.p, other.m)
 
@@ -323,15 +379,13 @@ class Subspace:
         return not self.rows
 
     def contains(self, vec: FVector) -> bool:
-        f = self.field
-        v = list(vec)
+        _check_rows(self.field, self.d, [vec])
+        reduce = self.field._row_kernels[1]
         for row in self.rows:
-            piv = next(j for j, x in enumerate(row) if x)
-            if v[piv]:
-                c = v[piv]
-                for j in range(piv, self.d):
-                    v[j] = f.sub(v[j], f.mul(c, row[j]))
-        return not any(v)
+            c = vec[next(j for j, x in enumerate(row) if x)]
+            if c:
+                vec = reduce(vec, c, row)
+        return not any(vec)
 
     def __eq__(self, other) -> bool:
         return (
@@ -348,32 +402,64 @@ class Subspace:
         return f"Subspace(d={self.d}, dim={self.dim}, rows={self.rows})"
 
 
-def rref(field: FieldSpec, d: int, rows) -> Subspace:
-    """Canonical subspace spanned by ``rows`` (each of length d)."""
-    work = []
-    for row in rows:
-        if len(row) != d:
-            raise ValueError("rows have mixed ambient dimensions")
-        work.append(list(row))
-    col = 0
+def _check_rows(field: FieldSpec, d: int, rows: list) -> None:
+    """Refuse vectors whose length is not d or with an entry outside
+    0..q-1, in C-level passes over ``rows``."""
+    if not rows:
+        return
+    if set(map(len, rows)) != {d}:
+        raise ValueError(f"vectors of lengths {sorted(set(map(len, rows)))} in dimension {d}")
+    if d and (min(map(min, rows)) < 0 or max(map(max, rows)) >= field.q):
+        raise ValueError(f"vector entry outside 0..{field.q - 1}")
+
+
+def _eliminate(field: FieldSpec, d: int, rows: list, reduced: bool) -> list:
+    """Gaussian elimination on ``rows`` (each of length d); returns the
+    pivot rows, each with pivot entry 1, in pivot order.  With ``reduced``
+    the pivot columns are cleared in every other row, which gives the RREF;
+    without, only in the rows below, which is all a rank needs.  Rows are
+    replaced, never modified, so the input rows are shared until then."""
+    scale, reduce = field._row_kernels
+    n = len(rows)
     r = 0
-    while col < d and r < len(work):
-        piv = next((i for i in range(r, len(work)) if work[i][col]), None)
-        if piv is None:
-            col += 1
+    for col in range(d):
+        if r == n:
+            break
+        for piv in range(r, n):
+            if rows[piv][col]:
+                break
+        else:
             continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = field.inv(work[r][col])
-        if inv != 1:
-            work[r] = [field.mul(inv, x) for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col]:
-                c = work[i][col]
-                work[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(work[i], work[r])]
+        pivot = rows[piv]
+        rows[piv] = rows[r]
+        if pivot[col] != 1:
+            pivot = scale(field.inv(pivot[col]), pivot)
+        rows[r] = pivot
+        for i in range(0 if reduced else r + 1, n):
+            c = rows[i][col]
+            if c and i != r:
+                rows[i] = reduce(rows[i], c, pivot)
         r += 1
-        col += 1
-    basis = [tuple(row) for row in work[:r]]
-    return Subspace(field, d, tuple(basis))
+    return rows[:r]
+
+
+def rref(field: FieldSpec, d: int, rows) -> Subspace:
+    """Canonical subspace spanned by ``rows`` (each of length d, entries in
+    0..q-1)."""
+    rows = list(rows)
+    _check_rows(field, d, rows)
+    # a tuple built from a list, not from a generator: tuple(generator)
+    # over-allocates and shrinks, which left construct with a higher peak RSS
+    return Subspace(field, d, tuple([tuple(row) for row in _eliminate(field, d, rows, True)]))
+
+
+def rank(field: FieldSpec, rows) -> int:
+    """Dimension of the span of ``rows`` (vectors of one length, entries in
+    0..q-1), by forward elimination alone."""
+    rows = list(rows)
+    d = len(rows[0]) if rows else 0
+    _check_rows(field, d, rows)
+    return len(_eliminate(field, d, rows, False))
 
 
 def hull(u1: Subspace, u2: Subspace) -> Subspace:

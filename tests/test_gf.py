@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import named_corpus
+from decompwidth import MatroidInstance
 from decompwidth.gf import (
     FieldSpec,
     Subspace,
@@ -16,6 +18,7 @@ from decompwidth.gf import (
     gaussian_binomial,
     hull,
     intersect,
+    rank,
     rref,
 )
 
@@ -175,6 +178,104 @@ def test_rref_mixed_dimensions_rejected():
     f = FieldSpec(2)
     with pytest.raises(ValueError):
         rref(f, 2, [(1, 0), (1, 0, 1)])
+
+
+def reference_rref(field, d, rows):
+    """Gauss-Jordan elimination through the FieldSpec methods, one entry at
+    a time: the oracle for the row kernels."""
+    work = [list(row) for row in rows]
+    col = r = 0
+    while col < d and r < len(work):
+        piv = next((i for i in range(r, len(work)) if work[i][col]), None)
+        if piv is None:
+            col += 1
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = field.inv(work[r][col])
+        work[r] = [field.mul(inv, x) for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col]:
+                c = work[i][col]
+                work[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(work[i], work[r])]
+        r += 1
+        col += 1
+    return tuple(tuple(row) for row in work[:r])
+
+
+# every row-kernel family: odd prime fields, characteristic 2 tables,
+# odd-characteristic tables, and method calls above the table limit
+KERNEL_FIELDS = [2, 3, 7, 2**31 - 1, 4, 8, 9, 256, 3**7]
+
+
+@st.composite
+def dependent_rows(draw):
+    """A field, a dimension d and rows that are combinations of a few drawn
+    rows, so that large fields see dependent rows too."""
+    f = field_of_order(draw(st.sampled_from(KERNEL_FIELDS)))
+    d = draw(st.integers(min_value=0, max_value=6))
+    entry = st.one_of(st.just(0), st.just(1), st.integers(min_value=0, max_value=f.q - 1))
+    base = draw(st.lists(st.lists(entry, min_size=d, max_size=d), max_size=4))
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=7))):
+        coeffs = draw(st.lists(entry, min_size=len(base), max_size=len(base)))
+        row = [0] * d
+        for c, b in zip(coeffs, base):
+            row = [f.add(x, f.mul(c, y)) for x, y in zip(row, b)]
+        rows.append(tuple(row))
+    return f, d, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(dependent_rows())
+def test_rref_matches_method_call_elimination(data):
+    f, d, rows = data
+    s = rref(f, d, rows)
+    assert s.rows == reference_rref(f, d, rows)
+    assert rank(f, rows) == s.dim
+    assert all(s.contains(row) for row in rows)
+
+
+@pytest.mark.parametrize("q", KERNEL_FIELDS)
+def test_rref_refuses_entries_outside_the_field(q):
+    f = field_of_order(q)
+    for bad in (q, q + 2, q + 3, -1):  # 5 over GF(3), 7 over GF(4)
+        with pytest.raises(ValueError, match="outside"):
+            rref(f, 2, [(1, 0), (1, bad)])
+        with pytest.raises(ValueError, match="outside"):
+            rank(f, [(1, 0), (1, bad)])
+        with pytest.raises(ValueError, match="outside"):
+            rref(f, 3, [(1, 0, 1)]).contains((1, 0, bad))
+
+
+def test_rank_refuses_mixed_lengths_and_counts_the_empty_span():
+    f = FieldSpec(3)
+    with pytest.raises(ValueError):
+        rank(f, [(1, 0), (1, 0, 1)])
+    assert rank(f, []) == 0
+    assert rank(f, [(0, 0), (0, 0)]) == 0
+    assert rank(f, [(1, 2), (2, 1), (0, 1)]) == 2
+
+
+def test_contains_checks_the_vector_length():
+    s = rref(FieldSpec(2), 3, [(1, 0, 0)])
+    assert s.contains((1, 0, 0))
+    with pytest.raises(ValueError):
+        s.contains((1, 0, 0, 0))
+    with pytest.raises(ValueError):
+        s.contains((1, 0))
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 9])
+def test_linear_rank_oracle_matches_method_call_elimination(q):
+    f = field_of_order(q)
+    rng = random.Random(q)
+    for name, m, _ in named_corpus():
+        scalars = [rng.randrange(1, q) for _ in range(m.n)]
+        matrix = [[f.mul(s, x) for s, x in zip(scalars, row)] for row in m.matrix]
+        inst = MatroidInstance.linear(f, matrix)
+        for subset in range(1 << m.n):
+            cols = [inst.columns[e] for e in range(m.n) if subset >> e & 1]
+            assert inst.rank(subset) == len(reference_rref(f, m.dim, cols)), (name, subset)
 
 
 def test_rref_canonical_idempotent():

@@ -20,12 +20,15 @@ vectors.
 
 Elimination works on whole rows through two kernels that each field picks
 once and caches: scaling a row by c, and subtracting c times a pivot row.
-Odd prime fields compute ``(x - c * y) % p`` per entry.  Fields of order at
-most 256 (``_TABLE_LIMIT``) index a full multiplication table, and
-characteristic 2 subtracts with xor (plain xor when c = 1); the other
-extension fields also index a subtraction table.  Larger extension fields,
-whose tables would hold q^2 entries, call the ``FieldSpec`` methods per
-entry.  ``rref`` and ``rank`` share one elimination loop: ``rref`` clears
+Odd prime fields compute ``(x - c * y) % p`` per entry.  Characteristic-2
+fields of order at most 256 (``_TABLE_LIMIT``) subtract with xor (plain xor
+when c = 1) and multiply by indexing the row of c in a multiplication table;
+each row is built from the log/antilog tables the first time its c is used,
+so a small elimination pays for a few rows, not for all q^2 entries.  Every
+other field (odd extension fields, and characteristic 2 above the cutoff)
+calls the ``FieldSpec`` methods per entry; no benchmark workload uses
+those fields, so no table kernel for them has been shown to pay for its
+build.  ``rref`` and ``rank`` share one elimination loop: ``rref`` clears
 every pivot column above and below the pivot, ``rank`` only below it and
 counts the pivots.  Both refuse entries outside 0..q-1, which a table
 would otherwise index past or silently accept.
@@ -33,7 +36,7 @@ would otherwise index past or silently accept.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations, product
 
 FVector = tuple[int, ...]
@@ -46,7 +49,7 @@ _IRREDUCIBLE: dict[tuple[int, int], int] = {
 
 _MAX_EXT_ORDER = 1 << 16
 _MAX_PRIME_ORDER = 1 << 31
-_TABLE_LIMIT = 256  # largest order whose row kernels index q x q tables
+_TABLE_LIMIT = 256  # largest characteristic-2 order whose row kernels index multiplication rows
 
 
 def _is_prime(p: int) -> bool:
@@ -115,6 +118,23 @@ def _smallest_irreducible(p: int, m: int) -> int:
     raise ValueError(f"no irreducible polynomial of degree {m} over GF({p})")
 
 
+class _MulRows(dict):
+    """``c -> [c·b for b in 0..q-1]`` over a field of characteristic 2,
+    each row for c > 1 built from the log/antilog tables on its first
+    lookup, so a field pays only for the coefficients its eliminations use
+    (GF(2) has no such c)."""
+
+    def __init__(self, field: "FieldSpec"):
+        super().__init__({0: [0] * field.q, 1: list(range(field.q))})
+        self._exp, self._log = field._exp, field._log
+
+    def __missing__(self, c: int) -> list[int]:
+        exp, log = self._exp, self._log
+        lc = log[c]
+        row = self[c] = [0] + [exp[lc + lb] for lb in log[1:]]
+        return row
+
+
 class FieldSpec:
     """Arithmetic tables and rules for GF(p^m).
 
@@ -150,6 +170,9 @@ class FieldSpec:
             for a in range(1, self.q):
                 if self.mul(a, self.inv(a)) != 1:
                     raise ValueError(f"GF({p}^{m}): element {a} lacks an inverse")
+        # set here, not by a cached_property: on CPython 3.11 its write into
+        # the instance __dict__ made every later add/neg/mul about 20% slower
+        self._row_kernels = self._pick_row_kernels()
 
     # ------------------------------------------------------------------
     # table construction (extension fields only)
@@ -252,11 +275,10 @@ class FieldSpec:
     def elements(self) -> range:
         return range(self.q)
 
-    @cached_property
-    def _row_kernels(self):
+    def _pick_row_kernels(self):
         """``(scale, reduce)``: ``scale(c, row)`` is c·row and
         ``reduce(row, c, pivot)`` is row − c·pivot, both as new lists."""
-        q, p = self.q, self.p
+        p = self.p
         if p != 2 and self.m == 1:
             def scale(c, row):
                 return [c * x % p for x in row]
@@ -264,25 +286,18 @@ class FieldSpec:
             def reduce(row, c, pivot):
                 return [(x - c * y) % p for x, y in zip(row, pivot)]
 
-        elif q <= _TABLE_LIMIT:
-            mul = [[self.mul(a, b) for b in range(q)] for a in range(q)]
+        elif p == 2 and self.q <= _TABLE_LIMIT:
+            mul = _MulRows(self)
 
             def scale(c, row):
                 times = mul[c]
                 return [times[x] for x in row]
 
-            if p == 2:
-                def reduce(row, c, pivot):
-                    if c == 1:
-                        return [x ^ y for x, y in zip(row, pivot)]
-                    times = mul[c]
-                    return [x ^ times[y] for x, y in zip(row, pivot)]
-            else:
-                sub = [[self.sub(a, b) for b in range(q)] for a in range(q)]
-
-                def reduce(row, c, pivot):
-                    times = mul[c]
-                    return [sub[x][times[y]] for x, y in zip(row, pivot)]
+            def reduce(row, c, pivot):
+                if c == 1:
+                    return [x ^ y for x, y in zip(row, pivot)]
+                times = mul[c]
+                return [x ^ times[y] for x, y in zip(row, pivot)]
 
         else:
             mul, sub = self.mul, self.sub

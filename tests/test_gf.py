@@ -202,9 +202,10 @@ def reference_rref(field, d, rows):
     return tuple(tuple(row) for row in work[:r])
 
 
-# every row-kernel family: odd prime fields, characteristic 2 tables,
-# odd-characteristic tables, and method calls above the table limit
-KERNEL_FIELDS = [2, 3, 7, 2**31 - 1, 4, 8, 9, 256, 3**7]
+# every row-kernel family: odd prime fields, characteristic 2 up to the
+# table limit, and method calls for odd extension fields and for
+# characteristic 2 above the limit
+KERNEL_FIELDS = [2, 3, 7, 2**31 - 1, 4, 8, 256, 9, 3**7, 2**10]
 
 
 @st.composite

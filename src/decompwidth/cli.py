@@ -177,9 +177,10 @@ def _cmd_check(args) -> int:
     if m.n != dec.n:
         print(f"mismatch: matroid has {m.n} elements, decomposition {dec.n}", file=sys.stderr)
         return 1
-    if args.exhaustive:
-        if dec.n > 20:
-            raise ValueError("exhaustive check limited to n <= 20")
+    if args.exhaustive and dec.n > 20:
+        raise ValueError("exhaustive check limited to n <= 20")
+    if args.exhaustive or 1 << dec.n <= args.samples:
+        # sampling would repeat subsets: check each one once instead
         subsets = range(1 << dec.n)
         checked = 1 << dec.n
     else:
@@ -255,7 +256,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("decomposition")
     p.add_argument("--matroid", required=True)
     p.add_argument("--exhaustive", action="store_true", help="all 2^n subsets (n <= 20)")
-    p.add_argument("--samples", type=int, default=1000, help="random subsets when not exhaustive")
+    p.add_argument(
+        "--samples",
+        type=int,
+        default=1000,
+        help="random subsets when not exhaustive; every subset once when 2^n <= SAMPLES",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_check)
 

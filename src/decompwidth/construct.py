@@ -13,7 +13,10 @@ below the subspace count of the boundary.
 For child colors (g1, g2) naming boundary subspaces S1, S2, the parent entry
 is the color of (parent boundary) intersect hull(S1, S2), and the rank
 defect is dim S1 + dim S2 - dim hull(S1, S2): exactly the dimension lost
-when the two subtrees' spans meet.
+when the two subtrees' spans meet.  ``gf.pair_traces`` gives both for all
+pairs of a node from one Zassenhaus elimination per left color, extended
+once per right color, and builds no hull.  Colors are numbered by first
+appearance in (g1, g2) order.
 
 Leaves color the empty set 0 and the selected singleton 1.  When a leaf's
 boundary is trivial (its element is a loop or a coloop), color 1 maps to the
@@ -38,7 +41,8 @@ The tree is walked three times:
   W_root = {0}.  A child c with sibling s gets W_c = (U_s + W_v) meet
   {zero off S_c}: rows interior to s, or outside v, cannot cancel between
   the summands.  Then B_v = U_v meet W_v.
-* Tables: the palette pairs of v combine in the coordinates S_c1 | S_c2.
+* Tables: the palette pairs of v combine in the coordinates S_c1 | S_c2,
+  through ``pair_traces``.
 
 Coordinates keep the increasing row order, and RREF over an ordered subset
 of the coordinates is the RREF in GF(q)^d with the zero coordinates
@@ -54,7 +58,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .branchdecomp import RootedBranchTree
-from .gf import FieldSpec, FVector, Subspace, hull, intersect, rref
+from .gf import FieldSpec, FVector, Subspace, pair_traces
+from .gf import hull, intersect, rref  # noqa: F401  perfbench's traced run and the tests patch these names
 from .kdecomp import ElementSet, Inner, KDecomposition, Leaf, node_states
 from .matroids import MatroidInstance
 
@@ -186,17 +191,17 @@ def _local_tables(m: MatroidInstance, tree: RootedBranchTree):
         color_spaces = spaces[node] = [Subspace.zero(field, len(own))]
         color_table = [[0] * len(spaces_right) for _ in spaces_left]
         defect_table = [[0] * len(spaces_right) for _ in spaces_left]
+        pairs = pair_traces(local_bound, spaces_left, spaces_right)
         for g1, s1 in enumerate(spaces_left):
             for g2, s2 in enumerate(spaces_right):
-                joined = hull(s1, s2)
-                trace = intersect(local_bound, joined)
+                trace, joined = next(pairs)
                 color = color_of.get(trace)
                 if color is None:
                     color = len(color_spaces)
                     color_of[trace] = color
                     color_spaces.append(_lift(trace, coords, own))
                 color_table[g1][g2] = color
-                defect_table[g1][g2] = s1.dim + s2.dim - joined.dim
+                defect_table[g1][g2] = s1.dim + s2.dim - joined
         inner = Inner((left, right), len(color_spaces), color_table, defect_table)
         yield node, inner, own, bound, color_spaces
 

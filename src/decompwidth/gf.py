@@ -31,7 +31,15 @@ those fields, so no table kernel for them has been shown to pay for its
 build.  ``rref`` and ``rank`` share one elimination loop: ``rref`` clears
 every pivot column above and below the pivot, ``rank`` only below it and
 counts the pivots.  Both refuse entries outside 0..q-1, which a table
-would otherwise index past or silently accept.
+would otherwise index past or silently accept, and so does every
+``Subspace`` when it is built.
+
+``pair_traces`` serves a decomposition's table pass: for a bound B and
+lists of spaces S1 and S2 it gives B ∩ (S1 + S2) and dim(S1 + S2) for
+every pair.  The Zassenhaus stack [B | B], [S1 | 0] is put in forward
+echelon form once per S1, and each S2 only extends it, so a pair costs
+the reduction of dim S2 rows and, when the trace gains a row and is not
+all of B, one ``rref`` of at most dim B rows.
 """
 
 from __future__ import annotations
@@ -365,21 +373,24 @@ class Subspace:
         self._check_canonical()
 
     def _check_canonical(self) -> None:
-        pivots = []
+        d, pivots = self.d, []
         for row in self.rows:
-            if len(row) != self.d:
+            if len(row) != d:
                 raise ValueError("basis row length differs from ambient dimension")
-            piv = next((j for j, x in enumerate(row) if x), None)
-            if piv is None:
+            lead = next(filter(None, row), 0)
+            if not lead:
                 raise ValueError("zero row in basis")
+            if lead != 1:
+                raise ValueError("pivot entry is not 1")
+            piv = row.index(1)
             if pivots and piv <= pivots[-1]:
                 raise ValueError("pivots not strictly increasing")
-            if row[piv] != 1:
-                raise ValueError("pivot entry is not 1")
             pivots.append(piv)
+        _check_entries(self.field, self.rows)
+        # a row is zero left of its pivot, so only later pivots can meet it
         for i, row in enumerate(self.rows):
-            for j, other_piv in enumerate(pivots):
-                if i != j and row[other_piv] != 0:
+            for piv in pivots[i + 1:]:
+                if row[piv]:
                     raise ValueError("nonzero entry in a pivot column")
 
     @classmethod
@@ -424,7 +435,14 @@ def _check_rows(field: FieldSpec, d: int, rows: list) -> None:
         return
     if set(map(len, rows)) != {d}:
         raise ValueError(f"vectors of lengths {sorted(set(map(len, rows)))} in dimension {d}")
-    if d and (min(map(min, rows)) < 0 or max(map(max, rows)) >= field.q):
+    if d:
+        _check_entries(field, rows)
+
+
+def _check_entries(field: FieldSpec, rows) -> None:
+    """Refuse an entry outside 0..q-1 in ``rows`` (nonempty vectors), in
+    C-level ``min``/``max`` passes."""
+    if rows and (min(map(min, rows)) < 0 or max(map(max, rows)) >= field.q):
         raise ValueError(f"vector entry outside 0..{field.q - 1}")
 
 
@@ -496,6 +514,59 @@ def intersect(u1: Subspace, u2: Subspace) -> Subspace:
     # rows with a zero left half are the bottom of the RREF; their right
     # halves are already reduced against each other
     return Subspace(u1.field, d, tuple(row[d:] for row in reduced.rows if not any(row[:d])))
+
+
+def _extend(field: FieldSpec, width: int, stem: list, rows: list) -> list:
+    """``rows`` reduced against ``stem``, then put in forward echelon form
+    among themselves: their (pivot column, row) pairs.
+
+    Every row of ``stem``, a list of such pairs, has pivot entry 1 and is
+    zero in the pivot columns of the pairs before it, so one pass in list
+    order clears all of them.  ``stem`` followed by the result keeps that
+    property, and its rows span what ``stem`` and ``rows`` span."""
+    reduce = field._row_kernels[1]
+    for col, pivot in stem:
+        for i, row in enumerate(rows):
+            if row[col]:
+                rows[i] = reduce(row, row[col], pivot)
+    # every entry left of a pivot is 0 and the pivot entry is 1
+    return [(row.index(1), row) for row in _eliminate(field, width, rows, False)]
+
+
+def pair_traces(bound: Subspace, lefts, rights):
+    """``(intersect(bound, hull(s1, s2)), hull(s1, s2).dim)`` for every
+    ``s1`` in ``lefts`` and ``s2`` in ``rights``, row-major.
+
+    Zassenhaus elimination as in :func:`intersect`, shared across pairs:
+    the rows [b | b] of ``bound`` and [s | 0] of ``s1`` are put in forward
+    echelon form once per ``s1``, and each ``s2`` only reduces its rows
+    [s | 0] against those pivots and echelons what is left.  In any echelon
+    form of the stack, the rows with a zero left half hold a basis of the
+    trace in their right halves, and there are dim bound + dim(s1 + s2)
+    rows.  One ``rref`` makes the trace canonical, unless ``s2`` adds no
+    row to ``s1``'s trace or the trace is all of ``bound``.
+    """
+    field, d = bound.field, bound.d
+    lefts, rights = list(lefts), list(rights)
+    spaces = [bound, *lefts, *rights]
+    if any(s.d != d or s.field != field for s in spaces):
+        raise ValueError("ambient spaces differ")
+    _check_rows(field, d, [row for s in spaces for row in s.rows])
+    full, width, zero = bound.dim, 2 * d, (0,) * d
+
+    def canonical(rows):
+        return bound if len(rows) == full else rref(field, d, rows)
+
+    base = [(row.index(1), row + row) for row in bound.rows]
+    padded = [[row + zero for row in s.rows] for s in rights]
+    for s1 in lefts:
+        stem = base + _extend(field, width, base, [row + zero for row in s1.rows])
+        low = [row[d:] for col, row in stem if col >= d]
+        prefix = canonical(low)
+        for rows in padded:
+            new = _extend(field, width, stem, rows[:])
+            high = [row[d:] for col, row in new if col >= d]
+            yield prefix if not high else canonical(low + high), len(stem) + len(new) - full
 
 
 def enumerate_subspaces(space: Subspace) -> list[Subspace]:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    GF2,
     c5_graphic,
     construct_exact,
     fano,
@@ -171,9 +172,32 @@ def test_check_exhaustive(u23_files):
 
 def test_check_sampled(u23_files):
     matroid, dw = u23_files
-    code, out, _ = run(["check", dw, "--matroid", matroid, "--samples", "50", "--seed", "4"])
+    # fewer samples than the 8 subsets of U_{2,3}, so they are drawn at random
+    code, out, _ = run(["check", dw, "--matroid", matroid, "--samples", "5", "--seed", "4"])
     assert code == 0
-    assert out.strip() == "ok 50 subsets"
+    assert out.strip() == "ok 5 subsets"
+
+
+@pytest.mark.parametrize(
+    "matrix, samples, checked",
+    [
+        ([[1]], None, 2),
+        ([[1, 1]], None, 4),
+        ([[1, 1]], "4", 4),
+        ([[1, 1]], "3", 3),
+    ],
+)
+def test_check_counts_each_subset_once_when_samples_cover_them(tmp_path, matrix, samples, checked):
+    # a 1-element matroid has 2 subsets; 1000 samples of them check nothing more
+    matroid_path = tmp_path / "small.matroid"
+    matroid_path.write_text(format_matroid(MatroidInstance.linear(GF2, matrix)))
+    dw_path = tmp_path / "small.dw"
+    code, _, err = run(["construct", "--matroid", str(matroid_path), "-o", str(dw_path)])
+    assert code == 0, err
+    extra = [] if samples is None else ["--samples", samples]
+    code, out, _ = run(["check", str(dw_path), "--matroid", str(matroid_path), *extra])
+    assert code == 0
+    assert out == f"ok {checked} subsets\n"
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])

@@ -214,8 +214,9 @@ def banded_matroid(n, band=5):
 
 
 def subspace_work(monkeypatch, m):
-    """Calls to construct's rref, hull and intersect over the column-order
-    caterpillar, and the longest vector any of them returns."""
+    """Calls to construct's rref, hull and intersect plus the table pairs
+    its pair_traces yields, over the column-order caterpillar, and the
+    longest vector any of them returns."""
     module = importlib.import_module("decompwidth.construct")
     lengths = []
     with monkeypatch.context() as patch:
@@ -227,6 +228,13 @@ def subspace_work(monkeypatch, m):
                 return out
 
             patch.setattr(module, name, recorded)
+
+        def recorded_pairs(*args, op=module.pair_traces):
+            for trace, joined in op(*args):
+                lengths.append(trace.d)
+                yield trace, joined
+
+        patch.setattr(module, "pair_traces", recorded_pairs)
         construct(m, left_deep_rooted_tree(m.n))
     return len(lengths), max(lengths)
 

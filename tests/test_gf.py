@@ -18,6 +18,7 @@ from decompwidth.gf import (
     gaussian_binomial,
     hull,
     intersect,
+    pair_traces,
     rank,
     rref,
 )
@@ -248,6 +249,17 @@ def test_rref_refuses_entries_outside_the_field(q):
             rref(f, 3, [(1, 0, 1)]).contains((1, 0, bad))
 
 
+@pytest.mark.parametrize("q", KERNEL_FIELDS)
+def test_subspace_refuses_entries_outside_the_field(q):
+    f = field_of_order(q)
+    for bad in (q, q + 2, -1):  # (1, 5) and (1, -1) over GF(3)
+        with pytest.raises(ValueError, match=rf"^vector entry outside 0\.\.{q - 1}$"):
+            Subspace(f, 2, ((1, bad),))
+        with pytest.raises(ValueError, match="outside"):
+            Subspace(f, 3, ((1, 0, 0), (0, 1, bad)))
+    assert Subspace(f, 2, ((1, q - 1),)).rows == ((1, q - 1),)
+
+
 def test_rank_refuses_mixed_lengths_and_counts_the_empty_span():
     f = FieldSpec(3)
     with pytest.raises(ValueError):
@@ -342,6 +354,53 @@ def test_intersect_brute_force_gf3():
         got = intersect(u1, u2)
         both = span_vectors(f, 4, rows1) & span_vectors(f, 4, rows2)
         assert span_vectors(f, 4, got.rows) == both
+
+
+@st.composite
+def pair_trace_inputs(draw):
+    """A bound and lists of left and right spaces, all spanned by drawn rows
+    mixed with combinations of one shared base, so that over large fields
+    the spaces still meet; any of them may be trivial, and d may be 0."""
+    f = field_of_order(draw(st.sampled_from(KERNEL_FIELDS)))
+    d = draw(st.integers(min_value=0, max_value=5))
+    entry = st.one_of(st.just(0), st.just(1), st.integers(min_value=0, max_value=f.q - 1))
+    vector = st.lists(entry, min_size=d, max_size=d)
+    base = draw(st.lists(vector, max_size=3))
+
+    def space():
+        rows = draw(st.lists(vector, max_size=2))
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            coeffs = draw(st.lists(entry, min_size=len(base), max_size=len(base)))
+            row = [0] * d
+            for c, b in zip(coeffs, base):
+                row = [f.add(x, f.mul(c, y)) for x, y in zip(row, b)]
+            rows.append(row)
+        return rref(f, d, rows)
+
+    bound = space()
+    lefts = [space() for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+    rights = [space() for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+    return bound, lefts, rights
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair_trace_inputs())
+def test_pair_traces_match_hull_and_intersect(data):
+    bound, lefts, rights = data
+    expected = [
+        (intersect(bound, hull(s1, s2)), hull(s1, s2).dim) for s1 in lefts for s2 in rights
+    ]
+    assert list(pair_traces(bound, lefts, rights)) == expected
+
+
+def test_pair_traces_check_their_input():
+    f = FieldSpec(3)
+    line, plane = rref(f, 2, [(1, 1)]), rref(f, 3, [(1, 0, 0), (0, 1, 0)])
+    with pytest.raises(ValueError, match="ambient"):
+        list(pair_traces(line, [line], [plane]))
+    line.rows = ((1, 5),)  # bypasses the canonical check at construction
+    with pytest.raises(ValueError, match="outside"):
+        list(pair_traces(rref(f, 2, []), [line], [line]))
 
 
 def test_ambient_mismatch_rejected():

@@ -30,10 +30,7 @@ from .errors import ParseError
 from .gf import (
     FieldSpec,
     Subspace,
-    enumerate_subspaces,
     field_of_order,
-    galois_number,
-    gaussian_binomial,
     hull,
     intersect,
     rref,

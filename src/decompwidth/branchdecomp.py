@@ -17,10 +17,15 @@ trees are pruned against the best width so far, which is sound because
 connectivity cannot grow when elements are deleted: every bipartition of a
 partial tree is induced by an edge of any completion, restricted to fewer
 elements.  The first tree attaining the minimum in enumeration order is
-returned.
+returned.  The widths come from one ``matroids.rank_table``, which for a
+linear instance costs one column reduction per subset.
 
 The greedy fallback builds a caterpillar over a greedily chosen element
-order and works at any size, without optimality.
+order and works at any size, without optimality.  A step scores every
+remaining element from one ``closure`` of the prefix and one ``coloops``
+pass over the rest, and the tree's width is read off those scores, so the
+search makes O(n) such passes where a rank per candidate would make
+O(n^2) rank queries.
 
 Text format ('#' comments allowed):
 
@@ -41,7 +46,7 @@ from dataclasses import dataclass, field
 
 from .errors import ParseError, integers, keyed, records
 from .kdecomp import tree_defect, tree_postorder
-from .matroids import ElementSet, MatroidInstance
+from .matroids import ElementSet, MatroidInstance, iter_elements, rank_table
 
 Edge = tuple[int, int]
 
@@ -187,7 +192,7 @@ def exact_branch_decomposition(m: MatroidInstance) -> tuple[BranchTree, int]:
         raise ValueError(f"exact search limited to n <= {_EXACT_LIMIT}, got {n}")
     if n == 0:
         raise ValueError("matroid has no elements")
-    rank = [m.rank(s) for s in range(1 << n)]
+    rank = rank_table(m)
     if n == 1:
         return BranchTree(1, {0: ()}), 0
 
@@ -226,28 +231,39 @@ def greedy_branch_decomposition(m: MatroidInstance) -> tuple[BranchTree, int]:
     """Caterpillar over a greedy element order; width reported, not optimal.
 
     Each step appends the element whose extended prefix has the smallest
-    separation rank, ties to the smallest element id.
+    separation rank, ties to the smallest element id.  With prefix P and
+    rest S = E - P, a candidate e scores
+    r(P) + [e not in cl(P)] + r(S) - [e a coloop of M|S] - r(E), so a step
+    costs one ``closure`` and one ``coloops``.  The tree's width is read
+    off the scores: its spine edges split off the chosen prefixes, and its
+    pendant edges are the first step's candidates.
     """
     n = m.n
     if n == 0:
         raise ValueError("matroid has no elements")
-    full = m.full_set
-    full_rank = m.rank(full)
+    full_rank = m.rank(m.full_set)
     order: list[int] = []
-    prefix = 0
-    remaining = list(range(n))
-    while remaining:
+    prefix, rest = 0, m.full_set
+    prefix_rank, rest_rank = 0, full_rank
+    widest = 0
+    while rest:
+        raises = rest & ~m.closure(prefix)
+        drops = m.coloops(rest)
+        base = prefix_rank + rest_rank - full_rank
         best_e, best_lam = None, None
-        for e in remaining:
-            grown = prefix | 1 << e
-            lam = m.rank(grown) + m.rank(full & ~grown) - full_rank
+        for e in iter_elements(rest):
+            lam = base + (raises >> e & 1) - (drops >> e & 1)
+            if not order:
+                widest = max(widest, lam)
             if best_lam is None or lam < best_lam:
                 best_e, best_lam = e, lam
+        widest = max(widest, best_lam)
         order.append(best_e)
-        remaining.remove(best_e)
         prefix |= 1 << best_e
-    tree = caterpillar_tree(n, order)
-    return tree, width(m, tree)
+        rest &= ~(1 << best_e)
+        prefix_rank += raises >> best_e & 1
+        rest_rank -= drops >> best_e & 1
+    return caterpillar_tree(n, order), widest
 
 
 def caterpillar_tree(n: int, order: list[int]) -> BranchTree:
@@ -369,7 +385,7 @@ def parse_branch_tree(text: str) -> BranchTree | RootedBranchTree:
                 raise ParseError(lineno, "duplicate header")
             if len(tok) != 2:
                 raise ParseError(lineno, "header must be 'bd n=<n>'")
-            n = keyed(tok[1], "n", lineno)
+            n, header_line = keyed(tok[1], "n", lineno), lineno
         elif tok[0] == "node":
             if len(tok) not in (4, 5):
                 raise ParseError(lineno, "node line needs an id and 2 or 3 children")
@@ -383,6 +399,12 @@ def parse_branch_tree(text: str) -> BranchTree | RootedBranchTree:
             raise ParseError(lineno, f"unknown record {tok[0]!r}")
     if n is None:
         raise ParseError(1, "missing 'bd' header")
+    # a tree on n leaves has n - 1 (rooted) or n - 2 inner nodes; too few
+    # lines are refused before anything of size n is built, while with too
+    # many, n is bounded by the file and the shape checks name the defect
+    inner = n - 1 if root_token is not None else n - 2
+    if len(node_lines) < inner:
+        raise ParseError(header_line, f"n={n} needs {inner} node lines, found {len(node_lines)}")
 
     def resolve(token: str, lineno: int) -> int:
         if token.startswith("L"):

@@ -45,7 +45,7 @@ all of B, one ``rref`` of at most dim B rows.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 
 FVector = tuple[int, ...]
 
@@ -524,13 +524,21 @@ def _extend(field: FieldSpec, width: int, stem: list, rows: list) -> list:
     zero in the pivot columns of the pairs before it, so one pass in list
     order clears all of them.  ``stem`` followed by the result keeps that
     property, and its rows span what ``stem`` and ``rows`` span."""
+    rows = _eliminate(field, width, _residues(field, stem, rows), False)
+    # every entry left of a pivot is 0 and the pivot entry is 1
+    return [(row.index(1), row) for row in rows]
+
+
+def _residues(field: FieldSpec, stem: list, rows: list) -> list:
+    """``rows``, replaced in place by their reductions against ``stem``
+    (as in :func:`_extend`); a row is 0 exactly when it lies in the span
+    of ``stem``."""
     reduce = field._row_kernels[1]
     for col, pivot in stem:
         for i, row in enumerate(rows):
             if row[col]:
                 rows[i] = reduce(row, row[col], pivot)
-    # every entry left of a pivot is 0 and the pivot entry is 1
-    return [(row.index(1), row) for row in _eliminate(field, width, rows, False)]
+    return rows
 
 
 def pair_traces(bound: Subspace, lefts, rights):
@@ -567,61 +575,3 @@ def pair_traces(bound: Subspace, lefts, rights):
             new = _extend(field, width, stem, rows[:])
             high = [row[d:] for col, row in new if col >= d]
             yield prefix if not high else canonical(low + high), len(stem) + len(new) - full
-
-
-def enumerate_subspaces(space: Subspace) -> list[Subspace]:
-    """All subspaces of ``space``, canonical and deduplicated.
-
-    Ordered by dimension, then lexicographically on the canonical basis.
-    Guarded to dim <= 6; the count is the Galois number G_q(dim).
-    """
-    s = space.dim
-    if s > 6:
-        raise ValueError(f"subspace enumeration limited to dim <= 6, got {s}")
-    f = space.field
-    out = [Subspace.zero(f, space.d)]
-    for t in range(1, s + 1):
-        found = []
-        for piv_cols in combinations(range(s), t):
-            free_pos = [
-                (i, j)
-                for i in range(t)
-                for j in range(s)
-                if j > piv_cols[i] and j not in piv_cols
-            ]
-            for vals in product(f.elements(), repeat=len(free_pos)):
-                coeff = [[0] * s for _ in range(t)]
-                for i, c in enumerate(piv_cols):
-                    coeff[i][c] = 1
-                for (i, j), v in zip(free_pos, vals):
-                    coeff[i][j] = v
-                rows = []
-                for crow in coeff:
-                    vec = [0] * space.d
-                    for c, brow in zip(crow, space.rows):
-                        if c:
-                            for k, x in enumerate(brow):
-                                if x:
-                                    vec[k] = f.add(vec[k], f.mul(c, x))
-                    rows.append(tuple(vec))
-                # RREF coefficients times an RREF basis stay in RREF.
-                found.append(Subspace(f, space.d, tuple(rows)))
-        found.sort(key=lambda u: u.rows)
-        out.extend(found)
-    return out
-
-
-def gaussian_binomial(n: int, k: int, q: int) -> int:
-    """Number of k-dimensional subspaces of GF(q)^n, as an exact integer."""
-    if k < 0 or k > n:
-        return 0
-    num = den = 1
-    for i in range(k):
-        num *= q ** (n - i) - 1
-        den *= q ** (i + 1) - 1
-    return num // den
-
-
-def galois_number(n: int, q: int) -> int:
-    """Total number of subspaces of GF(q)^n."""
-    return sum(gaussian_binomial(n, k, q) for k in range(n + 1))

@@ -5,7 +5,7 @@ backends share one interface:
 
 * linear    -- columns of a matrix over GF(q); rank = dimension of the span
                (bit-packed elimination for GF(2), pivot counting by gf.rank
-               else)
+               else); closure, coloops and rank_table eliminate in bulk
 * graphic   -- edges of a graph; rank = vertices minus components, through
                union-find
 * uniform   -- rank(F) = min(|F|, r)
@@ -114,9 +114,12 @@ class MatroidInstance:
     def full_set(self) -> ElementSet:
         return (1 << self.n) - 1
 
-    def rank(self, subset: ElementSet) -> int:
+    def _check_subset(self, subset: ElementSet) -> None:
         if subset & ~self.full_set:
             raise ValueError("subset contains elements outside the ground set")
+
+    def rank(self, subset: ElementSet) -> int:
+        self._check_subset(subset)
         cached = self._cache.get(subset)
         if cached is not None:
             return cached
@@ -133,6 +136,40 @@ class MatroidInstance:
             r = self.table[subset]
         self._cache[subset] = r
         return r
+
+    def closure(self, subset: ElementSet) -> ElementSet:
+        """The elements e with r(subset + e) = r(subset), subset included.
+
+        A linear instance puts the columns of ``subset`` in forward echelon
+        form once and reduces every other column against those pivots;
+        the others ask ``rank`` once per element."""
+        self._check_subset(subset)
+        outside = list(iter_elements(self.full_set & ~subset))
+        if self.kind != "linear":
+            r = self.rank(subset)
+            return subset | sum(1 << e for e in outside if self.rank(subset | 1 << e) == r)
+        field, d, columns = self.field, self.dim, self.columns
+        gf._check_rows(field, d, columns)
+        stem = gf._extend(field, d, [], [columns[e] for e in iter_elements(subset)])
+        residues = gf._residues(field, stem, [columns[e] for e in outside])
+        return subset | sum(1 << e for e, row in zip(outside, residues) if not any(row))
+
+    def coloops(self, subset: ElementSet) -> ElementSet:
+        """The e in ``subset`` with r(subset - e) < r(subset): the coloops
+        of the restriction to ``subset``.
+
+        A linear instance runs one RREF of the d x |subset| matrix: a pivot
+        column is a coloop iff its pivot row has no other nonzero entry.
+        The others ask ``rank`` once per element."""
+        self._check_subset(subset)
+        if self.kind != "linear":
+            r = self.rank(subset)
+            return sum(1 << e for e in iter_elements(subset) if self.rank(subset & ~(1 << e)) < r)
+        elements = list(iter_elements(subset))
+        rows = [[row[e] for e in elements] for row in self.matrix]
+        gf._check_rows(self.field, len(elements), rows)
+        reduced = gf._eliminate(self.field, len(elements), rows, True)
+        return sum(1 << elements[row.index(1)] for row in reduced if row.count(0) == len(row) - 1)
 
     def _graphic_rank(self, subset: ElementSet) -> int:
         parent = list(range(self.num_vertices))
@@ -207,15 +244,7 @@ def _validate_rank_table(table, n: int) -> None:
 
 def loops_and_coloops(m: MatroidInstance) -> tuple[ElementSet, ElementSet]:
     """(loops, coloops): rank({e}) = 0, and rank(E-{e}) = rank(E) - 1."""
-    loops = coloops = 0
-    full_rank = m.rank(m.full_set)
-    for e in range(m.n):
-        bit = 1 << e
-        if m.rank(bit) == 0:
-            loops |= bit
-        if m.rank(m.full_set & ~bit) == full_rank - 1:
-            coloops |= bit
-    return loops, coloops
+    return m.closure(0), m.coloops(m.full_set)
 
 
 def brute_whitney(m: MatroidInstance) -> WhitneyTable:
@@ -273,10 +302,35 @@ def brute_axiom_check(table) -> AxiomVerdict:
 
 
 def rank_table(m: MatroidInstance) -> list[int]:
-    """Full rank table of an instance (2^n entries), n <= 20."""
+    """Full rank table of an instance (2^n entries), n <= 20.
+
+    A linear instance walks the subsets depth first, adding elements in
+    increasing order: each subset costs one reduction of one column
+    against its parent's echelon stem, and the stems along the current
+    path share one list.  An explicit instance returns its table; the
+    others ask ``rank`` per subset."""
     if m.n > _WHITNEY_LIMIT:
         raise ValueError(f"full tables limited to n <= {_WHITNEY_LIMIT}")
-    return [m.rank(subset) for subset in range(1 << m.n)]
+    if m.kind == "explicit":
+        return list(m.table)
+    if m.kind != "linear":
+        return [m.rank(subset) for subset in range(1 << m.n)]
+    field, d, columns = m.field, m.dim, m.columns
+    gf._check_rows(field, d, columns)
+
+    table = [0] * (1 << m.n)
+    stem: list = []
+
+    def walk(subset: ElementSet, low: int) -> None:
+        for e in range(low, m.n):
+            new = gf._extend(field, d, stem, [columns[e]])
+            stem.extend(new)
+            table[subset | 1 << e] = len(stem)
+            walk(subset | 1 << e, e + 1)
+            del stem[len(stem) - len(new):]
+
+    walk(0, 0)
+    return table
 
 
 def incidence_matrix(num_vertices: int, edges) -> list[tuple[int, ...]]:

@@ -2,6 +2,9 @@
 
 import copy
 import random
+from itertools import combinations, product
+
+from hypothesis import strategies as st
 
 from decompwidth import (
     FieldSpec,
@@ -9,9 +12,11 @@ from decompwidth import (
     RootedBranchTree,
     construct,
     exact_branch_decomposition,
+    field_of_order,
     incidence_matrix,
     root_tree,
 )
+from decompwidth.gf import Subspace
 from decompwidth.kdecomp import Inner, KDecomposition, Leaf
 
 GF2 = FieldSpec(2)
@@ -174,3 +179,106 @@ def path_caterpillar_decomposition(n):
         rp = 2 if right < n else 1
         nodes[n + i] = Inner((i, right), 1, [[0] * rp, [0] * rp], [[0] * rp, [0] * rp])
     return KDecomposition(n, nodes, n)
+
+
+def enumerate_subspaces(space: Subspace) -> list[Subspace]:
+    """All subspaces of ``space``, canonical and deduplicated.
+
+    Ordered by dimension, then lexicographically on the canonical basis.
+    Guarded to dim <= 6; the count is the Galois number G_q(dim).
+    """
+    s = space.dim
+    if s > 6:
+        raise ValueError(f"subspace enumeration limited to dim <= 6, got {s}")
+    f = space.field
+    out = [Subspace.zero(f, space.d)]
+    for t in range(1, s + 1):
+        found = []
+        for piv_cols in combinations(range(s), t):
+            free_pos = [
+                (i, j)
+                for i in range(t)
+                for j in range(s)
+                if j > piv_cols[i] and j not in piv_cols
+            ]
+            for vals in product(f.elements(), repeat=len(free_pos)):
+                coeff = [[0] * s for _ in range(t)]
+                for i, c in enumerate(piv_cols):
+                    coeff[i][c] = 1
+                for (i, j), v in zip(free_pos, vals):
+                    coeff[i][j] = v
+                rows = []
+                for crow in coeff:
+                    vec = [0] * space.d
+                    for c, brow in zip(crow, space.rows):
+                        if c:
+                            for k, x in enumerate(brow):
+                                if x:
+                                    vec[k] = f.add(vec[k], f.mul(c, x))
+                    rows.append(tuple(vec))
+                # RREF coefficients times an RREF basis stay in RREF.
+                found.append(Subspace(f, space.d, tuple(rows)))
+        found.sort(key=lambda u: u.rows)
+        out.extend(found)
+    return out
+
+
+def gaussian_binomial(n: int, k: int, q: int) -> int:
+    """Number of k-dimensional subspaces of GF(q)^n, as an exact integer."""
+    if k < 0 or k > n:
+        return 0
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def galois_number(n: int, q: int) -> int:
+    """Total number of subspaces of GF(q)^n."""
+    return sum(gaussian_binomial(n, k, q) for k in range(n + 1))
+
+
+# every row-kernel family: odd prime fields, characteristic 2 up to the
+# table limit, and method calls for odd extension fields and for
+# characteristic 2 above the limit
+KERNEL_FIELDS = [2, 3, 7, 2**31 - 1, 4, 8, 256, 9, 3**7, 2**10]
+
+
+@st.composite
+def dependent_rows(draw):
+    """A field, a dimension d and rows that are combinations of a few drawn
+    rows, so that large fields see dependent rows too."""
+    f = field_of_order(draw(st.sampled_from(KERNEL_FIELDS)))
+    d = draw(st.integers(min_value=0, max_value=6))
+    entry = st.one_of(st.just(0), st.just(1), st.integers(min_value=0, max_value=f.q - 1))
+    base = draw(st.lists(st.lists(entry, min_size=d, max_size=d), max_size=4))
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=7))):
+        coeffs = draw(st.lists(entry, min_size=len(base), max_size=len(base)))
+        row = [0] * d
+        for c, b in zip(coeffs, base):
+            row = [f.add(x, f.mul(c, y)) for x, y in zip(row, b)]
+        rows.append(tuple(row))
+    return f, d, rows
+
+
+@st.composite
+def small_instances(draw):
+    """An instance of any backend on at most 7 elements.  A linear one
+    takes its columns from ``dependent_rows``, so zero columns, d = 0 and
+    n in {0, 1} all occur; an explicit one is the table of such a linear
+    instance."""
+    kind = draw(st.sampled_from(["linear", "linear", "graphic", "uniform", "explicit"]))
+    if kind == "graphic":
+        v = draw(st.integers(min_value=1, max_value=5))
+        vertex = st.integers(min_value=0, max_value=v - 1)
+        return MatroidInstance.graphic(v, draw(st.lists(st.tuples(vertex, vertex), max_size=7)))
+    if kind == "uniform":
+        n = draw(st.integers(min_value=0, max_value=7))
+        return MatroidInstance.uniform(draw(st.integers(min_value=0, max_value=n)), n)
+    f, d, columns = draw(dependent_rows())
+    m = MatroidInstance.linear(f, [[col[i] for col in columns] for i in range(d)])
+    if kind == "explicit":
+        return MatroidInstance.explicit([m.rank(s) for s in range(1 << m.n)])
+    return m

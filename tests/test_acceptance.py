@@ -16,6 +16,7 @@ from conftest import (
     c5_linear,
     construct_exact,
     fano,
+    galois_number,
     loop_coloop,
     loops_and_parallels,
     mk4_linear,
@@ -34,7 +35,6 @@ from decompwidth import (
     eval_rank,
     evaluate,
     exact_branch_decomposition,
-    galois_number,
     color_consistency_check,
     to_tutte,
     verify,

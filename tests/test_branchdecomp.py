@@ -3,14 +3,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from conftest import (
     GF2,
+    GF3,
     c5_graphic,
     fano,
     mk4_linear,
     parallel_coloop,
     path_matroid,
+    small_instances,
     u23,
 )
 from decompwidth import (
@@ -204,6 +207,53 @@ def test_greedy_u23():
     assert w == 1
 
 
+def reference_greedy(m):
+    """The greedy as it was first written: two full ranks per candidate per
+    step, and the width measured on the finished tree."""
+    n, full = m.n, m.full_set
+    full_rank = m.rank(full)
+    order, prefix, remaining = [], 0, list(range(n))
+    while remaining:
+        best_e, best_lam = None, None
+        for e in remaining:
+            grown = prefix | 1 << e
+            lam = m.rank(grown) + m.rank(full & ~grown) - full_rank
+            if best_lam is None or lam < best_lam:
+                best_e, best_lam = e, lam
+        order.append(best_e)
+        remaining.remove(best_e)
+        prefix |= 1 << best_e
+    tree = caterpillar_tree(n, order)
+    return tree, width(m, tree)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_instances())
+def test_greedy_matches_the_rank_by_rank_reference(m):
+    if m.n == 0:
+        with pytest.raises(ValueError):
+            greedy_branch_decomposition(m)
+        return
+    tree, w = greedy_branch_decomposition(m)
+    assert (tree, w) == reference_greedy(m)
+    assert w == width(m, tree)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3])
+def test_greedy_rank_memo_stays_linear(field):
+    rng = random.Random(64)
+    n = 64
+    # a band, so that prefixes and rests share rows, plus random columns
+    matrix = [
+        [rng.randrange(field.q) if abs(3 * i - e) < 6 or rng.random() < 0.05 else 0 for e in range(n)]
+        for i in range(n // 3)
+    ]
+    m = MatroidInstance.linear(field, matrix)
+    tree, w = greedy_branch_decomposition(m)
+    assert len(m._cache) <= 4 * n
+    assert w == width(m, tree)
+
+
 def test_exact_never_worse_than_greedy():
     rng = random.Random(13)
     for _ in range(10):
@@ -351,6 +401,22 @@ def test_parse_branch_tree_errors():
         parse_branch_tree("bd n=3\nnode 1 L0 L1 L2\n")  # id collides with leaves
     with pytest.raises(ParseError):
         parse_branch_tree("bd n=4\nnode 4 L0 L1 L2\n")  # leaf 3 missing
+    with pytest.raises(ParseError, match="leaf 0 must have degree 1"):
+        # enough node lines to pass the count check, so the shape check
+        # behind it names the defect (leaf 3 missing, leaf 0 used twice)
+        parse_branch_tree("bd n=4\nnode 4 L0 L1 L2\nnode 5 L0 L1\n")
+
+
+@pytest.mark.parametrize("root", ["", "root L0\n"])
+def test_parse_refuses_a_huge_declared_n_at_once(root):
+    # one node line cannot hold a tree on 10**12 leaves; nothing of size n
+    # may be built before that is noticed.  The n = 10**6 parse goes first:
+    # without the count check it fails here in about a second, instead of
+    # the 10**12 parse allocating until the process is killed
+    with pytest.raises(ParseError, match="^line 1: n=1000000 needs 99999[89] node lines, found 1"):
+        parse_branch_tree("bd n=1000000\nnode 1000000 L0 L1\n" + root)
+    with pytest.raises(ParseError, match="^line 2: n=1000000000000 needs 99999999999[89] node lines, found 1"):
+        parse_branch_tree("# hostile\nbd n=1000000000000\nnode 1000000000000 L0 L1\n" + root)
 
 
 @pytest.mark.parametrize(

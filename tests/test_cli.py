@@ -347,6 +347,21 @@ def test_bd_parse_error_names_its_line(tmp_path, u23_files):
     assert err == "error: line 1: bad integer in 'n=x'\n"
 
 
+def test_bd_with_a_huge_declared_n_is_refused(tmp_path, u23_files):
+    matroid, _ = u23_files
+    bd = tmp_path / "huge.bd"
+    # n = 10**6 first: a missing count check then fails this test in about
+    # a second instead of letting the 10**12 run allocate until killed
+    bd.write_text("bd n=1000000\n")
+    code, _, err = run(["construct", "--matroid", matroid, "--bd", str(bd)])
+    assert (code, err) == (2, "error: line 1: n=1000000 needs 999998 node lines, found 0\n")
+    bd.write_text("bd n=1000000000000\n")
+    code, out, err = run(["construct", "--matroid", matroid, "--bd", str(bd)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 1: n=1000000000000 needs 999999999998 node lines, found 0\n"
+
+
 def test_missing_file_exit_code():
     code, _, err = run(["verify", "/nonexistent/path.dw"])
     assert code == 2

@@ -10,6 +10,7 @@ from conftest import (
     GF2,
     construct_exact,
     fano,
+    galois_number,
     left_deep_rooted_tree,
     mk4_graphic,
     mk4_linear,
@@ -27,7 +28,6 @@ from decompwidth import (
     eval_rank,
     exact_branch_decomposition,
     field_of_order,
-    galois_number,
     greedy_branch_decomposition,
     hull,
     incidence_matrix,

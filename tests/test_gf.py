@@ -7,15 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import named_corpus
+from conftest import (
+    KERNEL_FIELDS,
+    dependent_rows,
+    enumerate_subspaces,
+    galois_number,
+    gaussian_binomial,
+    named_corpus,
+)
 from decompwidth import MatroidInstance
 from decompwidth.gf import (
     FieldSpec,
     Subspace,
-    enumerate_subspaces,
     field_of_order,
-    galois_number,
-    gaussian_binomial,
     hull,
     intersect,
     pair_traces,
@@ -201,30 +205,6 @@ def reference_rref(field, d, rows):
         r += 1
         col += 1
     return tuple(tuple(row) for row in work[:r])
-
-
-# every row-kernel family: odd prime fields, characteristic 2 up to the
-# table limit, and method calls for odd extension fields and for
-# characteristic 2 above the limit
-KERNEL_FIELDS = [2, 3, 7, 2**31 - 1, 4, 8, 256, 9, 3**7, 2**10]
-
-
-@st.composite
-def dependent_rows(draw):
-    """A field, a dimension d and rows that are combinations of a few drawn
-    rows, so that large fields see dependent rows too."""
-    f = field_of_order(draw(st.sampled_from(KERNEL_FIELDS)))
-    d = draw(st.integers(min_value=0, max_value=6))
-    entry = st.one_of(st.just(0), st.just(1), st.integers(min_value=0, max_value=f.q - 1))
-    base = draw(st.lists(st.lists(entry, min_size=d, max_size=d), max_size=4))
-    rows = []
-    for _ in range(draw(st.integers(min_value=0, max_value=7))):
-        coeffs = draw(st.lists(entry, min_size=len(base), max_size=len(base)))
-        row = [0] * d
-        for c, b in zip(coeffs, base):
-            row = [f.add(x, f.mul(c, y)) for x, y in zip(row, b)]
-        rows.append(tuple(row))
-    return f, d, rows
 
 
 @settings(max_examples=300, deadline=None)

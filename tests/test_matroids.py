@@ -20,6 +20,7 @@ from conftest import (
     mk4_graphic,
     mk4_linear,
     single_loop,
+    small_instances,
     u12,
     u23,
 )
@@ -34,6 +35,7 @@ from decompwidth import (
     rank_table,
     rref,
 )
+from decompwidth import gf
 from decompwidth.errors import ParseError
 
 
@@ -142,6 +144,69 @@ def test_free_matroid_all_coloops():
     loops, coloops = loops_and_coloops(m)
     assert loops == 0
     assert coloops == 0b1111
+
+
+# ---------------------------------------------------------------------------
+# closure, coloops and rank tables against their definitions
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_instances())
+def test_closure_and_coloops_match_their_definitions(m):
+    full = m.full_set
+    for subset in range(1 << m.n):
+        r = m.rank(subset)
+        others = [e for e in range(m.n) if not subset >> e & 1]
+        members = [e for e in range(m.n) if subset >> e & 1]
+        assert m.closure(subset) == subset | sum(
+            1 << e for e in others if m.rank(subset | 1 << e) == r
+        )
+        assert m.coloops(subset) == sum(
+            1 << e for e in members if m.rank(subset & ~(1 << e)) < r
+        )
+    assert loops_and_coloops(m) == (m.closure(0), m.coloops(full))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_instances())
+def test_rank_table_matches_the_rank_oracle(m):
+    table = rank_table(m)
+    assert len(table) == 1 << m.n
+    if m.kind == "linear":
+        # elimination over the field, also for GF(2) where rank packs bits
+        cols = m.columns
+        expected = [
+            gf.rank(m.field, [cols[e] for e in range(m.n) if s >> e & 1]) for s in range(1 << m.n)
+        ]
+    else:
+        expected = [m.rank(s) for s in range(1 << m.n)]
+    assert table == expected
+
+
+def test_primitives_reject_foreign_elements():
+    with pytest.raises(ValueError):
+        u23().closure(0b1000)
+    with pytest.raises(ValueError):
+        u23().coloops(0b1000)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 2**10])
+def test_linear_primitives_check_their_entries(q):
+    # built past the constructor's check: like gf.rank, each elimination
+    # path refuses an entry outside 0..q-1 itself
+    f = decompwidth.field_of_order(q)
+    rows = ((1, 0, q), (0, 1, 1))
+    m = MatroidInstance(
+        "linear", 3, field=f, matrix=rows, dim=2,
+        columns=[tuple(row[e] for row in rows) for e in range(3)],
+        column_bits=None,
+    )
+    for query in (m.rank, m.closure, m.coloops):
+        with pytest.raises(ValueError, match="outside"):
+            query(0b111)
+    with pytest.raises(ValueError, match="outside"):
+        rank_table(m)
 
 
 # ---------------------------------------------------------------------------

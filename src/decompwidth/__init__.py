@@ -55,6 +55,7 @@ from .matroids import (
     incidence_matrix,
     loops_and_coloops,
     parse_matroid,
+    prefix_sweep,
     rank_table,
 )
 from .tutte import (

@@ -20,12 +20,17 @@ elements.  The first tree attaining the minimum in enumeration order is
 returned.  The widths come from one ``matroids.rank_table``, which for a
 linear instance costs one column reduction per subset.
 
-The greedy fallback builds a caterpillar over a greedily chosen element
-order and works at any size, without optimality.  A step scores every
-remaining element from one ``closure`` of the prefix and one ``coloops``
-pass over the rest, and the tree's width is read off those scores, so the
-search makes O(n) such passes where a rank per candidate would make
-O(n^2) rank queries.
+The greedy fallback builds a caterpillar over an element order and works
+at any size, without optimality.  Its first phase chooses the order
+greedily: a step scores every remaining element from one ``closure`` of
+the prefix and one ``coloops`` pass over the rest, O(n) such passes where
+a rank per candidate would make O(n^2) rank queries.  Its second phase
+hill-climbs the order by moving one element at a time, while a move
+lowers (max, sum) of the spine λ values.  A round runs
+``matroids.prefix_sweep`` on the order and on its reverse, which gives
+the rank, closure and coloops of every prefix and suffix, and scores all
+n(n-1) moves from those in O(n^2).  (max, sum) drops strictly, so the
+climb ends, and the tree's width is read off the last sweeps.
 
 Text format ('#' comments allowed):
 
@@ -43,10 +48,11 @@ nodes (a rooted two-leaf tree keeps its single inner node as the root).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .errors import ParseError, integers, keyed, records
 from .kdecomp import tree_defect, tree_postorder
-from .matroids import ElementSet, MatroidInstance, iter_elements, rank_table
+from .matroids import ElementSet, MatroidInstance, iter_elements, prefix_sweep, rank_table
 
 Edge = tuple[int, int]
 
@@ -228,42 +234,108 @@ def exact_branch_decomposition(m: MatroidInstance) -> tuple[BranchTree, int]:
 
 
 def greedy_branch_decomposition(m: MatroidInstance) -> tuple[BranchTree, int]:
-    """Caterpillar over a greedy element order; width reported, not optimal.
+    """Caterpillar over a greedy element order, refined by single-element
+    moves; width reported, not optimal.
 
-    Each step appends the element whose extended prefix has the smallest
-    separation rank, ties to the smallest element id.  With prefix P and
-    rest S = E - P, a candidate e scores
-    r(P) + [e not in cl(P)] + r(S) - [e a coloop of M|S] - r(E), so a step
-    costs one ``closure`` and one ``coloops``.  The tree's width is read
-    off the scores: its spine edges split off the chosen prefixes, and its
-    pendant edges are the first step's candidates.
+    The first phase is ``_greedy_order``.  The second moves one element
+    to another position of the order, the move that lowers (max, sum) of
+    the spine λ values most, until no move lowers them; see
+    ``_best_move``.  The width is read off the final sweeps: the spine
+    edges split off the prefixes P_2..P_{n-2}, and the pendant edge of e
+    has λ({e}) = [e not a loop] - [e a coloop of M].
     """
     n = m.n
     if n == 0:
         raise ValueError("matroid has no elements")
-    full_rank = m.rank(m.full_set)
+    order = _greedy_order(m)
+    expected = None
+    while True:
+        prefix = prefix_sweep(m, order)
+        suffix = [values[::-1] for values in prefix_sweep(m, order[::-1])]
+        lam, score, best = _best_move(order, prefix, suffix)
+        # the scores are exact, so (max, sum) drops strictly and the
+        # climb ends; a wrong score fails here instead of cycling
+        assert expected in (None, score), "move scoring disagrees with the sweep"
+        i, j = best[2:]
+        if i < 0:
+            break
+        order.insert(j, order.pop(i))
+        expected = best[:2]
+    loops, coloops = prefix[1][0], prefix[2][n]
+    pendants = [(loops >> e & 1 ^ 1) - (coloops >> e & 1) for e in range(n)]
+    return caterpillar_tree(n, order), max(pendants + lam[2 : n - 1])
+
+
+def _greedy_order(m: MatroidInstance) -> list[int]:
+    """Greedy element order: each step appends the element whose extended
+    prefix has the smallest separation rank, ties to the smallest id.
+
+    With prefix P and rest S = E - P, a candidate e scores
+    r(P) + [e not in cl(P)] + r(S) - [e a coloop of M|S] - r(E), so a step
+    costs one ``closure`` and one ``coloops``.
+    """
     order: list[int] = []
     prefix, rest = 0, m.full_set
-    prefix_rank, rest_rank = 0, full_rank
-    widest = 0
     while rest:
         raises = rest & ~m.closure(prefix)
         drops = m.coloops(rest)
-        base = prefix_rank + rest_rank - full_rank
-        best_e, best_lam = None, None
-        for e in iter_elements(rest):
-            lam = base + (raises >> e & 1) - (drops >> e & 1)
-            if not order:
-                widest = max(widest, lam)
-            if best_lam is None or lam < best_lam:
-                best_e, best_lam = e, lam
-        widest = max(widest, best_lam)
-        order.append(best_e)
-        prefix |= 1 << best_e
-        rest &= ~(1 << best_e)
-        prefix_rank += raises >> best_e & 1
-        rest_rank -= drops >> best_e & 1
-    return caterpillar_tree(n, order), widest
+        # r(P) + r(S) - r(E) is the same for every candidate
+        best = min(iter_elements(rest), key=lambda e: (raises >> e & 1) - (drops >> e & 1))
+        order.append(best)
+        prefix |= 1 << best
+        rest &= ~(1 << best)
+    return order
+
+
+def _best_move(order: list[int], prefix, suffix):
+    """λ(P_k) for k = 0..n, the order's (max, sum) of λ over the spine
+    cuts 2..n-2, and (max, sum, i, j) after the move that takes order[i]
+    to position j and lowers that pair the most, ties to the first (i, j);
+    i = j = -1 when no move lowers it.
+
+    ``prefix`` is ``prefix_sweep`` of the order and ``suffix`` that of the
+    reversed order, re-indexed so that entry k describes S_k = E - P_k.
+    Moving e = order[i] to j > i turns the cuts i+1..j into
+    P_{k+1} - e, of λ = r(P_{k+1}) - [e coloop of M|P_{k+1}]
+    + r(S_{k+1}) + [e not in cl(S_{k+1})] - r(E); moving it to j < i turns
+    the cuts j+1..i into P_{k-1} + e, of λ = r(P_{k-1}) + [e not in
+    cl(P_{k-1})] + r(S_{k-1}) - [e coloop of M|S_{k-1}] - r(E).  With the
+    running max and sum of λ outside the moved cuts, every one of the
+    n(n-1) moves costs O(1).
+    """
+    (p_rank, p_cl, p_co), (s_rank, s_cl, s_co) = prefix, suffix
+    n = len(order)
+    full = p_rank[n]
+    lam = [p_rank[k] + s_rank[k] - full for k in range(n + 1)]
+    lo, hi = 2, n - 2  # the spine cuts
+    # λ on the spine, 0 elsewhere; max and sum of it over the cuts below k
+    # (head) and above k (tail)
+    spine = [value if lo <= k <= hi else 0 for k, value in enumerate(lam)]
+    head_max, head_sum = [0, *accumulate(spine, max)], [0, *accumulate(spine)]
+    tail_max = [*accumulate(spine[:0:-1], max)][::-1] + [0]
+    tail_sum = [*accumulate(spine[:0:-1])][::-1] + [0]
+    score = (head_max[n], head_sum[n])
+    # keys (max, sum, i, j) compare whole, so ties go to the first (i, j)
+    # whatever order the moves are scored in
+    best = (*score, -1, -1)
+    for i, e in enumerate(order):
+        run_max = run_sum = 0
+        for j in range(i - 1, -1, -1):
+            if lo <= j + 1 <= hi:
+                value = p_rank[j] + (p_cl[j] >> e & 1 ^ 1) + s_rank[j] - (s_co[j] >> e & 1) - full
+                run_max, run_sum = max(run_max, value), run_sum + value
+            key = (max(head_max[j + 1], run_max, tail_max[i]), head_sum[j + 1] + run_sum + tail_sum[i], i, j)
+            if key < best:
+                best = key
+        run_max = run_sum = 0
+        for j in range(i + 1, n):
+            if lo <= j <= hi:
+                value = p_rank[j + 1] - (p_co[j + 1] >> e & 1) + s_rank[j + 1] + (s_cl[j + 1] >> e & 1 ^ 1) - full
+                run_max, run_sum = max(run_max, value), run_sum + value
+            key = (max(head_max[i + 1], run_max, tail_max[j]), head_sum[i + 1] + run_sum + tail_sum[j], i, j)
+            if key < best:
+                best = key
+    return lam, score, best
 
 
 def caterpillar_tree(n: int, order: list[int]) -> BranchTree:

@@ -5,7 +5,8 @@ backends share one interface:
 
 * linear    -- columns of a matrix over GF(q); rank = dimension of the span
                (bit-packed elimination for GF(2), pivot counting by gf.rank
-               else); closure, coloops and rank_table eliminate in bulk
+               else); closure, coloops, prefix_sweep and rank_table
+               eliminate in bulk
 * graphic   -- edges of a graph; rank = vertices minus components, through
                union-find
 * uniform   -- rank(F) = min(|F|, r)
@@ -331,6 +332,77 @@ def rank_table(m: MatroidInstance) -> list[int]:
 
     walk(0, 0)
     return table
+
+
+def prefix_sweep(
+    m: MatroidInstance, order
+) -> tuple[list[int], list[ElementSet], list[ElementSet]]:
+    """``(ranks, closures, coloops)`` of every prefix P_k = order[:k],
+    k = 0..len(order): r(P_k), cl(P_k) and the coloops of M|P_k.
+
+    ``order`` lists distinct elements.  A linear instance makes one
+    forward pass.  Every column not yet in the closure keeps a residue,
+    reduced once against each new pivot, and joins cl(P_k) at the first
+    k where its residue is zero.  A residue carries a tail with one
+    coordinate per basis element of the prefix, so that a column entering
+    as a dependent one names its fundamental circuit; the basis elements
+    in that circuit stop being coloops.  The other backends call
+    ``closure`` and ``coloops`` per prefix."""
+    order = list(order)
+    mask = sum(1 << e for e in order)
+    if mask.bit_count() != len(order):
+        raise ValueError("order repeats an element")
+    m._check_subset(mask)
+    if m.kind != "linear":
+        prefixes = [0]
+        for e in order:
+            prefixes.append(prefixes[-1] | 1 << e)
+        return (
+            [m.rank(p) for p in prefixes],
+            [m.closure(p) for p in prefixes],
+            [m.coloops(p) for p in prefixes],
+        )
+    field, d, columns = m.field, m.dim, m.columns
+    gf._check_rows(field, d, columns)
+    scale, reduce = field._row_kernels
+    # the tail holds the coefficients of the basis elements, in basis order
+    pad = (0,) * min(d, len(order))
+    live: dict[int, list] = {}  # residues of the columns outside the closure
+    closed: dict[int, list] = {}  # zero residues, kept for their tails
+    for e in range(m.n):
+        (live if any(columns[e]) else closed)[e] = columns[e] + pad
+    basis: list[int] = []
+    closure = sum(1 << e for e in closed)
+    free = 0
+    ranks, closures, coloops = [0], [closure], [0]
+    for e in order:
+        pivot = live.pop(e, None)
+        if pivot is None:
+            tail = closed.pop(e)[d:]
+            free &= ~sum(1 << b for b, c in zip(basis, tail) if c)
+        else:
+            col = next(i for i, x in enumerate(pivot) if x)
+            pivot = list(pivot)
+            pivot[d + len(basis)] = 1
+            if pivot[col] != 1:
+                pivot = scale(field.inv(pivot[col]), pivot)
+            basis.append(e)
+            free |= 1 << e
+            closure |= 1 << e
+            for f, row in list(live.items()):
+                c = row[col]
+                if c:
+                    row = reduce(row, c, pivot)
+                    if any(row[:d]):
+                        live[f] = row
+                    else:
+                        del live[f]
+                        closed[f] = row
+                        closure |= 1 << f
+        ranks.append(len(basis))
+        closures.append(closure)
+        coloops.append(free)
+    return ranks, closures, coloops
 
 
 def incidence_matrix(num_vertices: int, edges) -> list[tuple[int, ...]]:

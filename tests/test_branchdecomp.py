@@ -24,13 +24,14 @@ from decompwidth import (
     caterpillar_tree,
     edge_width,
     exact_branch_decomposition,
+    field_of_order,
     format_branch_tree,
     greedy_branch_decomposition,
     parse_branch_tree,
     root_tree,
     width,
 )
-from decompwidth.branchdecomp import default_root_edge
+from decompwidth.branchdecomp import _greedy_order, default_root_edge
 from decompwidth.errors import ParseError
 
 
@@ -207,9 +208,9 @@ def test_greedy_u23():
     assert w == 1
 
 
-def reference_greedy(m):
-    """The greedy as it was first written: two full ranks per candidate per
-    step, and the width measured on the finished tree."""
+def reference_greedy_order(m):
+    """The greedy's first phase as it was first written: two full ranks per
+    candidate per step."""
     n, full = m.n, m.full_set
     full_rank = m.rank(full)
     order, prefix, remaining = [], 0, list(range(n))
@@ -223,20 +224,115 @@ def reference_greedy(m):
         order.append(best_e)
         remaining.remove(best_e)
         prefix |= 1 << best_e
-    tree = caterpillar_tree(n, order)
+    return order
+
+
+def spine_score(m, order):
+    """(max, sum) of λ(P_k) over the spine cuts k = 2..n-2, rank by rank."""
+    n, full = m.n, m.full_set
+    lams = []
+    for k in range(2, n - 1):
+        prefix = sum(1 << e for e in order[:k])
+        lams.append(m.rank(prefix) + m.rank(full & ~prefix) - m.rank(full))
+    return max(lams, default=0), sum(lams)
+
+
+def reference_refined_greedy(m):
+    """The whole greedy, rank by rank: every move's order is rebuilt and
+    scored from its prefixes; the first (i, j) in scan order wins ties."""
+    order = reference_greedy_order(m)
+    while True:
+        best, chosen = spine_score(m, order), None
+        for i in range(m.n):
+            for j in range(m.n):
+                if i != j:
+                    moved = order[:]
+                    moved.insert(j, moved.pop(i))
+                    score = spine_score(m, moved)
+                    if score < best:
+                        best, chosen = score, moved
+        if chosen is None:
+            break
+        order = chosen
+    tree = caterpillar_tree(m.n, order)
     return tree, width(m, tree)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_instances())
+def test_greedy_order_matches_the_rank_by_rank_reference(m):
+    if m.n == 0:
+        with pytest.raises(ValueError):
+            greedy_branch_decomposition(m)
+        return
+    assert _greedy_order(m) == reference_greedy_order(m)
 
 
 @settings(max_examples=300, deadline=None)
 @given(small_instances())
 def test_greedy_matches_the_rank_by_rank_reference(m):
     if m.n == 0:
-        with pytest.raises(ValueError):
-            greedy_branch_decomposition(m)
         return
     tree, w = greedy_branch_decomposition(m)
-    assert (tree, w) == reference_greedy(m)
+    assert (tree, w) == reference_refined_greedy(m)
     assert w == width(m, tree)
+    assert w <= width(m, caterpillar_tree(m.n, _greedy_order(m)))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_greedy_matches_the_reference_on_random_matrices(q):
+    # at 8..14 columns about half of these orders move, where the small
+    # instances above mostly keep the first phase's order
+    rng = random.Random(q)
+    field = field_of_order(q)
+    moved = 0
+    for _ in range(20):
+        n, d = rng.randrange(8, 15), rng.randrange(3, 7)
+        matrix = [[rng.randrange(q) if rng.random() < 0.6 else 0 for _ in range(n)] for _ in range(d)]
+        m = MatroidInstance.linear(field, matrix)
+        first = caterpillar_tree(n, _greedy_order(m))
+        tree, w = greedy_branch_decomposition(m)
+        assert (tree, w) == reference_refined_greedy(m)
+        assert w <= width(m, first)
+        moved += tree != first
+    assert moved >= 5
+
+
+def test_refinement_beats_the_greedy_order_on_five_columns():
+    # the greedy order splits {0, 1} from {2, 3, 4} with λ = 2, and the
+    # refined one splits {1, 3} from {0, 2, 4} with λ = 1
+    m = MatroidInstance.linear(GF2, [[1, 0, 0, 1, 1], [0, 1, 0, 1, 0], [0, 0, 1, 0, 1]])
+    order = _greedy_order(m)
+    assert order == [0, 1, 3, 2, 4]
+    assert width(m, caterpillar_tree(5, order)) == 2
+    tree, w = greedy_branch_decomposition(m)
+    assert w == width(m, tree) == 1
+
+
+# perfbench's corpus matrix generators.shuffled_banded(3, 20, 3, 3), behind
+# the search-shuffled instance shuffled-gf3-b3-n20-3 at every seed: a GF(3)
+# band-3 matrix, whose column order has width 3, with its columns shuffled
+SHUFFLED_GF3_B3_N20_3 = [
+    "00000000000100000010",
+    "00000000000110010020",
+    "00020000000120010210",
+    "00210000020020010100",
+    "00010010020000100000",
+    "02201000010000000000",
+    "02001000001001100000",
+    "00002000100001002000",
+    "10000002102000002000",
+    "10000200200000000001",
+    "10000001000000000002",
+    "00000100000000000002",
+]
+
+
+def test_refinement_width_on_a_shuffled_band():
+    m = MatroidInstance.linear(GF3, [[int(x) for x in row] for row in SHUFFLED_GF3_B3_N20_3])
+    assert width(m, caterpillar_tree(20, _greedy_order(m))) == 5
+    tree, w = greedy_branch_decomposition(m)
+    assert w == width(m, tree) == 4
 
 
 @pytest.mark.parametrize("field", [GF2, GF3])

@@ -32,6 +32,7 @@ from decompwidth import (
     format_matroid,
     loops_and_coloops,
     parse_matroid,
+    prefix_sweep,
     rank_table,
     rref,
 )
@@ -182,6 +183,67 @@ def test_rank_table_matches_the_rank_oracle(m):
     else:
         expected = [m.rank(s) for s in range(1 << m.n)]
     assert table == expected
+
+
+def check_prefix_sweep(m, order):
+    ranks, closures, coloops = prefix_sweep(m, order)
+    assert len(ranks) == len(closures) == len(coloops) == len(order) + 1
+    for k in range(len(order) + 1):
+        prefix = sum(1 << e for e in order[:k])
+        assert ranks[k] == m.rank(prefix)
+        assert closures[k] == m.closure(prefix)
+        assert coloops[k] == m.coloops(prefix)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_instances(), st.data())
+def test_prefix_sweep_matches_the_oracle_per_prefix(m, data):
+    # a permutation, or distinct elements that leave some out
+    order = data.draw(st.permutations(range(m.n)))
+    check_prefix_sweep(m, order[: data.draw(st.integers(min_value=0, max_value=m.n))])
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        MatroidInstance.linear(GF2, []),  # d = 0, n = 0
+        MatroidInstance.linear(decompwidth.field_of_order(7), [[0]]),  # one loop
+        MatroidInstance.linear(decompwidth.field_of_order(2**10), [[5]]),  # one coloop
+        MatroidInstance.linear(GF3, [[0, 2, 0, 1], [0, 1, 0, 2]]),  # zero columns
+        MatroidInstance.graphic(2, [(0, 0), (0, 1), (1, 0)]),
+        MatroidInstance.uniform(0, 1),
+        MatroidInstance.explicit([0, 1, 1, 1]),
+    ],
+    ids=["empty", "loop", "coloop", "zero-columns", "graphic", "uniform", "explicit"],
+)
+def test_prefix_sweep_on_edge_instances(m):
+    for order in ([*range(m.n)], [*range(m.n)][::-1]):
+        check_prefix_sweep(m, order)
+
+
+def test_prefix_sweep_names_fundamental_circuits():
+    # 4 is a loop; 3 is parallel to 1 and closes the circuit {1, 3}, and
+    # 2 = 0 + 2·1 closes {0, 1, 2}
+    m = MatroidInstance.linear(GF3, [[1, 0, 1, 0, 0], [0, 1, 2, 2, 0]])
+    ranks, closures, coloops = prefix_sweep(m, [4, 0, 1, 3, 2])
+    assert ranks == [0, 0, 1, 2, 2, 2]
+    assert closures == [0b10000, 0b10000, 0b10001, 0b11111, 0b11111, 0b11111]
+    assert coloops == [0, 0, 0b1, 0b11, 0b1, 0]
+
+
+def test_prefix_sweep_refuses_bad_orders_and_entries():
+    with pytest.raises(ValueError, match="repeats"):
+        prefix_sweep(u23(), [0, 1, 0])
+    with pytest.raises(ValueError, match="outside the ground set"):
+        prefix_sweep(u23(), [0, 3])
+    rows = ((1, 0, 3), (0, 1, 1))
+    m = MatroidInstance(
+        "linear", 3, field=GF3, matrix=rows, dim=2,
+        columns=[tuple(row[e] for row in rows) for e in range(3)],
+        column_bits=None,
+    )
+    with pytest.raises(ValueError, match="outside"):
+        prefix_sweep(m, [0, 1, 2])
 
 
 def test_primitives_reject_foreign_elements():

@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Exit status: 0 on success (including a "matroid" verdict and passing
-checks), 1 when a verification or cross-check fails, 2 on usage or parse
+checks), 1 when a verification or cross-check fails or standard output
+closes early (as with ``| head``; no traceback), 2 on usage or parse
 errors.  All output is deterministic for fixed inputs and flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import re
 import sys
@@ -89,14 +91,11 @@ def _cmd_construct(args) -> int:
     m = _load_matroid(args.matroid)
     if args.bd is not None:
         tree = branchdecomp.parse_branch_tree(_read(args.bd))
-        if isinstance(tree, branchdecomp.BranchTree):
-            rooted = branchdecomp.root_tree(tree)
-        else:
-            rooted = tree
     else:
         tree, _ = _pick_tree(m, args.bd_search)
-        rooted = branchdecomp.root_tree(tree)
-    dec = construct(m, rooted)
+    if isinstance(tree, branchdecomp.BranchTree):
+        tree = branchdecomp.root_tree(tree)
+    dec = construct(m, tree)
     text = kdecomp.serialize(dec)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -279,10 +278,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone: drop what is still buffered, so exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -49,8 +49,12 @@ of the coordinates is the RREF in GF(q)^d with the zero coordinates
 dropped, so every space, color and table entry is the one GF(q)^d gives,
 while a node works on vectors of length |S_c1 | S_c2|.  On a dense matrix
 every S_v but the root's is every row, and moving between equal coordinate
-lists is the identity.  Only ``node_subspace_data`` and
-``construct_with_data`` lift their spaces back into GF(q)^d.
+lists is the identity.  The up and down walks build a few checked
+``Subspace``s per node (``rref``, ``intersect``).  The tables pass makes a
+space per palette pair, so it holds each as its tuple of RREF rows (``()``
+is {0}) and keys colors by them; ``pair_traces`` checks only its input.
+``node_subspace_data`` and ``construct_with_data`` lift spaces back into
+GF(q)^d as checked ``Subspace``s.
 """
 
 from __future__ import annotations
@@ -66,6 +70,7 @@ from .matroids import MatroidInstance
 _LEMMA_LIMIT = 12
 
 Coords = tuple[int, ...]  # matrix rows in increasing order
+Rows = tuple[FVector, ...]  # RREF basis of a space, on some Coords
 
 
 @dataclass
@@ -76,7 +81,7 @@ class NodeSubspaceData:
     color_spaces: list[Subspace]  # index = color; [0] is the trivial space
 
 
-def _moved(rows: tuple[FVector, ...], src: Coords, dst: Coords) -> tuple[FVector, ...]:
+def _moved(rows: Rows, src: Coords, dst: Coords) -> Rows:
     """Vectors on coordinates ``src`` rewritten on ``dst``; their entries
     on rows outside ``dst`` must be zero."""
     if src == dst:
@@ -92,11 +97,9 @@ def _moved(rows: tuple[FVector, ...], src: Coords, dst: Coords) -> tuple[FVector
     return tuple(out)
 
 
-def _lift(space: Subspace, src: Coords, dst: Coords) -> Subspace:
-    """``space`` moved between ordered coordinate lists."""
-    if src == dst:
-        return space
-    return Subspace(space.field, len(dst), _moved(space.rows, src, dst))
+def _in_ambient(m: MatroidInstance, rows: Rows, coords: Coords) -> Subspace:
+    """RREF ``rows`` on ``coords`` as a checked subspace of GF(q)^d."""
+    return Subspace(m.field, m.dim, _moved(rows, coords, tuple(range(m.dim))))
 
 
 def _meet(field: FieldSpec, parts, interior: Coords, keep: Coords) -> Subspace:
@@ -169,41 +172,32 @@ def _boundaries(m: MatroidInstance, tree: RootedBranchTree):
 
 def _local_tables(m: MatroidInstance, tree: RootedBranchTree):
     """Per node in postorder: (node, its Leaf or Inner, S_v, boundary, color
-    spaces), every space on the coordinates S_v.  A child's color spaces
-    are dropped once its parent's table is built."""
+    spaces), every space as its RREF rows on the coordinates S_v.  A
+    child's color spaces are dropped once its parent's table is built."""
     order, seps, joint, boundary = _boundaries(m, tree)
-    field = m.field
-    spaces: dict[int, list[Subspace]] = {}
+    spaces: dict[int, list[Rows]] = {}
     for node in order:
         own = seps[node]
-        bound = boundary.pop(node)
+        bound = boundary.pop(node).rows
         kids = tree.children.get(node, ())
         if not kids:
-            spaces[node] = [Subspace.zero(field, len(own)), bound]
+            spaces[node] = [(), bound]
             yield node, Leaf(node, not any(m.columns[node])), own, bound, spaces[node]
             continue
         left, right = kids
         coords = joint[node]
-        spaces_left = [_lift(s, seps[left], coords) for s in spaces.pop(left)]
-        spaces_right = [_lift(s, seps[right], coords) for s in spaces.pop(right)]
-        local_bound = _lift(bound, own, coords)
-        color_of: dict[Subspace, int] = {Subspace.zero(field, len(coords)): 0}
-        color_spaces = spaces[node] = [Subspace.zero(field, len(own))]
-        color_table = [[0] * len(spaces_right) for _ in spaces_left]
-        defect_table = [[0] * len(spaces_right) for _ in spaces_left]
-        pairs = pair_traces(local_bound, spaces_left, spaces_right)
-        for g1, s1 in enumerate(spaces_left):
-            for g2, s2 in enumerate(spaces_right):
-                trace, joined = next(pairs)
-                color = color_of.get(trace)
-                if color is None:
-                    color = len(color_spaces)
-                    color_of[trace] = color
-                    color_spaces.append(_lift(trace, coords, own))
-                color_table[g1][g2] = color
-                defect_table[g1][g2] = s1.dim + s2.dim - joined
-        inner = Inner((left, right), len(color_spaces), color_table, defect_table)
-        yield node, inner, own, bound, color_spaces
+        spaces_left = [_moved(s, seps[left], coords) for s in spaces.pop(left)]
+        spaces_right = [_moved(s, seps[right], coords) for s in spaces.pop(right)]
+        pairs = pair_traces(m.field, len(coords), _moved(bound, own, coords), spaces_left, spaces_right)
+        color_of: dict[Rows, int] = {(): 0}  # trace -> color, in order of first appearance
+        color_table, defect_table = [], []
+        for s1 in spaces_left:
+            cells = [next(pairs) for _ in spaces_right]
+            color_table.append([color_of.setdefault(trace, len(color_of)) for trace, _ in cells])
+            defect_table.append([len(s1) + len(s2) - joined for s2, (_, joined) in zip(spaces_right, cells)])
+        spaces[node] = [_moved(trace, coords, own) for trace in color_of]
+        inner = Inner((left, right), len(color_of), color_table, defect_table)
+        yield node, inner, own, bound, spaces[node]
 
 
 def node_subspace_data(
@@ -211,9 +205,8 @@ def node_subspace_data(
 ) -> dict[int, NodeSubspaceData]:
     """Boundary of every tree node, with its color spaces still empty."""
     _, seps, _, boundary = _boundaries(m, tree)
-    rows = tuple(range(m.dim))
     return {
-        node: NodeSubspaceData(_lift(space, seps[node], rows), [])
+        node: NodeSubspaceData(_in_ambient(m, space.rows, seps[node]), [])
         for node, space in boundary.items()
     }
 
@@ -229,14 +222,12 @@ def construct_with_data(
 ) -> tuple[KDecomposition, dict[int, NodeSubspaceData]]:
     """Like :func:`construct`, also returning the per-node geometry with the
     color-to-subspace association filled in."""
-    rows = tuple(range(m.dim))
     nodes: dict[int, Leaf | Inner] = {}
     data: dict[int, NodeSubspaceData] = {}
     for node, entry, coords, bound, color_spaces in _local_tables(m, tree):
         nodes[node] = entry
-        data[node] = NodeSubspaceData(
-            _lift(bound, coords, rows), [_lift(s, coords, rows) for s in color_spaces]
-        )
+        lift = [_in_ambient(m, rows, coords) for rows in (bound, *color_spaces)]
+        data[node] = NodeSubspaceData(lift[0], lift[1:])
     return KDecomposition(tree.n, nodes, tree.root), data
 
 

@@ -31,15 +31,16 @@ those fields, so no table kernel for them has been shown to pay for its
 build.  ``rref`` and ``rank`` share one elimination loop: ``rref`` clears
 every pivot column above and below the pivot, ``rank`` only below it and
 counts the pivots.  Both refuse entries outside 0..q-1, which a table
-would otherwise index past or silently accept, and so does every
-``Subspace`` when it is built.
+would otherwise index past or silently accept, as does every ``Subspace``.
 
 ``pair_traces`` serves a decomposition's table pass: for a bound B and
 lists of spaces S1 and S2 it gives B ∩ (S1 + S2) and dim(S1 + S2) for
 every pair.  The Zassenhaus stack [B | B], [S1 | 0] is put in forward
 echelon form once per S1, and each S2 only extends it, so a pair costs
 the reduction of dim S2 rows and, when the trace gains a row and is not
-all of B, one ``rref`` of at most dim B rows.
+all of B, one RREF of at most dim B rows.  It takes and yields tuples of
+RREF rows, checks only its input's lengths and entries, and echelons each
+trace by ``rref``'s unchecked core ``_echelon``, as ``intersect`` does.
 """
 
 from __future__ import annotations
@@ -476,14 +477,19 @@ def _eliminate(field: FieldSpec, d: int, rows: list, reduced: bool) -> list:
     return rows[:r]
 
 
+def _echelon(field: FieldSpec, d: int, rows: list) -> tuple[FVector, ...]:
+    """Unchecked RREF basis of the span of ``rows``, a list it reorders."""
+    # a tuple built from a list, not from a generator: tuple(generator)
+    # over-allocates and shrinks, which left construct with a higher peak RSS
+    return tuple([tuple(row) for row in _eliminate(field, d, rows, True)])
+
+
 def rref(field: FieldSpec, d: int, rows) -> Subspace:
     """Canonical subspace spanned by ``rows`` (each of length d, entries in
     0..q-1)."""
     rows = list(rows)
     _check_rows(field, d, rows)
-    # a tuple built from a list, not from a generator: tuple(generator)
-    # over-allocates and shrinks, which left construct with a higher peak RSS
-    return Subspace(field, d, tuple([tuple(row) for row in _eliminate(field, d, rows, True)]))
+    return Subspace(field, d, _echelon(field, d, rows))
 
 
 def rank(field: FieldSpec, rows) -> int:
@@ -510,10 +516,11 @@ def intersect(u1: Subspace, u2: Subspace) -> Subspace:
     stacked = [row + row for row in u1.rows]
     zero = (0,) * d
     stacked += [row + zero for row in u2.rows]
-    reduced = rref(u1.field, 2 * d, stacked)
+    # the stack is built from checked rows; only the result is checked
+    reduced = _echelon(u1.field, 2 * d, stacked)
     # rows with a zero left half are the bottom of the RREF; their right
     # halves are already reduced against each other
-    return Subspace(u1.field, d, tuple(row[d:] for row in reduced.rows if not any(row[:d])))
+    return Subspace(u1.field, d, tuple(row[d:] for row in reduced if not any(row[:d])))
 
 
 def _extend(field: FieldSpec, width: int, stem: list, rows: list) -> list:
@@ -541,36 +548,32 @@ def _residues(field: FieldSpec, stem: list, rows: list) -> list:
     return rows
 
 
-def pair_traces(bound: Subspace, lefts, rights):
-    """``(intersect(bound, hull(s1, s2)), hull(s1, s2).dim)`` for every
-    ``s1`` in ``lefts`` and ``s2`` in ``rights``, row-major.
+def pair_traces(field: FieldSpec, d: int, bound, lefts: list, rights: list):
+    """``(B ∩ (S1 + S2), dim(S1 + S2))`` for all S1 in ``lefts``, S2 in
+    ``rights``, row-major, with B = ``bound``; every space is a tuple of
+    RREF rows of length d, and only their lengths and entries are checked.
 
     Zassenhaus elimination as in :func:`intersect`, shared across pairs:
-    the rows [b | b] of ``bound`` and [s | 0] of ``s1`` are put in forward
-    echelon form once per ``s1``, and each ``s2`` only reduces its rows
-    [s | 0] against those pivots and echelons what is left.  In any echelon
-    form of the stack, the rows with a zero left half hold a basis of the
-    trace in their right halves, and there are dim bound + dim(s1 + s2)
-    rows.  One ``rref`` makes the trace canonical, unless ``s2`` adds no
-    row to ``s1``'s trace or the trace is all of ``bound``.
+    the rows [b | b] of B and [s | 0] of S1 are put in forward echelon
+    form once per S1, and each S2 only reduces its rows [s | 0] against
+    those pivots and echelons what is left.  In any echelon form of the
+    stack, the rows with a zero left half hold a basis of the trace in
+    their right halves, and there are dim B + dim(S1 + S2) rows.  One RREF
+    makes the trace canonical, unless S2 adds no row to S1's trace or the
+    trace is all of B.
     """
-    field, d = bound.field, bound.d
-    lefts, rights = list(lefts), list(rights)
-    spaces = [bound, *lefts, *rights]
-    if any(s.d != d or s.field != field for s in spaces):
-        raise ValueError("ambient spaces differ")
-    _check_rows(field, d, [row for s in spaces for row in s.rows])
-    full, width, zero = bound.dim, 2 * d, (0,) * d
+    _check_rows(field, d, [row for s in (bound, *lefts, *rights) for row in s])
+    full, width, zero = len(bound), 2 * d, (0,) * d
 
     def canonical(rows):
-        return bound if len(rows) == full else rref(field, d, rows)
+        return bound if len(rows) == full else _echelon(field, d, rows)
 
-    base = [(row.index(1), row + row) for row in bound.rows]
-    padded = [[row + zero for row in s.rows] for s in rights]
+    base = [(row.index(1), row + row) for row in bound]
+    padded = [[row + zero for row in s] for s in rights]
     for s1 in lefts:
-        stem = base + _extend(field, width, base, [row + zero for row in s1.rows])
+        stem = base + _extend(field, width, base, [row + zero for row in s1])
         low = [row[d:] for col, row in stem if col >= d]
-        prefix = canonical(low)
+        prefix = canonical(low[:])
         for rows in padded:
             new = _extend(field, width, stem, rows[:])
             high = [row[d:] for col, row in new if col >= d]

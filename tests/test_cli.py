@@ -3,6 +3,9 @@
 import copy
 import functools
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -22,6 +25,7 @@ from conftest import (
     u12,
     u23,
 )
+import decompwidth
 from decompwidth import (
     MatroidInstance,
     construct,
@@ -239,6 +243,24 @@ def test_oracle_tutte_matches_tutte(u23_files):
     _, from_dp, _ = run(["tutte", dw])
     _, from_brute, _ = run(["oracle-tutte", "--matroid", matroid])
     assert from_dp == from_brute
+
+
+@pytest.mark.parametrize("command", ["tutte", "oracle-tutte", "bw"])
+def test_closed_stdout_exits_1_without_a_traceback(u23_files, command):
+    matroid, dw = u23_files
+    argv = {"tutte": [dw], "oracle-tutte": ["--matroid", matroid], "bw": ["--matroid", matroid]}
+    src = Path(decompwidth.__file__).resolve().parents[1]
+    child = subprocess.Popen(
+        [sys.executable, "-m", "decompwidth.cli", command, *argv[command]],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    with child:
+        child.stdout.close()  # long before the interpreter has started and writes
+        err = child.stderr.read()
+    assert child.returncode == 1
+    assert err == b""
 
 
 def test_bw_exact(tmp_path):

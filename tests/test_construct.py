@@ -1,6 +1,7 @@
 """Building decompositions from representations, and their geometry."""
 
 import copy
+import hashlib
 import importlib
 import random
 
@@ -37,7 +38,8 @@ from decompwidth import (
     root_tree,
     rref,
 )
-from decompwidth.kdecomp import Inner, Leaf, node_states
+from decompwidth import gf
+from decompwidth.kdecomp import Inner, Leaf, node_states, serialize
 
 
 def test_u23_star_construction():
@@ -229,9 +231,9 @@ def subspace_work(monkeypatch, m):
 
             patch.setattr(module, name, recorded)
 
-        def recorded_pairs(*args, op=module.pair_traces):
-            for trace, joined in op(*args):
-                lengths.append(trace.d)
+        def recorded_pairs(field, d, *args, op=module.pair_traces):
+            for trace, joined in op(field, d, *args):
+                lengths.append(d)
                 yield trace, joined
 
         patch.setattr(module, "pair_traces", recorded_pairs)
@@ -258,6 +260,25 @@ def test_construct_vectors_stay_band_long_on_banded_matrices(monkeypatch):
         assert m.dim == (n - 1) // 2 + 5
         _, longest = subspace_work(monkeypatch, m)
         assert longest <= 5, n
+
+
+def test_construct_checks_a_few_subspaces_per_tree_node(monkeypatch):
+    # the tables pass works on row tuples; only the boundaries pass builds
+    # checked subspaces, a bounded number per node, not one per table cell
+    checks = []
+    check = gf.Subspace._check_canonical
+
+    def counted(space):
+        checks.append(1)
+        check(space)
+
+    monkeypatch.setattr(gf.Subspace, "_check_canonical", counted)
+    cases = [banded_matroid(n) for n in (20, 40, 80, 160)]
+    cases += [ladder_matroid(k) for k in (16, 32, 64)]
+    for m in cases:
+        checks.clear()
+        construct(m, left_deep_rooted_tree(m.n))
+        assert len(checks) <= 4 * (2 * m.n - 1), (m.n, len(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -305,3 +326,50 @@ def test_lemma_consistency_guard():
     dec = path_caterpillar_decomposition(13)
     with pytest.raises(ValueError):
         color_consistency_check(dec, m, dec.root)
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs
+# ---------------------------------------------------------------------------
+
+DIGEST_FIELDS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 1024)
+
+# SHA-256 of the corpus below: the .dw text of every constructed
+# decomposition, then the boundary and color-space rows of
+# construct_with_data and node_subspace_data.  A change that alters
+# decompositions on purpose updates it and says why.
+CORPUS_DIGEST = "934d834a14ebe28acb010ea402d81448aceff1f5e42126a470cf8b63bb2edccf"
+
+
+def digest_corpus(per_field=16, seed=20261018):
+    """Seeded linear instances over every field of DIGEST_FIELDS, each with
+    an exact tree for n <= 7 and a greedy tree otherwise."""
+    rng = random.Random(seed)
+    for q in DIGEST_FIELDS:
+        f = field_of_order(q)
+        for _ in range(per_field):
+            rows, cols = rng.randint(2, 5), rng.randint(3, 11)
+            matrix = [
+                [rng.randrange(1, q) if rng.random() < 0.7 else 0 for _ in range(cols)]
+                for _ in range(rows)
+            ]
+            m = MatroidInstance.linear(f, matrix)
+            search = exact_branch_decomposition if cols <= 7 else greedy_branch_decomposition
+            yield m, root_tree(search(m)[0])
+
+
+def test_construct_outputs_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    count = 0
+    for m, tree in digest_corpus():
+        count += 1
+        dec, data = construct_with_data(m, tree)
+        assert serialize(dec) == serialize(construct(m, tree))
+        digest.update(serialize(dec).encode())
+        for node in sorted(data):
+            spaces = [data[node].boundary, *data[node].color_spaces]
+            digest.update(repr([s.rows for s in spaces]).encode())
+        boundaries = node_subspace_data(m, tree)
+        digest.update(repr([boundaries[v].boundary.rows for v in sorted(boundaries)]).encode())
+    assert count >= 150
+    assert digest.hexdigest() == CORPUS_DIGEST, digest.hexdigest()

@@ -368,19 +368,19 @@ def pair_trace_inputs(draw):
 def test_pair_traces_match_hull_and_intersect(data):
     bound, lefts, rights = data
     expected = [
-        (intersect(bound, hull(s1, s2)), hull(s1, s2).dim) for s1 in lefts for s2 in rights
+        (intersect(bound, hull(s1, s2)).rows, hull(s1, s2).dim) for s1 in lefts for s2 in rights
     ]
-    assert list(pair_traces(bound, lefts, rights)) == expected
+    rows = [s.rows for s in lefts], [s.rows for s in rights]
+    assert list(pair_traces(bound.field, bound.d, bound.rows, *rows)) == expected
 
 
 def test_pair_traces_check_their_input():
     f = FieldSpec(3)
-    line, plane = rref(f, 2, [(1, 1)]), rref(f, 3, [(1, 0, 0), (0, 1, 0)])
-    with pytest.raises(ValueError, match="ambient"):
-        list(pair_traces(line, [line], [plane]))
-    line.rows = ((1, 5),)  # bypasses the canonical check at construction
+    line, plane = ((1, 1),), ((1, 0, 0), (0, 1, 0))
+    with pytest.raises(ValueError, match="lengths"):
+        list(pair_traces(f, 2, line, [line], [plane]))
     with pytest.raises(ValueError, match="outside"):
-        list(pair_traces(rref(f, 2, []), [line], [line]))
+        list(pair_traces(f, 2, (), [((1, 5),)], [line]))
 
 
 def test_ambient_mismatch_rejected():

@@ -6,9 +6,11 @@ it determines the Tutte polynomial through
     T(x, y) = sum over (n', r') of N(n', r') (x-1)^(r-r') (y-1)^(n'-r')
 
 with r the rank of the ground set.  ``whitney_coefficients`` fills the table
-by a bottom-up counting DP over (color, size, label) triples; the child
-tables convolve through the node's color and defect tables.  Counts are
-exact Python integers.
+by a bottom-up counting DP: per node and color it keeps the least label and,
+per subset size, one Python integer that packs the counts by label in slots
+of n + 1 bits.  Two children combine through the node's color and defect
+tables with one multiplication per pair of size rows, which convolves the
+label axis.  Counts are exact Python integers.
 
 ``evaluate`` computes T at a point without the coefficient table: per node
 and color it accumulates sums of (x-1)^(|Ev|-label) (y-1)^(|F|-label), so
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .kdecomp import KDecomposition, eval_rank, fold
 from .verify import NotAMatroidError, verify
@@ -58,42 +61,67 @@ def whitney_coefficients(dec: KDecomposition, check: bool = True) -> WhitneyTabl
     waive it.  Unchecked, a malformed decomposition still raises ValueError
     (the first walk runs ``validate_structure``), counting stops with
     ValueError at the first negative rank label, and other non-matroids are
-    counted as their tables say.  Per node the convolution touches only
-    reachable (color, size, label) triples, so the work is bounded by
-    K^2 * n1 * n2 * r^2 over the child subtree sizes.
+    counted as their tables say.  Per node the convolution takes one
+    multiplication for each pair of reachable (color, size) rows, so the
+    work is K^2 * n1 * n2 products over the child subtree sizes.  A row for
+    size s has at most s + 1 slots of n + 1 bits.
     """
     if check:
         result = verify(dec)
         if not result:
             raise NotAMatroidError(result)
 
+    # a row holds the count of label lo + i in slot i, ``width`` bits wide.
+    # Each subset of a subtree lands in one (color, size, label) cell, so no
+    # count, partial product or sum exceeds 2^n and no slot carries into the
+    # next.
+    width = dec.n + 1
+
     def leaf(node_id, node):
-        return {0: {(0, 0): 1}, 1: {(1, 0 if node.loop else 1): 1}}
+        return {0: (0, {0: 1}), 1: (0 if node.loop else 1, {1: 1})}
 
     def combine(node_id, node, table1, table2):
         color, defect = node.color, node.defect
-        merged: dict[int, dict[tuple[int, int], int]] = {}
-        for g1, cells1 in table1.items():
-            for g2, cells2 in table2.items():
+        pairs = []
+        least: dict[int, int] = {}
+        for g1, (lo1, rows1) in table1.items():
+            for g2, (lo2, rows2) in table2.items():
+                lo = lo1 + lo2 - defect[g1][g2]
+                if lo < 0:
+                    raise ValueError(
+                        "negative rank label while counting; "
+                        "the decomposition does not define a matroid"
+                    )
                 g = color[g1][g2]
-                drop = defect[g1][g2]
-                bucket = merged.setdefault(g, {})
-                for (n1, r1), c1 in cells1.items():
-                    for (n2, r2), c2 in cells2.items():
-                        rr = r1 + r2 - drop
-                        if rr < 0:
-                            raise ValueError(
-                                "negative rank label while counting; "
-                                "the decomposition does not define a matroid"
-                            )
-                        key = (n1 + n2, rr)
-                        bucket[key] = bucket.get(key, 0) + c1 * c2
+                least[g] = min(lo, least.get(g, lo))
+                pairs.append((g, lo, rows1, rows2))
+        merged = {g: (lo, {}) for g, lo in least.items()}
+        for g, lo, rows1, rows2 in pairs:
+            base, bucket = merged[g]
+            shift = (lo - base) * width
+            if shift:
+                for s1, v1 in rows1.items():
+                    for s2, v2 in rows2.items():
+                        s = s1 + s2
+                        bucket[s] = bucket.get(s, 0) + (v1 * v2 << shift)
+            else:
+                for s1, v1 in rows1.items():
+                    for s2, v2 in rows2.items():
+                        s = s1 + s2
+                        bucket[s] = bucket.get(s, 0) + v1 * v2
         return merged
 
     counts: dict[tuple[int, int], int] = {}
-    for cells in fold(dec, leaf, combine).values():
-        for key, c in cells.items():
-            counts[key] = counts.get(key, 0) + c
+    mask = (1 << width) - 1
+    for lo, rows in fold(dec, leaf, combine).values():
+        for size, row in rows.items():
+            label = lo
+            while row:
+                if row & mask:
+                    key = (size, label)
+                    counts[key] = counts.get(key, 0) + (row & mask)
+                row >>= width
+                label += 1
     # fold's shape check puts each element on exactly one leaf, so E is the
     # only counted subset of size n
     [full_rank] = [r for (size, r) in counts if size == dec.n]
@@ -202,6 +230,9 @@ def evaluate(dec: KDecomposition, x, y, mod: int | None = None, check: bool = Fa
             raise NotAMatroidError(result)
     x = Fraction(x)
     y = Fraction(y)
+    for name, value in (("x", x), ("y", y)):
+        if mod is not None and gcd(value.denominator, mod) != 1:
+            raise ValueError(f"{name} = {value} has no residue modulo {mod}")
     if mod is None:
         ring, reduce, inverse_power = Fraction, (lambda v: v), (lambda v, k: 1 / v**k)
     else:

@@ -158,6 +158,24 @@ def left_deep_rooted_tree(n):
     return RootedBranchTree(n, children, n)
 
 
+def balanced_rooted_tree(n):
+    """Rooted tree that halves 0..n-1 recursively; leaves in index order."""
+    if n == 1:
+        return RootedBranchTree(1, {}, 0)
+    children = {}
+
+    def build(lo, hi):
+        if hi - lo == 1:
+            return lo
+        mid = (lo + hi) // 2
+        pair = (build(lo, mid), build(mid, hi))
+        node = n + len(children)
+        children[node] = pair
+        return node
+
+    return RootedBranchTree(n, children, build(0, n))
+
+
 def path_matroid(n):
     """Graphic matroid of the n-edge path, via its GF(2) incidence columns."""
     return MatroidInstance.linear(GF2, incidence_matrix(n + 1, [(i, i + 1) for i in range(n)]))

@@ -81,6 +81,22 @@ def test_tutte_eval_rational_and_modular(u23_files):
     assert out.strip() == "3"
 
 
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        (["--x", "1/7", "--y", "2"], "error: x = 1/7 has no residue modulo 7"),
+        (["--x", "2", "--y=-3/14"], "error: y = -3/14 has no residue modulo 7"),
+    ],
+    ids=["x", "y"],
+)
+def test_tutte_eval_point_without_residue(u23_files, point, message):
+    _, dw = u23_files
+    code, out, err = run(["tutte-eval", dw, *point, "--mod", "7"])
+    assert code == 2
+    assert out == ""
+    assert err.strip() == message
+
+
 def test_verify_accepts_constructed(u23_files):
     _, dw = u23_files
     code, out, _ = run(["verify", dw])

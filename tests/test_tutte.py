@@ -1,5 +1,6 @@
 """Tutte polynomial coefficients and evaluation against enumeration oracles."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -10,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    balanced_rooted_tree,
     construct_exact,
     fano,
+    left_deep_rooted_tree,
     loop_coloop,
     mk4_graphic,
     mk4_linear,
@@ -23,10 +26,14 @@ from conftest import (
     u23,
 )
 from decompwidth import (
+    MatroidInstance,
     NotAMatroidError,
     WhitneyTable,
     brute_whitney,
+    construct,
     evaluate,
+    field_of_order,
+    incidence_matrix,
     to_tutte,
     verify,
     whitney_coefficients,
@@ -77,6 +84,62 @@ def test_whitney_matches_brute_on_corpus():
         brute = brute_whitney(oracle)
         assert ours.counts == brute.counts, name
         assert ours.r == brute.r, name
+
+
+def pinned_corpus():
+    """Seeded linear instances over GF(2), GF(3), GF(4), GF(5) and GF(7),
+    every fourth with loops, every fourth with a coloop and every fourth with
+    both, plus the 2 x k ladders for k = 1..6 over GF(2)."""
+    rng = random.Random(15)
+    out = []
+    for q in (2, 3, 4, 5, 7):
+        f = field_of_order(q)
+        for i in range(32):
+            d, n = rng.randint(1, 5), rng.randint(1, 11)
+            matrix = [[rng.randrange(q) for _ in range(n)] for _ in range(d)]
+            if i % 4 in (1, 3):
+                for j in rng.sample(range(n), rng.randint(1, n)):
+                    for row in matrix:
+                        row[j] = 0
+            if i % 4 in (2, 3):
+                # a new row that only a new column reaches
+                for row in matrix:
+                    row.append(0)
+                matrix.append([0] * n + [rng.randrange(1, q)])
+            out.append((f"gf{q}-{i}", MatroidInstance.linear(f, matrix)))
+    for k in range(1, 7):
+        edges = [(2 * i, 2 * i + 1) for i in range(k)]
+        edges += [(2 * i + s, 2 * i + s + 2) for i in range(k - 1) for s in (0, 1)]
+        out.append((f"ladder-{k}", MatroidInstance.linear(field_of_order(2), incidence_matrix(2 * k, edges))))
+    return out
+
+
+# SHA-256 of the Whitney counts and Tutte coefficients of pinned_corpus()
+PINNED_DIGEST = "d1946660afe7f891fc425ef4a09e0a7ae5df66ea14c002522542f3c411aaa8dc"
+
+
+def test_whitney_tables_pinned_bit_for_bit():
+    digest = hashlib.sha256()
+    for name, m in pinned_corpus():
+        brute = brute_whitney(m)
+        for shape, tree in (("caterpillar", left_deep_rooted_tree(m.n)), ("balanced", balanced_rooted_tree(m.n))):
+            table = whitney_coefficients(construct(m, tree))
+            assert table == brute, (name, shape)
+            poly = to_tutte(table)
+            record = (name, shape, table.n, table.r, sorted(table.counts.items()), sorted(poly.coeffs.items()))
+            digest.update(repr(record).encode())
+    assert digest.hexdigest() == PINNED_DIGEST
+
+
+@pytest.mark.parametrize("n", [1, 64])
+@pytest.mark.parametrize("tree", [left_deep_rooted_tree, balanced_rooted_tree])
+@pytest.mark.parametrize("free", [True, False])
+def test_whitney_extreme_counts_fill_their_slots(n, tree, free):
+    # every subset of the free matroid is independent and every subset of
+    # the all-loops matroid has rank 0: C(n, s) subsets in one cell per size
+    matrix = [[int(free and i == j) for j in range(n)] for i in range(n)]
+    table = whitney_coefficients(construct(MatroidInstance.linear(field_of_order(2), matrix), tree(n)))
+    assert table.counts == {(s, s if free else 0): comb(n, s) for s in range(n + 1)}
 
 
 def test_tutte_coefficients_nonnegative():
@@ -164,25 +227,27 @@ def test_whitney_unchecked_negative_rank_raises():
 
 def test_whitney_unchecked_non_matroid_mutants():
     # unchecked counting stops with a plain ValueError exactly when some
-    # subset has a negative label at some node; other non-matroids are counted
+    # subset has a negative label at some node; other non-matroids are
+    # counted exactly, by (|F|, root label of F)
     rng = random.Random(5)
     raised = counted = 0
     for make in (u23, parallel_coloop, mk4_linear):
         base, _ = construct_exact(make())
-        for _ in range(40):
+        for _ in range(60):
             dec = mutate_tables(base, rng)
             if verify(dec):
                 continue
-            if any(
-                label < 0
-                for subset in range(1 << dec.n)
-                for _, label in node_states(dec, subset).values()
-            ):
+            states = [node_states(dec, subset) for subset in range(1 << dec.n)]
+            if any(label < 0 for s in states for _, label in s.values()):
                 with pytest.raises(ValueError, match="^negative rank label .* does not define a matroid$"):
                     whitney_coefficients(dec, check=False)
                 raised += 1
             else:
-                assert whitney_coefficients(dec, check=False).total() == 1 << dec.n
+                histogram = {}
+                for subset, s in enumerate(states):
+                    key = (subset.bit_count(), s[dec.root][1])
+                    histogram[key] = histogram.get(key, 0) + 1
+                assert whitney_coefficients(dec, check=False).counts == histogram
                 counted += 1
     assert raised and counted
 
@@ -344,6 +409,14 @@ def test_bad_modulus():
         evaluate(dec, 2, 2, mod=0)
     with pytest.raises(ValueError):
         evaluate(dec, 2, 2, mod=-5)
+
+
+def test_point_without_residue_names_the_coordinate():
+    dec, _ = construct_exact(u23())
+    with pytest.raises(ValueError, match=r"^x = 1/7 has no residue modulo 7$"):
+        evaluate(dec, Fraction(1, 7), 2, mod=7)
+    with pytest.raises(ValueError, match=r"^y = 5/6 has no residue modulo 9$"):
+        evaluate(dec, 2, Fraction(5, 6), mod=9)
 
 
 def test_evaluate_check_flag():

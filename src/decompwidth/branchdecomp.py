@@ -17,16 +17,22 @@ trees are pruned against the best width so far, which is sound because
 connectivity cannot grow when elements are deleted: every bipartition of a
 partial tree is induced by an edge of any completion, restricted to fewer
 elements.  The first tree attaining the minimum in enumeration order is
-returned.  The widths come from one ``matroids.rank_table``, which for a
-linear instance costs one column reduction per subset.
+returned.  A partial tree with E edges scores all E children before it
+builds any: two λ values per edge, with and without the new element, give
+each child's width in O(E), and only the children below the best width
+are built.  The widths come from one ``matroids.rank_table``, which for a
+linear instance costs at most one row operation per subset and later
+column.
 
 The greedy fallback builds a caterpillar over an element order and works
 at any size, without optimality.  Its first phase chooses the order
-greedily: a step scores every remaining element from one ``closure`` of
-the prefix and one ``coloops`` pass over the rest, O(n) such passes where
-a rank per candidate would make O(n^2) rank queries.  Its second phase
-hill-climbs the order by moving one element at a time, while a move
-lowers (max, sum) of the spine λ values.  A round runs
+greedily: a step scores every remaining element from cl(P) of the prefix
+and the coloops of the rest, which a ``matroids.PrefixSplit`` updates per
+step; on a linear instance that is one pivot's residue update and at most
+one re-pivot of an RREF, where a rank per candidate would make O(n^2)
+rank queries.  Its second phase hill-climbs the order by moving one
+element at a time, while a move lowers (max, sum) of the spine λ
+values.  A round runs
 ``matroids.prefix_sweep`` on the order and on its reverse, which gives
 the rank, closure and coloops of every prefix and suffix, and scores all
 n(n-1) moves from those in O(n^2).  (max, sum) drops strictly, so the
@@ -52,7 +58,14 @@ from itertools import accumulate
 
 from .errors import ParseError, integers, keyed, records
 from .kdecomp import tree_defect, tree_postorder
-from .matroids import ElementSet, MatroidInstance, iter_elements, prefix_sweep, rank_table
+from .matroids import (
+    ElementSet,
+    MatroidInstance,
+    PrefixSplit,
+    iter_elements,
+    prefix_sweep,
+    rank_table,
+)
 
 Edge = tuple[int, int]
 
@@ -202,33 +215,45 @@ def exact_branch_decomposition(m: MatroidInstance) -> tuple[BranchTree, int]:
     if n == 1:
         return BranchTree(1, {0: ()}), 0
 
-    def lam(mask: int, present: int) -> int:
-        return rank[mask] + rank[present & ~mask] - rank[present]
-
     best: list = [None, n + 1]  # edges snapshot, width
-    stack: list[tuple[int, list[tuple[int, int, int]]]] = [(2, [(0, 1, 0b10)])]
-    # depth-first, explicit stack; children pushed in reverse keeps the
-    # insertion order identical to the recursive formulation
+    # (k, edges of a tree on the elements 0..k-1, its width); depth-first,
+    # explicit stack; children pushed in reverse keeps the insertion order
+    # identical to the recursive formulation
+    stack = [(2, [(0, 1, 0b10)], rank[0b10] + rank[0b01] - rank[0b11])]
     while stack:
-        k, edges = stack.pop()
-        present = (1 << k) - 1
-        partial = max(lam(mask, present) for _, _, mask in edges)
+        k, edges, partial = stack.pop()
         if partial >= best[1]:
             continue
         if k == n:
             best[0], best[1] = edges, partial
             continue
         bit = 1 << k
+        present = (1 << (k + 1)) - 1
+        total = rank[present]
+        masks = [mask for _, _, mask in edges]
+        # λ over the elements 0..k of each side with and without k
+        grow = [rank[mask | bit] + rank[present & ~mask & ~bit] - total for mask in masks]
+        keep = [rank[mask] + rank[present & ~mask] - total for mask in masks]
+        lone = rank[bit] + rank[present & ~bit] - total
         node = n + (k - 2)
         for i in reversed(range(len(edges))):
-            u, v, mask = edges[i]
+            mask = masks[i]
+            # inserting k into edge i splits it into a grown and a kept
+            # side, and grows every other side that contains edge i's
+            floor = max(lone, keep[i], grow[i])
+            if floor >= best[1]:
+                continue
+            child = max(floor, *[g if mb & mask == mask else kp for mb, g, kp in zip(masks, grow, keep)])
+            if child >= best[1]:
+                continue
+            u, v, _ = edges[i]
             grown = [
                 (a, b, mb | bit if mb & mask == mask else mb)
                 for j, (a, b, mb) in enumerate(edges)
                 if j != i
             ]
             grown += [(u, node, mask | bit), (node, v, mask), (node, k, bit)]
-            stack.append((k + 1, grown))
+            stack.append((k + 1, grown, child))
     assert best[0] is not None
     return _tree_from_edges(n, best[0]), best[1]
 
@@ -272,18 +297,18 @@ def _greedy_order(m: MatroidInstance) -> list[int]:
 
     With prefix P and rest S = E - P, a candidate e scores
     r(P) + [e not in cl(P)] + r(S) - [e a coloop of M|S] - r(E), so a step
-    costs one ``closure`` and one ``coloops``.
+    reads cl(P) and the coloops of M|S off a ``PrefixSplit``, which a
+    linear instance updates per step instead of eliminating afresh.
     """
+    split = PrefixSplit(m)
     order: list[int] = []
-    prefix, rest = 0, m.full_set
-    while rest:
-        raises = rest & ~m.closure(prefix)
-        drops = m.coloops(rest)
+    while split.rest:
+        raises = split.rest & ~split.closure
+        drops = split.coloops
         # r(P) + r(S) - r(E) is the same for every candidate
-        best = min(iter_elements(rest), key=lambda e: (raises >> e & 1) - (drops >> e & 1))
+        best = min(iter_elements(split.rest), key=lambda e: (raises >> e & 1) - (drops >> e & 1))
         order.append(best)
-        prefix |= 1 << best
-        rest &= ~(1 << best)
+        split.move(best)
     return order
 
 

@@ -9,6 +9,7 @@ errors.  All output is deterministic for fixed inputs and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import re
@@ -206,6 +207,7 @@ def _cmd_oracle_tutte(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process: nothing in it depends on sys.argv
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="decompwidth",

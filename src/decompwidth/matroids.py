@@ -5,8 +5,8 @@ backends share one interface:
 
 * linear    -- columns of a matrix over GF(q); rank = dimension of the span
                (bit-packed elimination for GF(2), pivot counting by gf.rank
-               else); closure, coloops, prefix_sweep and rank_table
-               eliminate in bulk
+               else); closure, coloops, prefix_sweep, PrefixSplit and
+               rank_table eliminate in bulk
 * graphic   -- edges of a graph; rank = vertices minus components, through
                union-find
 * uniform   -- rank(F) = min(|F|, r)
@@ -306,10 +306,13 @@ def rank_table(m: MatroidInstance) -> list[int]:
     """Full rank table of an instance (2^n entries), n <= 20.
 
     A linear instance walks the subsets depth first, adding elements in
-    increasing order: each subset costs one reduction of one column
-    against its parent's echelon stem, and the stems along the current
-    path share one list.  An explicit instance returns its table; the
-    others ask ``rank`` per subset."""
+    increasing order.  Each subset carries the residues of the columns
+    above its largest element against its pivots.  A child whose new
+    column has a zero residue has its parent's rank and reuses its
+    parent's residues; any other child scales that residue to a pivot and
+    reduces only the later residues against it, one row operation per
+    residue with a nonzero entry at the pivot.  An explicit instance
+    returns its table; the others ask ``rank`` per subset."""
     if m.n > _WHITNEY_LIMIT:
         raise ValueError(f"full tables limited to n <= {_WHITNEY_LIMIT}")
     if m.kind == "explicit":
@@ -318,20 +321,83 @@ def rank_table(m: MatroidInstance) -> list[int]:
         return [m.rank(subset) for subset in range(1 << m.n)]
     field, d, columns = m.field, m.dim, m.columns
     gf._check_rows(field, d, columns)
+    scale, reduce = field._row_kernels
+    n = m.n
+    table = [0] * (1 << n)
 
-    table = [0] * (1 << m.n)
-    stem: list = []
+    def walk(subset: ElementSet, rank: int, rows: list, start: int) -> None:
+        # rows[i] is the residue of column n - len(rows) + i; the subset's
+        # largest element lies below the column of rows[start]
+        low, last = n - len(rows), len(rows) - 1
+        for i in range(start, last + 1):
+            child = subset | 1 << (low + i)
+            row = rows[i]
+            lead = next(filter(None, row), 0)
+            if not lead:
+                table[child] = rank
+                if i < last:
+                    walk(child, rank, rows, i + 1)
+                continue
+            table[child] = rank + 1
+            if i < last:
+                col = row.index(lead)
+                if lead != 1:
+                    row = scale(field.inv(lead), row)
+                later = [reduce(r, r[col], row) if r[col] else r for r in rows[i + 1:]]
+                walk(child, rank + 1, later, 0)
 
-    def walk(subset: ElementSet, low: int) -> None:
-        for e in range(low, m.n):
-            new = gf._extend(field, d, stem, [columns[e]])
-            stem.extend(new)
-            table[subset | 1 << e] = len(stem)
-            walk(subset | 1 << e, e + 1)
-            del stem[len(stem) - len(new):]
-
-    walk(0, 0)
+    walk(0, 0, columns, 0)
     return table
+
+
+class _PrefixSpan:
+    """cl(P) of a prefix P that grows one element at a time, on a linear
+    instance.  Every column not yet in the closure keeps a residue,
+    reduced once against each new pivot, and joins cl(P) when its residue
+    is zero.  With ``tail`` > 0, a residue carries that many coordinates
+    more, one per basis element of P, so that a column entering cl(P) as
+    a dependent one names its fundamental circuit."""
+
+    def __init__(self, m: MatroidInstance, tail: int):
+        field, d, columns = m.field, m.dim, m.columns
+        gf._check_rows(field, d, columns)
+        self.field, self.d, self.tail = field, d, tail
+        pad = (0,) * tail
+        self.live: dict[int, list] = {}  # residues of the columns outside the closure
+        self.closed: dict[int, list] = {}  # zero residues, kept for their tails
+        for e in range(m.n):
+            (self.live if any(columns[e]) else self.closed)[e] = columns[e] + pad
+        self.basis: list[int] = []
+        self.closure: ElementSet = sum(1 << e for e in self.closed)
+
+    def add(self, e: int):
+        """Put e, not yet in P, into P: the tail of e's residue when e lies
+        in cl(P) (P keeps its basis), None when e joins the basis."""
+        pivot = self.live.pop(e, None)
+        if pivot is None:
+            return self.closed.pop(e)[self.d:]
+        field, d, live, closed = self.field, self.d, self.live, self.closed
+        scale, reduce = field._row_kernels
+        col = next(i for i, x in enumerate(pivot) if x)
+        pivot = list(pivot)
+        if self.tail:
+            pivot[d + len(self.basis)] = 1
+        if pivot[col] != 1:
+            pivot = scale(field.inv(pivot[col]), pivot)
+        self.basis.append(e)
+        closure = self.closure | 1 << e
+        for f, row in list(live.items()):
+            c = row[col]
+            if c:
+                row = reduce(row, c, pivot)
+                if any(row[:d]):
+                    live[f] = row
+                else:
+                    del live[f]
+                    closed[f] = row
+                    closure |= 1 << f
+        self.closure = closure
+        return None
 
 
 def prefix_sweep(
@@ -341,12 +407,9 @@ def prefix_sweep(
     k = 0..len(order): r(P_k), cl(P_k) and the coloops of M|P_k.
 
     ``order`` lists distinct elements.  A linear instance makes one
-    forward pass.  Every column not yet in the closure keeps a residue,
-    reduced once against each new pivot, and joins cl(P_k) at the first
-    k where its residue is zero.  A residue carries a tail with one
-    coordinate per basis element of the prefix, so that a column entering
-    as a dependent one names its fundamental circuit; the basis elements
-    in that circuit stop being coloops.  The other backends call
+    forward pass of ``_PrefixSpan`` with tails: a column entering cl(P_k)
+    as a dependent one names its fundamental circuit, and the basis
+    elements in that circuit stop being coloops.  The other backends call
     ``closure`` and ``coloops`` per prefix."""
     order = list(order)
     mask = sum(1 << e for e in order)
@@ -362,47 +425,88 @@ def prefix_sweep(
             [m.closure(p) for p in prefixes],
             [m.coloops(p) for p in prefixes],
         )
-    field, d, columns = m.field, m.dim, m.columns
-    gf._check_rows(field, d, columns)
-    scale, reduce = field._row_kernels
-    # the tail holds the coefficients of the basis elements, in basis order
-    pad = (0,) * min(d, len(order))
-    live: dict[int, list] = {}  # residues of the columns outside the closure
-    closed: dict[int, list] = {}  # zero residues, kept for their tails
-    for e in range(m.n):
-        (live if any(columns[e]) else closed)[e] = columns[e] + pad
-    basis: list[int] = []
-    closure = sum(1 << e for e in closed)
+    span = _PrefixSpan(m, min(m.dim, len(order)))
     free = 0
-    ranks, closures, coloops = [0], [closure], [0]
+    ranks, closures, coloops = [0], [span.closure], [0]
     for e in order:
-        pivot = live.pop(e, None)
-        if pivot is None:
-            tail = closed.pop(e)[d:]
-            free &= ~sum(1 << b for b, c in zip(basis, tail) if c)
-        else:
-            col = next(i for i, x in enumerate(pivot) if x)
-            pivot = list(pivot)
-            pivot[d + len(basis)] = 1
-            if pivot[col] != 1:
-                pivot = scale(field.inv(pivot[col]), pivot)
-            basis.append(e)
+        tail = span.add(e)
+        if tail is None:
             free |= 1 << e
-            closure |= 1 << e
-            for f, row in list(live.items()):
-                c = row[col]
-                if c:
-                    row = reduce(row, c, pivot)
-                    if any(row[:d]):
-                        live[f] = row
-                    else:
-                        del live[f]
-                        closed[f] = row
-                        closure |= 1 << f
-        ranks.append(len(basis))
-        closures.append(closure)
+        else:
+            free &= ~sum(1 << b for b, c in zip(span.basis, tail) if c)
+        ranks.append(len(span.basis))
+        closures.append(span.closure)
         coloops.append(free)
     return ranks, closures, coloops
+
+
+class PrefixSplit:
+    """A split (P, S) of the ground set that starts at P = {}, S = E and
+    that ``move`` changes one element at a time from S to P.  After each
+    move, ``closure`` is cl(P) and ``coloops`` the coloops of M|S.
+
+    A linear instance keeps cl(P) by ``_PrefixSpan``, as ``prefix_sweep``
+    does, and one RREF of the whole matrix for S.  A column leaving S is
+    zeroed; when it is a pivot column, its row is re-pivoted at another
+    nonzero entry, cleared from the other rows, or dropped when it has
+    none.  The rows then stay a basis of the row space of the columns in
+    S, each with a unit pivot column, so a pivot column is a coloop of M|S
+    iff its row has exactly one nonzero entry.  A move costs one pivot's
+    residue update, at most one re-pivot and one count of every row's
+    zeros.  The other backends call ``closure`` and ``coloops`` per move."""
+
+    def __init__(self, m: MatroidInstance):
+        self.m = m
+        self.prefix: ElementSet = 0
+        self.rest: ElementSet = m.full_set
+        if m.kind != "linear":
+            self.closure, self.coloops = m.closure(0), m.coloops(self.rest)
+            return
+        self._span = _PrefixSpan(m, 0)
+        rows = list(m.matrix)
+        # pivot column -> its row; every entry left of a pivot is 0 and the pivot entry is 1
+        self._rows = {
+            row.index(1): list(row) for row in gf._eliminate(m.field, m.n, rows, True)
+        }
+        self.closure = self._span.closure
+        self.coloops = self._count_coloops()
+
+    def _count_coloops(self) -> ElementSet:
+        n = self.m.n
+        return sum(1 << col for col, row in self._rows.items() if row.count(0) == n - 1)
+
+    def move(self, e: int) -> None:
+        """Move e from S to P."""
+        if not self.rest >> e & 1:
+            raise ValueError(f"element {e} is not in the rest")
+        self.prefix |= 1 << e
+        self.rest &= ~(1 << e)
+        m = self.m
+        if m.kind != "linear":
+            self.closure, self.coloops = m.closure(self.prefix), m.coloops(self.rest)
+            return
+        self._span.add(e)
+        self.closure = self._span.closure
+        rows = self._rows
+        row = rows.pop(e, None)
+        if row is None:
+            for other in rows.values():
+                other[e] = 0
+        else:
+            row[e] = 0
+            lead = next(filter(None, row), 0)
+            if lead:
+                field = m.field
+                scale, reduce = field._row_kernels
+                col = row.index(lead)
+                if lead != 1:
+                    row = scale(field.inv(lead), row)
+                for pivot, other in rows.items():
+                    c = other[col]
+                    if c:
+                        rows[pivot] = reduce(other, c, row)
+                rows[col] = row
+        self.coloops = self._count_coloops()
 
 
 def incidence_matrix(num_vertices: int, edges) -> list[tuple[int, ...]]:

@@ -264,15 +264,16 @@ KERNEL_FIELDS = [2, 3, 7, 2**31 - 1, 4, 8, 256, 9, 3**7, 2**10]
 
 
 @st.composite
-def dependent_rows(draw):
-    """A field, a dimension d and rows that are combinations of a few drawn
-    rows, so that large fields see dependent rows too."""
+def dependent_rows(draw, max_count=7):
+    """A field, a dimension d and at most ``max_count`` rows that are
+    combinations of a few drawn rows, so that large fields see dependent
+    rows too."""
     f = field_of_order(draw(st.sampled_from(KERNEL_FIELDS)))
     d = draw(st.integers(min_value=0, max_value=6))
     entry = st.one_of(st.just(0), st.just(1), st.integers(min_value=0, max_value=f.q - 1))
     base = draw(st.lists(st.lists(entry, min_size=d, max_size=d), max_size=4))
     rows = []
-    for _ in range(draw(st.integers(min_value=0, max_value=7))):
+    for _ in range(draw(st.integers(min_value=0, max_value=max_count))):
         coeffs = draw(st.lists(entry, min_size=len(base), max_size=len(base)))
         row = [0] * d
         for c, b in zip(coeffs, base):

@@ -1,5 +1,6 @@
 """Branch decompositions: widths, searches, rooting, serialization."""
 
+import hashlib
 import random
 
 import pytest
@@ -348,6 +349,114 @@ def test_greedy_rank_memo_stays_linear(field):
     tree, w = greedy_branch_decomposition(m)
     assert len(m._cache) <= 4 * n
     assert w == width(m, tree)
+
+
+SEARCH_FIELDS = (2, 3, 4, 5, 7, 9)
+
+# SHA-256 of format_branch_tree(tree) and the width of every search over
+# search_corpus(), recorded before the search ran on incremental rank
+# state.  A change that alters trees on purpose updates it and says why.
+SEARCH_DIGEST = "03d3cc5bd45404d9474de4ac9e0f0a0671551f3d18d895dba209fcf17ad2882b"
+
+
+def corpus_columns(rng, f, n):
+    """n columns over f: sparse random ones, with zero columns, nonzero
+    multiples of earlier columns and coloops (each alone in its own row)
+    mixed in, in a shuffled order."""
+    d = rng.randint(1, 5)
+    columns = []  # None marks a coloop
+    for _ in range(n):
+        kind = rng.random()
+        earlier = [col for col in columns if col and any(col)]
+        if kind < 0.1:
+            columns.append([0] * d)
+        elif kind < 0.25 and earlier:
+            c = rng.randrange(1, f.q)
+            columns.append([f.mul(c, x) for x in rng.choice(earlier)])
+        elif kind < 0.33:
+            columns.append(None)
+        else:
+            columns.append([rng.randrange(1, f.q) if rng.random() < 0.6 else 0 for _ in range(d)])
+    rng.shuffle(columns)
+    rows = [[col[i] if col else 0 for col in columns] for i in range(d)]
+    rows += [[int(e == k) for e in range(n)] for k, col in enumerate(columns) if col is None]
+    return rows
+
+
+def corpus_band(rng, f, n, band):
+    """A band matrix (column j on rows j//2 .. j//2+band-1, top entry
+    nonzero) with its columns shuffled."""
+    rows = [[0] * n for _ in range((n - 1) // 2 + band)]
+    for j in range(n):
+        rows[j // 2][j] = rng.randrange(1, f.q)
+        for i in range(j // 2 + 1, j // 2 + band):
+            rows[i][j] = rng.randrange(f.q)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [[row[p] for p in perm] for row in rows]
+
+
+def search_corpus(seed=20261019):
+    """(search, instance) pairs: the exact search for n <= 9 and the greedy
+    for n up to 40, over linear instances of every field of SEARCH_FIELDS
+    (random with loops, parallel pairs and coloops, and shuffled bands),
+    graphic instances with self-loops and parallel edges, and uniform
+    ones."""
+    rng = random.Random(seed)
+    for q in SEARCH_FIELDS:
+        f = field_of_order(q)
+        for n in (1, 2, 3, 5, 6, 7, 8, 9, 9, 9):
+            yield exact_branch_decomposition, MatroidInstance.linear(f, corpus_columns(rng, f, n))
+        for n in (10, 14, 20, 28, 40):
+            yield greedy_branch_decomposition, MatroidInstance.linear(f, corpus_columns(rng, f, n))
+        for n in (9, 16, 30, 40):
+            band = rng.randint(1, 3)
+            search = exact_branch_decomposition if n <= 9 else greedy_branch_decomposition
+            yield search, MatroidInstance.linear(f, corpus_band(rng, f, n, band))
+    for n in (6, 9, 12, 24):
+        v = rng.randint(3, 7)
+        edges = [(rng.randrange(v), rng.randrange(v)) for _ in range(n)]
+        search = exact_branch_decomposition if n <= 9 else greedy_branch_decomposition
+        yield search, MatroidInstance.graphic(v, edges)
+    for r, n in ((0, 4), (2, 7), (4, 9), (3, 15), (5, 30)):
+        search = exact_branch_decomposition if n <= 9 else greedy_branch_decomposition
+        yield search, MatroidInstance.uniform(r, n)
+
+
+def test_search_outputs_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    searches = {exact_branch_decomposition: 0, greedy_branch_decomposition: 0}
+    for search, m in search_corpus():
+        tree, w = search(m)
+        assert w == width(m, tree)
+        digest.update(f"{format_branch_tree(tree)}# width {w}\n".encode())
+        searches[search] += 1
+    assert min(searches.values()) >= 40
+    assert digest.hexdigest() == SEARCH_DIGEST, digest.hexdigest()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_the_search_runs_on_incremental_rank_state(q, monkeypatch):
+    # on a linear instance the greedy order updates one split per step
+    # instead of asking the instance for a closure or coloops, and the
+    # exact search reads every rank from one table, none from the memo
+    def refuse(self, subset):
+        raise AssertionError("the greedy order eliminated afresh")
+
+    rng = random.Random(q)
+    field = field_of_order(q)
+    for n in (1, 5, 9, 30):
+        d = rng.randint(1, 8)
+        matrix = [[rng.randrange(q) if rng.random() < 0.5 else 0 for _ in range(n)] for _ in range(d)]
+        m = MatroidInstance.linear(field, matrix)
+        if n <= 9:
+            exact_branch_decomposition(m)
+            assert m._cache == {}
+        with monkeypatch.context() as patch:
+            patch.setattr(MatroidInstance, "closure", refuse)
+            patch.setattr(MatroidInstance, "coloops", refuse)
+            order = _greedy_order(m)
+        assert order == reference_greedy_order(m)
 
 
 def test_exact_never_worse_than_greedy():

@@ -34,7 +34,7 @@ from decompwidth import (
     format_matroid,
     root_tree,
 )
-from decompwidth.cli import main
+from decompwidth.cli import _build_parser, main
 from decompwidth.kdecomp import Inner, serialize
 
 
@@ -411,6 +411,19 @@ def test_usage_error_exit_code():
     assert code == 2
     code, _, _ = run(["no-such-command"])
     assert code == 2
+
+
+def test_one_parser_serves_every_call(u23_files):
+    # main builds its parser once per process, so a usage error must leave
+    # it as the next call needs it
+    _, dw = u23_files
+    first = run(["rank", dw, "--set", "0,2"])
+    usage = run(["rank", dw])
+    assert first == run(["rank", dw, "--set", "0,2"])
+    assert first[:2] == (0, "2\n")
+    assert usage[0] == 2 and "--set" in usage[2]
+    assert run(["rank", dw]) == usage
+    assert _build_parser() is _build_parser()
 
 
 def test_bad_rational_exit_code(u23_files):

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -16,6 +16,7 @@ from conftest import (
     K4_EDGES,
     c5_graphic,
     c5_linear,
+    dependent_rows,
     fano,
     mk4_graphic,
     mk4_linear,
@@ -37,6 +38,7 @@ from decompwidth import (
     rref,
 )
 from decompwidth import gf
+from decompwidth.matroids import PrefixSplit
 from decompwidth.errors import ParseError
 
 
@@ -169,8 +171,40 @@ def test_closure_and_coloops_match_their_definitions(m):
     assert loops_and_coloops(m) == (m.closure(0), m.coloops(full))
 
 
-@settings(max_examples=200, deadline=None)
-@given(small_instances())
+@st.composite
+def wide_linear_instances(draw):
+    """A linear instance on at most 12 columns: ``dependent_rows``' columns
+    with zero columns and copies of them mixed in."""
+    f, d, columns = draw(dependent_rows(max_count=10))
+    extra = st.just((0,) * d)
+    if columns:
+        extra = st.one_of(extra, st.sampled_from(columns))
+    columns = draw(st.permutations(columns + draw(st.lists(extra, max_size=12 - len(columns)))))
+    return MatroidInstance.linear(f, [[col[i] for col in columns] for i in range(d)])
+
+
+def twelve_columns(q):
+    """3 x 12 over GF(q): a zero column, a repeated column and one of its
+    nonzero multiples among seeded random ones, for every row-kernel
+    family."""
+    f = decompwidth.field_of_order(q)
+    rng = random.Random(q)
+    columns = [[rng.randrange(f.q) for _ in range(3)] for _ in range(9)]
+    columns += [[0, 0, 0], columns[2], [f.mul(f.q - 1, x) for x in columns[4]]]
+    rng.shuffle(columns)
+    return MatroidInstance.linear(f, [[col[i] for col in columns] for i in range(3)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_instances(), wide_linear_instances()))
+@example(MatroidInstance.linear(GF2, []))
+@example(MatroidInstance.linear(GF3, [[0] * 12]))
+@example(twelve_columns(2))
+@example(twelve_columns(3))
+@example(twelve_columns(4))
+@example(twelve_columns(8))
+@example(twelve_columns(9))
+@example(twelve_columns(2**10))
 def test_rank_table_matches_the_rank_oracle(m):
     table = rank_table(m)
     assert len(table) == 1 << m.n
@@ -219,6 +253,22 @@ def test_prefix_sweep_matches_the_oracle_per_prefix(m, data):
 def test_prefix_sweep_on_edge_instances(m):
     for order in ([*range(m.n)], [*range(m.n)][::-1]):
         check_prefix_sweep(m, order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_instances(), wide_linear_instances()), st.data())
+def test_prefix_split_matches_the_oracle_per_move(m, data):
+    # moving pivot columns out of the rest re-pivots or drops RREF rows
+    split, prefix = PrefixSplit(m), 0
+    for e in data.draw(st.permutations(range(m.n))):
+        assert split.closure == m.closure(prefix)
+        assert split.coloops == m.coloops(m.full_set & ~prefix)
+        split.move(e)
+        prefix |= 1 << e
+        assert (split.prefix, split.rest) == (prefix, m.full_set & ~prefix)
+    assert (split.closure, split.coloops) == (m.full_set, 0)
+    with pytest.raises(ValueError, match="not in the rest"):
+        split.move(m.n)
 
 
 def test_prefix_sweep_names_fundamental_circuits():

@@ -27,7 +27,7 @@ column.
 The greedy fallback builds a caterpillar over an element order and works
 at any size, without optimality.  Its first phase chooses the order
 greedily: a step scores every remaining element from cl(P) of the prefix
-and the coloops of the rest, which a ``matroids.PrefixSplit`` updates per
+and the coloops of the rest, which a ``matroids._PrefixSplit`` updates per
 step; on a linear instance that is one pivot's residue update and at most
 one re-pivot of an RREF, where a rank per candidate would make O(n^2)
 rank queries.  Its second phase hill-climbs the order by moving one
@@ -61,7 +61,7 @@ from .kdecomp import tree_defect, tree_postorder
 from .matroids import (
     ElementSet,
     MatroidInstance,
-    PrefixSplit,
+    _PrefixSplit,
     iter_elements,
     prefix_sweep,
     rank_table,
@@ -239,7 +239,9 @@ def exact_branch_decomposition(m: MatroidInstance) -> tuple[BranchTree, int]:
         for i in reversed(range(len(edges))):
             mask = masks[i]
             # inserting k into edge i splits it into a grown and a kept
-            # side, and grows every other side that contains edge i's
+            # side, and grows every other side that contains edge i's;
+            # the split edge alone rules out about half the children, so
+            # it is tested before the O(E) scan over the other edges
             floor = max(lone, keep[i], grow[i])
             if floor >= best[1]:
                 continue
@@ -297,10 +299,10 @@ def _greedy_order(m: MatroidInstance) -> list[int]:
 
     With prefix P and rest S = E - P, a candidate e scores
     r(P) + [e not in cl(P)] + r(S) - [e a coloop of M|S] - r(E), so a step
-    reads cl(P) and the coloops of M|S off a ``PrefixSplit``, which a
+    reads cl(P) and the coloops of M|S off a ``_PrefixSplit``, which a
     linear instance updates per step instead of eliminating afresh.
     """
-    split = PrefixSplit(m)
+    split = _PrefixSplit(m)
     order: list[int] = []
     while split.rest:
         raises = split.rest & ~split.closure

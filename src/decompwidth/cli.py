@@ -9,7 +9,6 @@ errors.  All output is deterministic for fixed inputs and flags.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import random
 import re
@@ -207,7 +206,6 @@ def _cmd_oracle_tutte(args) -> int:
     return 0
 
 
-@functools.cache  # built once per process: nothing in it depends on sys.argv
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="decompwidth",

@@ -5,7 +5,7 @@ backends share one interface:
 
 * linear    -- columns of a matrix over GF(q); rank = dimension of the span
                (bit-packed elimination for GF(2), pivot counting by gf.rank
-               else); closure, coloops, prefix_sweep, PrefixSplit and
+               else); closure, coloops, prefix_sweep, _PrefixSplit and
                rank_table eliminate in bulk
 * graphic   -- edges of a graph; rank = vertices minus components, through
                union-find
@@ -440,7 +440,7 @@ def prefix_sweep(
     return ranks, closures, coloops
 
 
-class PrefixSplit:
+class _PrefixSplit:
     """A split (P, S) of the ground set that starts at P = {}, S = E and
     that ``move`` changes one element at a time from S to P.  After each
     move, ``closure`` is cl(P) and ``coloops`` the coloops of M|S.

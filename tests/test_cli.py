@@ -34,7 +34,7 @@ from decompwidth import (
     format_matroid,
     root_tree,
 )
-from decompwidth.cli import _build_parser, main
+from decompwidth.cli import main
 from decompwidth.kdecomp import Inner, serialize
 
 
@@ -413,9 +413,8 @@ def test_usage_error_exit_code():
     assert code == 2
 
 
-def test_one_parser_serves_every_call(u23_files):
-    # main builds its parser once per process, so a usage error must leave
-    # it as the next call needs it
+def test_main_calls_in_one_process_are_independent(u23_files):
+    # a usage error must leave nothing behind that changes the next call
     _, dw = u23_files
     first = run(["rank", dw, "--set", "0,2"])
     usage = run(["rank", dw])
@@ -423,7 +422,6 @@ def test_one_parser_serves_every_call(u23_files):
     assert first[:2] == (0, "2\n")
     assert usage[0] == 2 and "--set" in usage[2]
     assert run(["rank", dw]) == usage
-    assert _build_parser() is _build_parser()
 
 
 def test_bad_rational_exit_code(u23_files):

@@ -25,18 +25,18 @@ linear instance costs at most one row operation per subset and later
 column.
 
 The greedy fallback builds a caterpillar over an element order and works
-at any size, without optimality.  Its first phase chooses the order
-greedily: a step scores every remaining element from cl(P) of the prefix
-and the coloops of the rest, which a ``matroids._PrefixSplit`` updates per
-step; on a linear instance that is one pivot's residue update and at most
-one re-pivot of an RREF, where a rank per candidate would make O(n^2)
-rank queries.  Its second phase hill-climbs the order by moving one
-element at a time, while a move lowers (max, sum) of the spine λ
-values.  A round runs
-``matroids.prefix_sweep`` on the order and on its reverse, which gives
-the rank, closure and coloops of every prefix and suffix, and scores all
-n(n-1) moves from those in O(n^2).  (max, sum) drops strictly, so the
-climb ends, and the tree's width is read off the last sweeps.
+at any size, without optimality.  Everything it needs is the closure of a
+growing set P in M and in its dual M*: for e outside P,
+λ(P + e) = λ(P) + [e not in cl(P)] + [e not in cl*(P)] - 1, since λ is
+self-dual.  Its first phase chooses the order greedily, each step reading
+cl(P) and cl*(P) off a ``matroids._GrowingSet``, which a linear instance
+updates by one pivot's residue update per span.  Its second phase
+hill-climbs the order by moving one element at a time, while a move
+lowers (max, sum) of the spine λ values.  A round runs
+``matroids.prefix_sweep`` on the order and on its reverse, which gives λ,
+cl and cl* of every prefix and suffix, and scores all n(n-1) moves from
+those in O(n^2).  (max, sum) drops strictly, so the climb ends, and the
+tree's width is read off the last sweeps.
 
 Text format ('#' comments allowed):
 
@@ -61,8 +61,7 @@ from .kdecomp import tree_defect, tree_postorder
 from .matroids import (
     ElementSet,
     MatroidInstance,
-    _PrefixSplit,
-    iter_elements,
+    _GrowingSet,
     prefix_sweep,
     rank_table,
 )
@@ -269,7 +268,8 @@ def greedy_branch_decomposition(m: MatroidInstance) -> tuple[BranchTree, int]:
     the spine λ values most, until no move lowers them; see
     ``_best_move``.  The width is read off the final sweeps: the spine
     edges split off the prefixes P_2..P_{n-2}, and the pendant edge of e
-    has λ({e}) = [e not a loop] - [e a coloop of M].
+    has λ({e}) = 1 - [e a loop] - [e a coloop], a loop lying in cl({})
+    and a coloop in cl*({}).
     """
     n = m.n
     if n == 0:
@@ -288,8 +288,8 @@ def greedy_branch_decomposition(m: MatroidInstance) -> tuple[BranchTree, int]:
             break
         order.insert(j, order.pop(i))
         expected = best[:2]
-    loops, coloops = prefix[1][0], prefix[2][n]
-    pendants = [(loops >> e & 1 ^ 1) - (coloops >> e & 1) for e in range(n)]
+    loops, coloops = prefix[1][0], prefix[2][0]  # cl({}) and cl*({})
+    pendants = [1 - (loops >> e & 1) - (coloops >> e & 1) for e in range(n)]
     return caterpillar_tree(n, order), max(pendants + lam[2 : n - 1])
 
 
@@ -297,20 +297,21 @@ def _greedy_order(m: MatroidInstance) -> list[int]:
     """Greedy element order: each step appends the element whose extended
     prefix has the smallest separation rank, ties to the smallest id.
 
-    With prefix P and rest S = E - P, a candidate e scores
-    r(P) + [e not in cl(P)] + r(S) - [e a coloop of M|S] - r(E), so a step
-    reads cl(P) and the coloops of M|S off a ``_PrefixSplit``, which a
-    linear instance updates per step instead of eliminating afresh.
+    With prefix P, a candidate e has λ(P + e) - λ(P) + 1 =
+    [e not in cl(P)] + [e not in cl*(P)], so a step reads cl(P) and
+    cl*(P) off a ``_GrowingSet`` and takes the least element of the
+    first nonempty candidate set of score 0, 1 or 2.
     """
-    split = _PrefixSplit(m)
+    grown = _GrowingSet(m)
     order: list[int] = []
-    while split.rest:
-        raises = split.rest & ~split.closure
-        drops = split.coloops
-        # r(P) + r(S) - r(E) is the same for every candidate
-        best = min(iter_elements(split.rest), key=lambda e: (raises >> e & 1) - (drops >> e & 1))
-        order.append(best)
-        split.move(best)
+    rest = m.full_set
+    while rest:
+        cl, cocl = grown.closure, grown.coclosure
+        best = next(mask for mask in (rest & cl & cocl, rest & (cl | cocl), rest) if mask)
+        e = (best & -best).bit_length() - 1
+        order.append(e)
+        grown.add(e)
+        rest ^= 1 << e
     return order
 
 
@@ -321,19 +322,16 @@ def _best_move(order: list[int], prefix, suffix):
     i = j = -1 when no move lowers it.
 
     ``prefix`` is ``prefix_sweep`` of the order and ``suffix`` that of the
-    reversed order, re-indexed so that entry k describes S_k = E - P_k.
-    Moving e = order[i] to j > i turns the cuts i+1..j into
-    P_{k+1} - e, of λ = r(P_{k+1}) - [e coloop of M|P_{k+1}]
-    + r(S_{k+1}) + [e not in cl(S_{k+1})] - r(E); moving it to j < i turns
-    the cuts j+1..i into P_{k-1} + e, of λ = r(P_{k-1}) + [e not in
-    cl(P_{k-1})] + r(S_{k-1}) - [e coloop of M|S_{k-1}] - r(E).  With the
+    reversed order, re-indexed so that entry k describes S_k = E - P_k;
+    λ(S_k) = λ(P_k).  Moving e = order[i] to j > i turns the cuts
+    i+1..j into P_{k+1} - e, the complement of S_{k+1} + e, and moving it
+    to j < i turns the cuts j+1..i into P_{k-1} + e.  For X not holding e,
+    λ(X + e) = λ(X) + [e not in cl(X)] + [e not in cl*(X)] - 1.  With the
     running max and sum of λ outside the moved cuts, every one of the
     n(n-1) moves costs O(1).
     """
-    (p_rank, p_cl, p_co), (s_rank, s_cl, s_co) = prefix, suffix
+    (lam, p_cl, p_cocl), (_, s_cl, s_cocl) = prefix, suffix
     n = len(order)
-    full = p_rank[n]
-    lam = [p_rank[k] + s_rank[k] - full for k in range(n + 1)]
     lo, hi = 2, n - 2  # the spine cuts
     # λ on the spine, 0 elsewhere; max and sum of it over the cuts below k
     # (head) and above k (tail)
@@ -349,7 +347,7 @@ def _best_move(order: list[int], prefix, suffix):
         run_max = run_sum = 0
         for j in range(i - 1, -1, -1):
             if lo <= j + 1 <= hi:
-                value = p_rank[j] + (p_cl[j] >> e & 1 ^ 1) + s_rank[j] - (s_co[j] >> e & 1) - full
+                value = lam[j] + 1 - (p_cl[j] >> e & 1) - (p_cocl[j] >> e & 1)
                 run_max, run_sum = max(run_max, value), run_sum + value
             key = (max(head_max[j + 1], run_max, tail_max[i]), head_sum[j + 1] + run_sum + tail_sum[i], i, j)
             if key < best:
@@ -357,7 +355,7 @@ def _best_move(order: list[int], prefix, suffix):
         run_max = run_sum = 0
         for j in range(i + 1, n):
             if lo <= j <= hi:
-                value = p_rank[j + 1] - (p_co[j + 1] >> e & 1) + s_rank[j + 1] + (s_cl[j + 1] >> e & 1 ^ 1) - full
+                value = lam[j + 1] + 1 - (s_cl[j + 1] >> e & 1) - (s_cocl[j + 1] >> e & 1)
                 run_max, run_sum = max(run_max, value), run_sum + value
             key = (max(head_max[i + 1], run_max, tail_max[j]), head_sum[i + 1] + run_sum + tail_sum[j], i, j)
             if key < best:

@@ -50,9 +50,10 @@ dropped, so every space, color and table entry is the one GF(q)^d gives,
 while a node works on vectors of length |S_c1 | S_c2|.  On a dense matrix
 every S_v but the root's is every row, and moving between equal coordinate
 lists is the identity.  The up and down walks build a few checked
-``Subspace``s per node (``rref``, ``intersect``).  The tables pass makes a
-space per palette pair, so it holds each as its tuple of RREF rows (``()``
-is {0}) and keys colors by them; ``pair_traces`` checks only its input.
+``Subspace``s per node: one per meet, per ``intersect`` and per leaf
+``rref``.  The tables pass makes a space per palette pair, so it holds
+each as its tuple of RREF rows (``()`` is {0}) and keys colors by them;
+``pair_traces`` checks only its input.
 ``node_subspace_data`` and ``construct_with_data`` lift spaces back into
 GF(q)^d as checked ``Subspace``s.
 """
@@ -62,7 +63,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .branchdecomp import RootedBranchTree
-from .gf import FieldSpec, FVector, Subspace, pair_traces
+from .gf import FieldSpec, FVector, Subspace, _echelon, pair_traces
 from .gf import hull, intersect, rref  # noqa: F401  perfbench's traced run and the tests patch these names
 from .kdecomp import ElementSet, Inner, KDecomposition, Leaf, node_states
 from .matroids import MatroidInstance
@@ -107,15 +108,14 @@ def _meet(field: FieldSpec, parts, interior: Coords, keep: Coords) -> Subspace:
     meet {zero on ``interior``}, on the coordinates ``keep``.
 
     The interior rows are eliminated first, so the RREF rows that are zero
-    there have their pivots in ``keep`` and form its canonical basis.
+    there have their pivots in ``keep`` and form its canonical basis.  The
+    rows come from checked spaces, so only that basis is checked.
     """
     order = interior + keep
     rows = [v for space, coords in parts for v in _moved(space.rows, coords, order)]
-    reduced = rref(field, len(order), rows)
-    if not interior:
-        return reduced
     skip = len(interior)
-    return Subspace(field, len(keep), tuple(v[skip:] for v in reduced.rows if not any(v[:skip])))
+    reduced = _echelon(field, len(order), rows)
+    return Subspace(field, len(keep), tuple([v[skip:] for v in reduced if not any(v[:skip])]))
 
 
 def _boundaries(m: MatroidInstance, tree: RootedBranchTree):

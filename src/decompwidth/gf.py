@@ -334,6 +334,9 @@ def field_of_order(q: int) -> FieldSpec:
     """The field GF(q) for a prime power q, cached."""
     if q < 2:
         raise ValueError(f"q={q} is not a prime power")
+    if q >= _MAX_PRIME_ORDER:
+        # refused before the trial division, which takes up to sqrt(q) steps
+        raise ValueError(f"q={q} exceeds the largest supported field order, 2^31 - 1")
     p = 2
     while p * p <= q:
         if q % p == 0:
@@ -525,27 +528,20 @@ def intersect(u1: Subspace, u2: Subspace) -> Subspace:
 
 def _extend(field: FieldSpec, width: int, stem: list, rows: list) -> list:
     """``rows`` reduced against ``stem``, then put in forward echelon form
-    among themselves: their (pivot column, row) pairs.
+    among themselves: their (pivot column, row) pairs.  ``rows`` is a list
+    this replaces entries of.
 
     Every row of ``stem``, a list of such pairs, has pivot entry 1 and is
     zero in the pivot columns of the pairs before it, so one pass in list
     order clears all of them.  ``stem`` followed by the result keeps that
     property, and its rows span what ``stem`` and ``rows`` span."""
-    rows = _eliminate(field, width, _residues(field, stem, rows), False)
-    # every entry left of a pivot is 0 and the pivot entry is 1
-    return [(row.index(1), row) for row in rows]
-
-
-def _residues(field: FieldSpec, stem: list, rows: list) -> list:
-    """``rows``, replaced in place by their reductions against ``stem``
-    (as in :func:`_extend`); a row is 0 exactly when it lies in the span
-    of ``stem``."""
     reduce = field._row_kernels[1]
     for col, pivot in stem:
         for i, row in enumerate(rows):
             if row[col]:
                 rows[i] = reduce(row, row[col], pivot)
-    return rows
+    # every entry left of a pivot is 0 and the pivot entry is 1
+    return [(row.index(1), row) for row in _eliminate(field, width, rows, False)]
 
 
 def pair_traces(field: FieldSpec, d: int, bound, lefts: list, rights: list):

@@ -5,16 +5,21 @@ backends share one interface:
 
 * linear    -- columns of a matrix over GF(q); rank = dimension of the span
                (bit-packed elimination for GF(2), pivot counting by gf.rank
-               else); closure, coloops, prefix_sweep, _PrefixSplit and
-               rank_table eliminate in bulk
+               else); rank_table and prefix_sweep eliminate in bulk, the
+               latter over the columns of M and of its dual M*
 * graphic   -- edges of a graph; rank = vertices minus components, through
                union-find
 * uniform   -- rank(F) = min(|F|, r)
 * explicit  -- a full rank table over all 2^n subsets, n <= 20, with the
                matroid axioms checked eagerly at construction
 
-Rank queries are memoized per instance; instances are immutable, so
-concurrent readers are fine.
+Rank queries are memoized per instance, as is a linear instance's dual
+representation; instances are immutable, so concurrent readers are fine.
+
+``closure`` and ``coloops`` ask ``rank`` once per element.  The branch-
+decomposition search instead grows a set P one element at a time and reads
+cl(P), cl*(P) (the closure in M*) and λ(P) = r(P) + r(E - P) - r(E) off a
+``_GrowingSet``; ``prefix_sweep`` gives those of every prefix of an order.
 
 The text format (one record per file, '#' comments):
 
@@ -55,6 +60,7 @@ class MatroidInstance:
         self.n = n
         self.__dict__.update(data)
         self._cache: dict[int, int] = {}
+        self._dual_cache: list | None = None  # see _dual_columns
 
     # ------------------------------------------------------------------
     # constructors
@@ -139,38 +145,19 @@ class MatroidInstance:
         return r
 
     def closure(self, subset: ElementSet) -> ElementSet:
-        """The elements e with r(subset + e) = r(subset), subset included.
-
-        A linear instance puts the columns of ``subset`` in forward echelon
-        form once and reduces every other column against those pivots;
-        the others ask ``rank`` once per element."""
+        """The elements e with r(subset + e) = r(subset), subset included,
+        by one rank query per element outside ``subset``."""
         self._check_subset(subset)
-        outside = list(iter_elements(self.full_set & ~subset))
-        if self.kind != "linear":
-            r = self.rank(subset)
-            return subset | sum(1 << e for e in outside if self.rank(subset | 1 << e) == r)
-        field, d, columns = self.field, self.dim, self.columns
-        gf._check_rows(field, d, columns)
-        stem = gf._extend(field, d, [], [columns[e] for e in iter_elements(subset)])
-        residues = gf._residues(field, stem, [columns[e] for e in outside])
-        return subset | sum(1 << e for e, row in zip(outside, residues) if not any(row))
+        r = self.rank(subset)
+        outside = iter_elements(self.full_set & ~subset)
+        return subset | sum(1 << e for e in outside if self.rank(subset | 1 << e) == r)
 
     def coloops(self, subset: ElementSet) -> ElementSet:
         """The e in ``subset`` with r(subset - e) < r(subset): the coloops
-        of the restriction to ``subset``.
-
-        A linear instance runs one RREF of the d x |subset| matrix: a pivot
-        column is a coloop iff its pivot row has no other nonzero entry.
-        The others ask ``rank`` once per element."""
+        of the restriction to ``subset``, by one rank query per element."""
         self._check_subset(subset)
-        if self.kind != "linear":
-            r = self.rank(subset)
-            return sum(1 << e for e in iter_elements(subset) if self.rank(subset & ~(1 << e)) < r)
-        elements = list(iter_elements(subset))
-        rows = [[row[e] for e in elements] for row in self.matrix]
-        gf._check_rows(self.field, len(elements), rows)
-        reduced = gf._eliminate(self.field, len(elements), rows, True)
-        return sum(1 << elements[row.index(1)] for row in reduced if row.count(0) == len(row) - 1)
+        r = self.rank(subset)
+        return sum(1 << e for e in iter_elements(subset) if self.rank(subset & ~(1 << e)) < r)
 
     def _graphic_rank(self, subset: ElementSet) -> int:
         parent = list(range(self.num_vertices))
@@ -244,8 +231,10 @@ def _validate_rank_table(table, n: int) -> None:
 
 
 def loops_and_coloops(m: MatroidInstance) -> tuple[ElementSet, ElementSet]:
-    """(loops, coloops): rank({e}) = 0, and rank(E-{e}) = rank(E) - 1."""
-    return m.closure(0), m.coloops(m.full_set)
+    """(loops, coloops): rank({e}) = 0, and rank(E-{e}) = rank(E) - 1;
+    that is, cl({}) and cl*({})."""
+    empty = _GrowingSet(m)
+    return empty.closure, empty.coclosure
 
 
 def brute_whitney(m: MatroidInstance) -> WhitneyTable:
@@ -350,163 +339,121 @@ def rank_table(m: MatroidInstance) -> list[int]:
     return table
 
 
+def _dual_columns(m: MatroidInstance) -> list:
+    """Columns of a representation of the dual M* of a linear instance,
+    indexed by element: with the RREF [I | A] of m's matrix (pivot columns
+    first), the columns of [A^T | I].  That is the standard [-A^T | I]
+    with every column scaled by -1 and then the I columns scaled back,
+    which keeps the matroid.  The entries are checked before the
+    elimination, and the columns are computed once per instance."""
+    if m._dual_cache is None:
+        field, n = m.field, m.n
+        rows = list(m.matrix)
+        gf._check_rows(field, n, rows)
+        rows = gf._eliminate(field, n, rows, True)
+        pivots = {row.index(1) for row in rows}
+        free = [e for e in range(n) if e not in pivots]
+        dual = [None] * n
+        for row in rows:
+            dual[row.index(1)] = tuple([row[f] for f in free])
+        for i, e in enumerate(free):
+            dual[e] = (0,) * i + (1,) + (0,) * (len(free) - 1 - i)
+        m._dual_cache = dual
+    return m._dual_cache
+
+
 class _PrefixSpan:
-    """cl(P) of a prefix P that grows one element at a time, on a linear
-    instance.  Every column not yet in the closure keeps a residue,
-    reduced once against each new pivot, and joins cl(P) when its residue
-    is zero.  With ``tail`` > 0, a residue carries that many coordinates
-    more, one per basis element of P, so that a column entering cl(P) as
-    a dependent one names its fundamental circuit."""
+    """cl(P) and r(P) of a set P of ``columns`` that grows one element at a
+    time.  Every column outside the closure keeps a residue, reduced once
+    against each new pivot, and joins cl(P) when its residue is zero."""
 
-    def __init__(self, m: MatroidInstance, tail: int):
-        field, d, columns = m.field, m.dim, m.columns
-        gf._check_rows(field, d, columns)
-        self.field, self.d, self.tail = field, d, tail
-        pad = (0,) * tail
-        self.live: dict[int, list] = {}  # residues of the columns outside the closure
-        self.closed: dict[int, list] = {}  # zero residues, kept for their tails
-        for e in range(m.n):
-            (self.live if any(columns[e]) else self.closed)[e] = columns[e] + pad
-        self.basis: list[int] = []
-        self.closure: ElementSet = sum(1 << e for e in self.closed)
+    def __init__(self, field: FieldSpec, columns: list):
+        self.field, self.rank = field, 0
+        self.live = {e: col for e, col in enumerate(columns) if any(col)}
+        self.closure: ElementSet = sum(1 << e for e, col in enumerate(columns) if not any(col))
 
-    def add(self, e: int):
-        """Put e, not yet in P, into P: the tail of e's residue when e lies
-        in cl(P) (P keeps its basis), None when e joins the basis."""
+    def add(self, e: int) -> None:
         pivot = self.live.pop(e, None)
         if pivot is None:
-            return self.closed.pop(e)[self.d:]
-        field, d, live, closed = self.field, self.d, self.live, self.closed
+            return
+        field, live = self.field, self.live
         scale, reduce = field._row_kernels
-        col = next(i for i, x in enumerate(pivot) if x)
-        pivot = list(pivot)
-        if self.tail:
-            pivot[d + len(self.basis)] = 1
-        if pivot[col] != 1:
-            pivot = scale(field.inv(pivot[col]), pivot)
-        self.basis.append(e)
+        lead = next(filter(None, pivot))
+        col = pivot.index(lead)
+        if lead != 1:
+            pivot = scale(field.inv(lead), pivot)
+        self.rank += 1
         closure = self.closure | 1 << e
-        for f, row in list(live.items()):
-            c = row[col]
-            if c:
-                row = reduce(row, c, pivot)
-                if any(row[:d]):
-                    live[f] = row
-                else:
-                    del live[f]
-                    closed[f] = row
-                    closure |= 1 << f
+        for f, row in [(f, row) for f, row in live.items() if row[col]]:
+            row = reduce(row, row[col], pivot)
+            if any(row):
+                live[f] = row
+            else:
+                del live[f]
+                closure |= 1 << f
         self.closure = closure
-        return None
+
+
+class _GrowingSet:
+    """A set P that starts empty and grows by ``add``, one element at a
+    time.  ``closure`` is cl(P), ``coclosure`` is cl*(P), the closure in
+    the dual M*, and ``lam`` is λ(P) = r(P) + r*(P) - |P|, which equals
+    r(P) + r(E - P) - r(E).  For e outside P,
+    λ(P + e) = λ(P) + [e not in cl(P)] + [e not in cl*(P)] - 1.
+
+    A linear instance keeps a ``_PrefixSpan`` over the columns of M and
+    one over those of M* (``_dual_columns``).  The other backends ask
+    ``closure(P)`` and, since e outside P lies in cl*(P) iff it is a
+    coloop of M|(E - P), ``coloops(E - P)``."""
+
+    def __init__(self, m: MatroidInstance):
+        self.m, self.members, self._spans = m, 0, ()
+        if m.kind == "linear":
+            gf._check_rows(m.field, m.dim, m.columns)
+            self._spans = (_PrefixSpan(m.field, m.columns), _PrefixSpan(m.field, _dual_columns(m)))
+        self._read()
+
+    def add(self, e: int) -> None:
+        """Put e, not yet in P, into P."""
+        if not 0 <= e < self.m.n or self.members >> e & 1:
+            raise ValueError(f"element {e} is not in the rest")
+        self.members |= 1 << e
+        for span in self._spans:
+            span.add(e)
+        self._read()
+
+    def _read(self) -> None:
+        m, inside = self.m, self.members
+        if self._spans:
+            primal, dual = self._spans
+            self.closure, self.coclosure = primal.closure, dual.closure
+            self.lam = primal.rank + dual.rank - inside.bit_count()
+        else:
+            outside = m.full_set & ~inside
+            self.closure, self.coclosure = m.closure(inside), inside | m.coloops(outside)
+            self.lam = m.rank(inside) + m.rank(outside) - m.rank(m.full_set)
 
 
 def prefix_sweep(
     m: MatroidInstance, order
 ) -> tuple[list[int], list[ElementSet], list[ElementSet]]:
-    """``(ranks, closures, coloops)`` of every prefix P_k = order[:k],
-    k = 0..len(order): r(P_k), cl(P_k) and the coloops of M|P_k.
-
-    ``order`` lists distinct elements.  A linear instance makes one
-    forward pass of ``_PrefixSpan`` with tails: a column entering cl(P_k)
-    as a dependent one names its fundamental circuit, and the basis
-    elements in that circuit stop being coloops.  The other backends call
-    ``closure`` and ``coloops`` per prefix."""
+    """``(lams, closures, coclosures)`` of every prefix P_k = order[:k],
+    k = 0..len(order): λ(P_k), cl(P_k) and cl*(P_k), the closure in the
+    dual M*, in one pass of a ``_GrowingSet``.  ``order`` lists distinct
+    elements."""
     order = list(order)
     mask = sum(1 << e for e in order)
     if mask.bit_count() != len(order):
         raise ValueError("order repeats an element")
     m._check_subset(mask)
-    if m.kind != "linear":
-        prefixes = [0]
-        for e in order:
-            prefixes.append(prefixes[-1] | 1 << e)
-        return (
-            [m.rank(p) for p in prefixes],
-            [m.closure(p) for p in prefixes],
-            [m.coloops(p) for p in prefixes],
-        )
-    span = _PrefixSpan(m, min(m.dim, len(order)))
-    free = 0
-    ranks, closures, coloops = [0], [span.closure], [0]
+    grown = _GrowingSet(m)
+    lams, closures, coclosures = [grown.lam], [grown.closure], [grown.coclosure]
     for e in order:
-        tail = span.add(e)
-        if tail is None:
-            free |= 1 << e
-        else:
-            free &= ~sum(1 << b for b, c in zip(span.basis, tail) if c)
-        ranks.append(len(span.basis))
-        closures.append(span.closure)
-        coloops.append(free)
-    return ranks, closures, coloops
-
-
-class _PrefixSplit:
-    """A split (P, S) of the ground set that starts at P = {}, S = E and
-    that ``move`` changes one element at a time from S to P.  After each
-    move, ``closure`` is cl(P) and ``coloops`` the coloops of M|S.
-
-    A linear instance keeps cl(P) by ``_PrefixSpan``, as ``prefix_sweep``
-    does, and one RREF of the whole matrix for S.  A column leaving S is
-    zeroed; when it is a pivot column, its row is re-pivoted at another
-    nonzero entry, cleared from the other rows, or dropped when it has
-    none.  The rows then stay a basis of the row space of the columns in
-    S, each with a unit pivot column, so a pivot column is a coloop of M|S
-    iff its row has exactly one nonzero entry.  A move costs one pivot's
-    residue update, at most one re-pivot and one count of every row's
-    zeros.  The other backends call ``closure`` and ``coloops`` per move."""
-
-    def __init__(self, m: MatroidInstance):
-        self.m = m
-        self.prefix: ElementSet = 0
-        self.rest: ElementSet = m.full_set
-        if m.kind != "linear":
-            self.closure, self.coloops = m.closure(0), m.coloops(self.rest)
-            return
-        self._span = _PrefixSpan(m, 0)
-        rows = list(m.matrix)
-        # pivot column -> its row; every entry left of a pivot is 0 and the pivot entry is 1
-        self._rows = {
-            row.index(1): list(row) for row in gf._eliminate(m.field, m.n, rows, True)
-        }
-        self.closure = self._span.closure
-        self.coloops = self._count_coloops()
-
-    def _count_coloops(self) -> ElementSet:
-        n = self.m.n
-        return sum(1 << col for col, row in self._rows.items() if row.count(0) == n - 1)
-
-    def move(self, e: int) -> None:
-        """Move e from S to P."""
-        if not self.rest >> e & 1:
-            raise ValueError(f"element {e} is not in the rest")
-        self.prefix |= 1 << e
-        self.rest &= ~(1 << e)
-        m = self.m
-        if m.kind != "linear":
-            self.closure, self.coloops = m.closure(self.prefix), m.coloops(self.rest)
-            return
-        self._span.add(e)
-        self.closure = self._span.closure
-        rows = self._rows
-        row = rows.pop(e, None)
-        if row is None:
-            for other in rows.values():
-                other[e] = 0
-        else:
-            row[e] = 0
-            lead = next(filter(None, row), 0)
-            if lead:
-                field = m.field
-                scale, reduce = field._row_kernels
-                col = row.index(lead)
-                if lead != 1:
-                    row = scale(field.inv(lead), row)
-                for pivot, other in rows.items():
-                    c = other[col]
-                    if c:
-                        rows[pivot] = reduce(other, c, row)
-                rows[col] = row
-        self.coloops = self._count_coloops()
+        grown.add(e)
+        lams.append(grown.lam)
+        closures.append(grown.closure)
+        coclosures.append(grown.coclosure)
+    return lams, closures, coclosures
 
 
 def incidence_matrix(num_vertices: int, edges) -> list[tuple[int, ...]]:

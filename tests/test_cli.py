@@ -346,6 +346,14 @@ def test_parse_error_exit_code(tmp_path):
     assert "line 2" in err
 
 
+def test_matroid_over_a_huge_field_is_refused_at_once(tmp_path):
+    bad = tmp_path / "huge.matroid"
+    bad.write_text("matroid linear q=1000000000000000003 rows=1 cols=1\n1\n")
+    code, out, err = run(["bw", "--matroid", str(bad)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 1: q=1000000000000000003 exceeds"), err
+
+
 def test_matroid_without_rows_but_with_columns_is_refused(tmp_path):
     bad = tmp_path / "loops.matroid"
     bad.write_text("# two loops\nmatroid linear q=2 rows=0 cols=2\n")

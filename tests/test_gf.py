@@ -153,6 +153,16 @@ def test_field_of_order():
         field_of_order(12)
 
 
+def test_field_of_order_refuses_a_huge_order_before_factoring():
+    # 2^31 + 11 is a prime that factoring finds at once, so a missing size
+    # check fails here on the message; trial division would not return
+    # for the primes 10^18 + 3 and 2^89 - 1
+    for q in (2**31 + 11, 10**18 + 3, 2**89 - 1):
+        with pytest.raises(ValueError, match=rf"^q={q} exceeds the largest supported field order"):
+            field_of_order(q)
+    assert field_of_order(2**31 - 1).q == 2**31 - 1
+
+
 # ---------------------------------------------------------------------------
 # rref
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from conftest import (
     GF2,
     GF3,
     K4_EDGES,
+    KERNEL_FIELDS,
     c5_graphic,
     c5_linear,
     dependent_rows,
@@ -38,7 +39,7 @@ from decompwidth import (
     rref,
 )
 from decompwidth import gf
-from decompwidth.matroids import _PrefixSplit
+from decompwidth.matroids import _dual_columns, _GrowingSet
 from decompwidth.errors import ParseError
 
 
@@ -230,22 +231,90 @@ def test_rank_table_matches_elimination_on_wide_instances(m):
     assert rank_table(m) == expected
 
 
+def unchecked_linear(field, rows):
+    """A linear instance built past the constructor's entry check."""
+    return MatroidInstance(
+        "linear", len(rows[0]), field=field, matrix=rows, dim=len(rows),
+        columns=[tuple(row[e] for row in rows) for e in range(len(rows[0]))],
+        column_bits=None,
+    )
+
+
+def dual_rank_table(m):
+    """r* of every subset, as the rank table of the columns _dual_columns
+    gives; with no coordinates, every element is a loop of M*."""
+    dual = _dual_columns(m)
+    k = len(dual[0]) if dual else 0
+    rows = [[col[i] for col in dual] for i in range(k)] or [[0] * m.n]
+    return rank_table(MatroidInstance.linear(m.field, rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_linear_instances())
+@example(MatroidInstance.linear(GF2, []))  # d = 0, n = 0
+@example(MatroidInstance.linear(GF3, [[]]))  # n = 0
+@example(MatroidInstance.linear(decompwidth.field_of_order(7), [[0]]))  # n = 1, a loop
+@example(MatroidInstance.linear(decompwidth.field_of_order(7), [[5]]))  # n = 1, a coloop
+@example(MatroidInstance.linear(GF3, [[0] * 12]))  # rank 0
+@example(MatroidInstance.linear(GF3, [[1, 0, 0], [0, 2, 0], [0, 0, 1]]))  # full rank, M* on no rows
+@example(MatroidInstance.linear(GF3, [[1, 2, 0, 1], [2, 1, 0, 2]]))  # rank below d
+def test_dual_columns_represent_the_dual(m):
+    check_dual_columns(m)
+
+
+@pytest.mark.parametrize("q", KERNEL_FIELDS)
+def test_dual_columns_over_every_kernel_field(q):
+    check_dual_columns(twelve_columns(q))
+
+
+def check_dual_columns(m):
+    # r*(X) = |X| + r(E - X) - r(E) on every subset
+    ranks, full = rank_table(m), m.full_set
+    expected = [s.bit_count() + ranks[full & ~s] - ranks[full] for s in range(1 << m.n)]
+    assert dual_rank_table(m) == expected
+    assert _dual_columns(m) is _dual_columns(m)  # computed once per instance
+
+
 def check_prefix_sweep(m, order):
-    ranks, closures, coloops = prefix_sweep(m, order)
-    assert len(ranks) == len(closures) == len(coloops) == len(order) + 1
+    lams, closures, coclosures = prefix_sweep(m, order)
+    assert len(lams) == len(closures) == len(coclosures) == len(order) + 1
+    full = m.full_set
     for k in range(len(order) + 1):
         prefix = sum(1 << e for e in order[:k])
-        assert ranks[k] == m.rank(prefix)
+        rest = full & ~prefix
+        assert lams[k] == m.rank(prefix) + m.rank(rest) - m.rank(full)
         assert closures[k] == m.closure(prefix)
-        assert coloops[k] == m.coloops(prefix)
+        assert coclosures[k] == prefix | m.coloops(rest)
 
 
 @settings(max_examples=200, deadline=None)
-@given(small_instances(), st.data())
+@given(st.one_of(small_instances(), wide_linear_instances()), st.data())
 def test_prefix_sweep_matches_the_oracle_per_prefix(m, data):
-    # a permutation, or distinct elements that leave some out
+    # a permutation, or distinct elements that leave some out; zero and
+    # repeated columns on up to 12 elements
     order = data.draw(st.permutations(range(m.n)))
     check_prefix_sweep(m, order[: data.draw(st.integers(min_value=0, max_value=m.n))])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_instances(), wide_linear_instances()), st.data())
+def test_prefix_split_matches_the_oracle_per_move(m, data):
+    # the split (P, E - P) of a _GrowingSet after each add: a pivot reduces
+    # the live residues in M and in M*, and zero residues join cl and cl*
+    grown, prefix, full = _GrowingSet(m), 0, m.full_set
+    for e in data.draw(st.permutations(range(m.n))):
+        rest = full & ~prefix
+        assert grown.members == prefix
+        assert grown.closure == m.closure(prefix)
+        assert grown.coclosure == prefix | m.coloops(rest)
+        assert grown.lam == m.rank(prefix) + m.rank(rest) - m.rank(full)
+        grown.add(e)
+        prefix |= 1 << e
+    assert (grown.members, grown.closure, grown.coclosure, grown.lam) == (full, full, full, 0)
+    for e in (m.n, -1, *range(min(m.n, 1))):
+        with pytest.raises(ValueError, match="not in the rest"):
+            grown.add(e)
+    assert grown.members == full
 
 
 @pytest.mark.parametrize(
@@ -266,30 +335,16 @@ def test_prefix_sweep_on_edge_instances(m):
         check_prefix_sweep(m, order)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(small_instances(), wide_linear_instances()), st.data())
-def test_prefix_split_matches_the_oracle_per_move(m, data):
-    # moving pivot columns out of the rest re-pivots or drops RREF rows
-    split, prefix = _PrefixSplit(m), 0
-    for e in data.draw(st.permutations(range(m.n))):
-        assert split.closure == m.closure(prefix)
-        assert split.coloops == m.coloops(m.full_set & ~prefix)
-        split.move(e)
-        prefix |= 1 << e
-        assert (split.prefix, split.rest) == (prefix, m.full_set & ~prefix)
-    assert (split.closure, split.coloops) == (m.full_set, 0)
-    with pytest.raises(ValueError, match="not in the rest"):
-        split.move(m.n)
-
-
-def test_prefix_sweep_names_fundamental_circuits():
-    # 4 is a loop; 3 is parallel to 1 and closes the circuit {1, 3}, and
-    # 2 = 0 + 2·1 closes {0, 1, 2}
+def test_prefix_sweep_on_a_worked_example():
+    # 4 is a loop, 3 is parallel to 1, and 2 = 0 + 2·1; λ(P + e) - λ(P) is
+    # [e not in cl(P)] + [e not in cl*(P)] - 1 at every step
     m = MatroidInstance.linear(GF3, [[1, 0, 1, 0, 0], [0, 1, 2, 2, 0]])
-    ranks, closures, coloops = prefix_sweep(m, [4, 0, 1, 3, 2])
-    assert ranks == [0, 0, 1, 2, 2, 2]
+    lams, closures, coclosures = prefix_sweep(m, [4, 0, 1, 3, 2])
+    assert lams == [0, 0, 1, 2, 1, 0]
     assert closures == [0b10000, 0b10000, 0b10001, 0b11111, 0b11111, 0b11111]
-    assert coloops == [0, 0, 0b1, 0b11, 0b1, 0]
+    # 2 is a coloop of M|{1, 2, 3}, so it lies in cl*({0, 4})
+    assert coclosures == [0, 0b10000, 0b10101, 0b11111, 0b11111, 0b11111]
+    assert m._cache == {}  # no rank query on a linear instance
 
 
 def test_prefix_sweep_refuses_bad_orders_and_entries():
@@ -297,14 +352,19 @@ def test_prefix_sweep_refuses_bad_orders_and_entries():
         prefix_sweep(u23(), [0, 1, 0])
     with pytest.raises(ValueError, match="outside the ground set"):
         prefix_sweep(u23(), [0, 3])
-    rows = ((1, 0, 3), (0, 1, 1))
-    m = MatroidInstance(
-        "linear", 3, field=GF3, matrix=rows, dim=2,
-        columns=[tuple(row[e] for row in rows) for e in range(3)],
-        column_bits=None,
-    )
     with pytest.raises(ValueError, match="outside"):
-        prefix_sweep(m, [0, 1, 2])
+        prefix_sweep(unchecked_linear(GF3, ((1, 0, 3), (0, 1, 1))), [0, 1, 2])
+
+
+def test_dual_columns_check_entries_before_eliminating():
+    # the pivot 2 makes the RREF scale the first row by 3 through GF(4)'s
+    # multiplication row of 3, which has no entry 4
+    m = unchecked_linear(decompwidth.field_of_order(4), ((2, 4, 1), (0, 1, 1)))
+    with pytest.raises(IndexError):
+        gf._eliminate(m.field, 3, list(m.matrix), True)
+    with pytest.raises(ValueError, match="outside"):
+        _dual_columns(m)
+    assert m._dual_cache is None
 
 
 def test_primitives_reject_foreign_elements():
@@ -318,18 +378,13 @@ def test_primitives_reject_foreign_elements():
 def test_linear_primitives_check_their_entries(q):
     # built past the constructor's check: like gf.rank, each elimination
     # path refuses an entry outside 0..q-1 itself
-    f = decompwidth.field_of_order(q)
-    rows = ((1, 0, q), (0, 1, 1))
-    m = MatroidInstance(
-        "linear", 3, field=f, matrix=rows, dim=2,
-        columns=[tuple(row[e] for row in rows) for e in range(3)],
-        column_bits=None,
-    )
-    for query in (m.rank, m.closure, m.coloops):
+    m = unchecked_linear(decompwidth.field_of_order(q), ((1, 0, q), (0, 1, 1)))
+    for query in (m.rank, m.closure, m.coloops, lambda s: prefix_sweep(m, [0])):
         with pytest.raises(ValueError, match="outside"):
             query(0b111)
-    with pytest.raises(ValueError, match="outside"):
-        rank_table(m)
+    for query in (rank_table, loops_and_coloops, _dual_columns):
+        with pytest.raises(ValueError, match="outside"):
+            query(m)
 
 
 # ---------------------------------------------------------------------------

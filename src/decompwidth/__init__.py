@@ -18,14 +18,7 @@ from .branchdecomp import (
     root_tree,
     width,
 )
-from .construct import (
-    ConsistencyVerdict,
-    NodeSubspaceData,
-    construct,
-    construct_with_data,
-    color_consistency_check,
-    node_subspace_data,
-)
+from .construct import NodeSubspaceData, construct, construct_with_data
 from .errors import ParseError
 from .gf import (
     FieldSpec,

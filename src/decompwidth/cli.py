@@ -98,8 +98,11 @@ def _cmd_construct(args) -> int:
     dec = construct(m, tree)
     text = kdecomp.serialize(dec)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.output}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
     return 0

@@ -54,7 +54,7 @@ lists is the identity.  The up and down walks build a few checked
 ``rref``.  The tables pass makes a space per palette pair, so it holds
 each as its tuple of RREF rows (``()`` is {0}) and keys colors by them;
 ``pair_traces`` checks only its input.
-``node_subspace_data`` and ``construct_with_data`` lift spaces back into
+``construct_with_data`` lifts the boundaries and color spaces back into
 GF(q)^d as checked ``Subspace``s.
 """
 
@@ -65,10 +65,8 @@ from dataclasses import dataclass
 from .branchdecomp import RootedBranchTree
 from .gf import FieldSpec, FVector, Subspace, _echelon, pair_traces
 from .gf import hull, intersect, rref  # noqa: F401  perfbench's traced run and the tests patch these names
-from .kdecomp import ElementSet, Inner, KDecomposition, Leaf, node_states
+from .kdecomp import Inner, KDecomposition, Leaf
 from .matroids import MatroidInstance
-
-_LEMMA_LIMIT = 12
 
 Coords = tuple[int, ...]  # matrix rows in increasing order
 Rows = tuple[FVector, ...]  # RREF basis of a space, on some Coords
@@ -96,11 +94,6 @@ def _moved(rows: Rows, src: Coords, dst: Coords) -> Rows:
                 moved[at[row]] = x
         out.append(tuple(moved))
     return tuple(out)
-
-
-def _in_ambient(m: MatroidInstance, rows: Rows, coords: Coords) -> Subspace:
-    """RREF ``rows`` on ``coords`` as a checked subspace of GF(q)^d."""
-    return Subspace(m.field, m.dim, _moved(rows, coords, tuple(range(m.dim))))
 
 
 def _meet(field: FieldSpec, parts, interior: Coords, keep: Coords) -> Subspace:
@@ -200,17 +193,6 @@ def _local_tables(m: MatroidInstance, tree: RootedBranchTree):
         yield node, inner, own, bound, spaces[node]
 
 
-def node_subspace_data(
-    m: MatroidInstance, tree: RootedBranchTree
-) -> dict[int, NodeSubspaceData]:
-    """Boundary of every tree node, with its color spaces still empty."""
-    _, seps, _, boundary = _boundaries(m, tree)
-    return {
-        node: NodeSubspaceData(_in_ambient(m, space.rows, seps[node]), [])
-        for node, space in boundary.items()
-    }
-
-
 def construct(m: MatroidInstance, tree: RootedBranchTree) -> KDecomposition:
     """Decomposition whose rank evaluation equals the matroid's rank oracle."""
     nodes = {node: entry for node, entry, *_ in _local_tables(m, tree)}
@@ -220,60 +202,13 @@ def construct(m: MatroidInstance, tree: RootedBranchTree) -> KDecomposition:
 def construct_with_data(
     m: MatroidInstance, tree: RootedBranchTree
 ) -> tuple[KDecomposition, dict[int, NodeSubspaceData]]:
-    """Like :func:`construct`, also returning the per-node geometry with the
-    color-to-subspace association filled in."""
+    """Like :func:`construct`, also returning every node's boundary and
+    color spaces as checked subspaces of GF(q)^d."""
+    ambient = tuple(range(m.dim))
     nodes: dict[int, Leaf | Inner] = {}
     data: dict[int, NodeSubspaceData] = {}
     for node, entry, coords, bound, color_spaces in _local_tables(m, tree):
         nodes[node] = entry
-        lift = [_in_ambient(m, rows, coords) for rows in (bound, *color_spaces)]
+        lift = [Subspace(m.field, m.dim, _moved(rows, coords, ambient)) for rows in (bound, *color_spaces)]
         data[node] = NodeSubspaceData(lift[0], lift[1:])
     return KDecomposition(tree.n, nodes, tree.root), data
-
-
-@dataclass
-class ConsistencyVerdict:
-    ok: bool
-    witness: tuple[ElementSet, ElementSet, ElementSet] | None = None  # (F1, F2, outside F)
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def _submasks(mask: ElementSet):
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
-def color_consistency_check(
-    dec: KDecomposition, m: MatroidInstance, node_id: int
-) -> ConsistencyVerdict:
-    """Same-colored subsets must be interchangeable against the outside.
-
-    For subsets F1, F2 of the elements under ``node_id`` that receive the
-    same color there, and any F disjoint from them, the oracle defects
-    r(F) + r(Fi) - r(F | Fi) must agree.  Checked exhaustively (n <= 12);
-    each color class is compared against its first member.
-    """
-    if m.n > _LEMMA_LIMIT:
-        raise ValueError(f"exhaustive consistency check limited to n <= {_LEMMA_LIMIT}")
-    under = dec.subtree_elements(node_id)
-    outside_mask = dec.full_set() & ~under
-    reps: dict[int, tuple[ElementSet, list[int]]] = {}
-    for f1 in _submasks(under):
-        color = node_states(dec, f1)[node_id][0]
-        defects = [
-            m.rank(f) + m.rank(f1) - m.rank(f | f1) for f in _submasks(outside_mask)
-        ]
-        if color not in reps:
-            reps[color] = (f1, defects)
-            continue
-        rep_mask, rep_defects = reps[color]
-        for f, mine, theirs in zip(_submasks(outside_mask), defects, rep_defects):
-            if mine != theirs:
-                return ConsistencyVerdict(False, (f1, rep_mask, f))
-    return ConsistencyVerdict(True)

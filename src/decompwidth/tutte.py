@@ -215,19 +215,20 @@ def _to_residue(value, mod: int) -> int:
     return frac.numerator * pow(frac.denominator, -1, mod) % mod
 
 
-def evaluate(dec: KDecomposition, x, y, mod: int | None = None, check: bool = False):
+def evaluate(dec: KDecomposition, x, y, mod: int | None = None):
     """Tutte polynomial value at (x, y): exact Fraction, or a residue mod ``mod``.
 
     Points where (x - 1)^(n - r) is invertible take the O(K^2 n) per-color
     pass; the rest (x = 1 below full rank, or x - 1 not invertible modulo
     ``mod``) fall back to the coefficient table.  No floating point anywhere.
+
+    ``dec`` is not verified here: a caller with an untrusted decomposition
+    runs :func:`verify` first.  Unverified, a malformed decomposition still
+    raises ValueError, and so does the coefficient-table fallback at a rank
+    label above r(E); any other non-matroid gets the value its tables give.
     """
     if mod is not None and mod <= 0:
         raise ValueError(f"modulus must be positive, got {mod}")
-    if check:
-        result = verify(dec)
-        if not result:
-            raise NotAMatroidError(result)
     x = Fraction(x)
     y = Fraction(y)
     for name, value in (("x", x), ("y", y)):

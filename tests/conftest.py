@@ -17,7 +17,7 @@ from decompwidth import (
     root_tree,
 )
 from decompwidth.gf import Subspace
-from decompwidth.kdecomp import Inner, KDecomposition, Leaf
+from decompwidth.kdecomp import Inner, KDecomposition, Leaf, node_states
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -128,6 +128,24 @@ def construct_exact(m):
     tree, w = exact_branch_decomposition(m)
     dec = construct(m, root_tree(tree))
     return dec, w
+
+
+def label_mismatch(dec, m):
+    """First (subset, node) where the node's label is not the oracle rank of
+    the subset's part under it, or None when every label is.
+
+    Labels that are subtree ranks make same-colored subsets interchangeable:
+    above a node v, states depend on X inside E_v only through its color
+    there, and labels add up the tree, so for F outside E_v the root label
+    r(X | F) is label_v(X) + h(color_v(X), F).  One color at v therefore
+    means one r(X | F) - r(X) for every F.
+    """
+    masks = {v: dec.subtree_elements(v) for v in dec.nodes}
+    for subset in range(1 << m.n):
+        for node_id, (_, label) in node_states(dec, subset).items():
+            if label != m.rank(subset & masks[node_id]):
+                return subset, node_id
+    return None
 
 
 def mutate_tables(dec, rng):

@@ -408,6 +408,18 @@ def test_bd_with_a_huge_declared_n_is_refused(tmp_path, u23_files):
     assert err == "error: line 1: n=1000000000000 needs 999999999998 node lines, found 0\n"
 
 
+@pytest.mark.parametrize(
+    "where, strerror",
+    [("missing/u23.dw", "No such file or directory"), ("", "Is a directory")],
+)
+def test_construct_to_an_unwritable_path_exits_2_without_a_traceback(u23_files, tmp_path, where, strerror):
+    matroid, _ = u23_files
+    target = str(tmp_path / where)
+    code, out, err = run(["construct", "--matroid", matroid, "-o", target])
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {target}: {strerror}\n"
+
+
 def test_missing_file_exit_code():
     code, _, err = run(["verify", "/nonexistent/path.dw"])
     assert code == 2

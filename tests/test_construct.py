@@ -12,6 +12,7 @@ from conftest import (
     construct_exact,
     fano,
     galois_number,
+    label_mismatch,
     left_deep_rooted_tree,
     mk4_graphic,
     mk4_linear,
@@ -33,8 +34,6 @@ from decompwidth import (
     hull,
     incidence_matrix,
     intersect,
-    color_consistency_check,
-    node_subspace_data,
     root_tree,
     rref,
 )
@@ -91,28 +90,31 @@ def test_mk4_constructed_against_graphic_oracle():
 def test_boundary_dimension_bounded_by_width():
     m = fano()
     tree, width = exact_branch_decomposition(m)
-    rooted = root_tree(tree)
-    data = node_subspace_data(m, rooted)
+    _, data = construct_with_data(m, root_tree(tree))
     for node_data in data.values():
         assert node_data.boundary.dim <= width
 
 
-def _random_linear(rng, q):
-    rows, cols = rng.randint(1, 4), rng.randint(1, 8)
-    matrix = [[rng.randrange(q) if rng.random() < 0.7 else 0 for _ in range(cols)] for _ in range(rows)]
-    return MatroidInstance.linear(field_of_order(q), matrix)
+def random_linear_instances(seed=11):
+    """Eight seeded small matrices over each of GF(2), GF(3), GF(4), GF(5), GF(9)."""
+    rng = random.Random(seed)
+    out = []
+    for q in (2, 3, 4, 5, 9):
+        for _ in range(8):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 8)
+            matrix = [[rng.randrange(q) if rng.random() < 0.7 else 0 for _ in range(cols)] for _ in range(rows)]
+            out.append(MatroidInstance.linear(field_of_order(q), matrix))
+    return out
 
 
 def test_boundaries_meet_the_inside_and_outside_spans():
     # the top-down recursion must give span(E_v) meet span(E - E_v) at every node
-    rng = random.Random(11)
-    instances = [m for _, m, _ in named_corpus() if m.kind == "linear"]
-    instances += [_random_linear(rng, q) for q in (2, 3, 4, 5, 9) for _ in range(8)]
+    instances = [m for _, m, _ in named_corpus() if m.kind == "linear"] + random_linear_instances()
     for m in instances:
         for search in (exact_branch_decomposition, greedy_branch_decomposition):
             rooted = root_tree(search(m)[0])
             masks = rooted.subtree_masks()
-            for node, node_data in node_subspace_data(m, rooted).items():
+            for node, node_data in construct_with_data(m, rooted)[1].items():
                 inside = rref(m.field, m.dim, [m.columns[e] for e in range(m.n) if masks[node] >> e & 1])
                 outside = rref(m.field, m.dim, [m.columns[e] for e in range(m.n) if not masks[node] >> e & 1])
                 assert node_data.boundary == intersect(inside, outside)
@@ -294,44 +296,37 @@ def test_construct_checks_a_few_subspaces_per_tree_node(monkeypatch):
 
 def test_lemma_consistency_constructed_u23():
     m = u23()
-    dec, _ = construct_exact(m)
-    for node_id in dec.nodes:
-        assert color_consistency_check(dec, m, node_id)
+    assert label_mismatch(construct_exact(m)[0], m) is None
 
 
 def test_lemma_consistency_constructed_fano():
     m = fano()
-    dec, _ = construct_exact(m)
-    for node_id in dec.nodes:
-        assert color_consistency_check(dec, m, node_id)
+    assert label_mismatch(construct_exact(m)[0], m) is None
 
 
 def test_lemma_consistency_catches_merged_colors():
-    # collapse a non-trivial color onto 0 somewhere: sets that interact
-    # differently with the outside now share a color
+    # collapse a non-trivial color onto 0 below the root: sets that interact
+    # differently with the outside now share a color, and a label goes wrong
     m = u23()
-    dec, _ = construct_exact(m)
-    mutated = copy.deepcopy(dec)
-    target = None
-    for node_id, node in mutated.nodes.items():
-        if isinstance(node, Inner) and node_id != mutated.root and node.palette > 1:
-            target = node_id
-            node.color = [[0] * len(row) for row in node.color]
-            break
-    assert target is not None
-    verdict = color_consistency_check(mutated, m, target)
-    assert not verdict.ok
-    f1, f2, outside = verdict.witness
-    defect1 = m.rank(outside) + m.rank(f1) - m.rank(outside | f1)
-    defect2 = m.rank(outside) + m.rank(f2) - m.rank(outside | f2)
-    assert defect1 != defect2
+    mutated = copy.deepcopy(construct_exact(m)[0])
+    target = next(
+        node_id
+        for node_id, node in mutated.nodes.items()
+        if isinstance(node, Inner) and node_id != mutated.root and node.palette > 1
+    )
+    node = mutated.nodes[target]
+    node.color = [[0] * len(row) for row in node.color]
+    assert label_mismatch(mutated, m) == (0b111, 3)
 
 
-def test_lemma_consistency_guard():
-    m = MatroidInstance.uniform(2, 13)
-    dec = path_caterpillar_decomposition(13)
-    with pytest.raises(ValueError):
-        color_consistency_check(dec, m, dec.root)
+def test_node_labels_are_subtree_ranks():
+    # every node's label is the rank of the subset's part under it, which
+    # makes same-colored subsets interchangeable (see label_mismatch)
+    cases = [(m, construct_exact(m)[0]) for _, m, _ in named_corpus()]
+    for m in random_linear_instances():
+        cases.append((m, construct(m, root_tree(greedy_branch_decomposition(m)[0]))))
+    for m, dec in cases:
+        assert label_mismatch(dec, m) is None
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +337,7 @@ DIGEST_FIELDS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 1024)
 
 # SHA-256 of the corpus below: the .dw text of every constructed
 # decomposition, then the boundary and color-space rows of
-# construct_with_data and node_subspace_data.  A change that alters
+# construct_with_data, then the boundary rows alone.  A change that alters
 # decompositions on purpose updates it and says why.
 CORPUS_DIGEST = "934d834a14ebe28acb010ea402d81448aceff1f5e42126a470cf8b63bb2edccf"
 
@@ -375,7 +370,6 @@ def test_construct_outputs_match_the_pinned_digest():
         for node in sorted(data):
             spaces = [data[node].boundary, *data[node].color_spaces]
             digest.update(repr([s.rows for s in spaces]).encode())
-        boundaries = node_subspace_data(m, tree)
-        digest.update(repr([boundaries[v].boundary.rows for v in sorted(boundaries)]).encode())
+        digest.update(repr([data[v].boundary.rows for v in sorted(data)]).encode())
     assert count >= 150
     assert digest.hexdigest() == CORPUS_DIGEST, digest.hexdigest()

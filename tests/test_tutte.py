@@ -419,7 +419,9 @@ def test_point_without_residue_names_the_coordinate():
         evaluate(dec, 2, Fraction(5, 6), mod=9)
 
 
-def test_evaluate_check_flag():
+def test_evaluate_leaves_verification_to_the_caller():
+    # verify rejects this decomposition (rank(E - 0) = 1 exceeds rank(E) = 0);
+    # evaluate reads its tables as given
     dec = KDecomposition(
         2,
         {
@@ -429,8 +431,10 @@ def test_evaluate_check_flag():
         },
         2,
     )
-    with pytest.raises(NotAMatroidError):
-        evaluate(dec, 2, 2, check=True)
+    assert not verify(dec)
+    assert evaluate(dec, 2, 2) == 4
+    with pytest.raises(ValueError, match=r"^rank label above r\(E\) while counting"):
+        evaluate(dec, 1, 1)
 
 
 def test_single_leaf_tutte():

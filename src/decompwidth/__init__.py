@@ -18,7 +18,7 @@ from .branchdecomp import (
     root_tree,
     width,
 )
-from .construct import NodeSubspaceData, construct, construct_with_data
+from .construct import construct
 from .errors import ParseError
 from .gf import (
     FieldSpec,

@@ -49,35 +49,25 @@ of the coordinates is the RREF in GF(q)^d with the zero coordinates
 dropped, so every space, color and table entry is the one GF(q)^d gives,
 while a node works on vectors of length |S_c1 | S_c2|.  On a dense matrix
 every S_v but the root's is every row, and moving between equal coordinate
-lists is the identity.  The up and down walks build a few checked
-``Subspace``s per node: one per meet, per ``intersect`` and per leaf
-``rref``.  The tables pass makes a space per palette pair, so it holds
-each as its tuple of RREF rows (``()`` is {0}) and keys colors by them;
+lists is the identity.
+
+Every space is held as its tuple of RREF rows (``()`` is {0}), and colors
+are keyed by them.  The matrix entries are checked once, up front; after
+that only the leaves' ``rref`` builds a checked ``Subspace``, the meets and
+the boundaries (``gf._intersect``) are eliminated unchecked, and
 ``pair_traces`` checks only its input.
-``construct_with_data`` lifts the boundaries and color spaces back into
-GF(q)^d as checked ``Subspace``s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .branchdecomp import RootedBranchTree
-from .gf import FieldSpec, FVector, Subspace, _echelon, pair_traces
-from .gf import hull, intersect, rref  # noqa: F401  perfbench's traced run and the tests patch these names
+from .gf import FieldSpec, FVector, _check_rows, _echelon, _intersect, pair_traces
+from .gf import hull, intersect, rref  # noqa: F401  perfbench's traced run patches these names
 from .kdecomp import Inner, KDecomposition, Leaf
 from .matroids import MatroidInstance
 
 Coords = tuple[int, ...]  # matrix rows in increasing order
 Rows = tuple[FVector, ...]  # RREF basis of a space, on some Coords
-
-
-@dataclass
-class NodeSubspaceData:
-    """Per-node geometry backing the color tables."""
-
-    boundary: Subspace
-    color_spaces: list[Subspace]  # index = color; [0] is the trivial space
 
 
 def _moved(rows: Rows, src: Coords, dst: Coords) -> Rows:
@@ -96,19 +86,18 @@ def _moved(rows: Rows, src: Coords, dst: Coords) -> Rows:
     return tuple(out)
 
 
-def _meet(field: FieldSpec, parts, interior: Coords, keep: Coords) -> Subspace:
-    """Span of ``parts`` ((space, coordinates) pairs inside interior + keep)
+def _meet(field: FieldSpec, parts, interior: Coords, keep: Coords) -> Rows:
+    """Span of ``parts`` ((rows, coordinates) pairs inside interior + keep)
     meet {zero on ``interior``}, on the coordinates ``keep``.
 
     The interior rows are eliminated first, so the RREF rows that are zero
-    there have their pivots in ``keep`` and form its canonical basis.  The
-    rows come from checked spaces, so only that basis is checked.
+    there have their pivots in ``keep`` and form its canonical basis.
     """
     order = interior + keep
-    rows = [v for space, coords in parts for v in _moved(space.rows, coords, order)]
+    rows = [v for space, coords in parts for v in _moved(space, coords, order)]
     skip = len(interior)
     reduced = _echelon(field, len(order), rows)
-    return Subspace(field, len(keep), tuple([v[skip:] for v in reduced if not any(v[:skip])]))
+    return tuple([v[skip:] for v in reduced if not any(v[:skip])])
 
 
 def _boundaries(m: MatroidInstance, tree: RootedBranchTree):
@@ -119,6 +108,7 @@ def _boundaries(m: MatroidInstance, tree: RootedBranchTree):
     if m.n != tree.n:
         raise ValueError(f"matroid has {m.n} elements but the tree has {tree.n} leaves")
     field = m.field
+    _check_rows(field, m.dim, m.columns)
     order = tree.postorder()
     touched = [tuple(i for i, x in enumerate(col) if x) for col in m.columns]
     total = [0] * m.dim
@@ -128,14 +118,14 @@ def _boundaries(m: MatroidInstance, tree: RootedBranchTree):
     inside: dict[int, dict[int, int]] = {}  # per S_v row: columns under v touching it
     seps: dict[int, Coords] = {}
     joint: dict[int, Coords] = {}
-    up: dict[int, Subspace] = {}
+    up: dict[int, Rows] = {}
     for node in order:
         kids = tree.children.get(node, ())
         if not kids:
             sep = seps[node] = tuple(i for i in touched[node] if total[i] > 1)
             inside[node] = dict.fromkeys(sep, 1)
             private = len(sep) < len(touched[node])
-            up[node] = rref(field, len(sep), [] if private else [[m.columns[node][i] for i in sep]])
+            up[node] = rref(field, len(sep), [] if private else [[m.columns[node][i] for i in sep]]).rows
             continue
         left, right = kids
         counts = inside.pop(left)
@@ -147,8 +137,8 @@ def _boundaries(m: MatroidInstance, tree: RootedBranchTree):
         interior = tuple(i for i in joint[node] if i not in inside[node])
         parts = ((up[left], seps[left]), (up[right], seps[right]))
         up[node] = _meet(field, parts, interior, seps[node])
-    outside = {tree.root: Subspace.zero(field, 0)}
-    boundary = {tree.root: outside[tree.root]}
+    outside: dict[int, Rows] = {tree.root: ()}
+    boundary: dict[int, Rows] = {tree.root: ()}
     for node in reversed(order):
         kids = tree.children.get(node, ())
         if not kids:
@@ -159,7 +149,7 @@ def _boundaries(m: MatroidInstance, tree: RootedBranchTree):
             interior = tuple(i for i in joint[node] if i not in keep)
             outside[child] = _meet(field, ((up[sibling], seps[sibling]), above), interior, keep)
         for child in kids:
-            boundary[child] = intersect(up.pop(child), outside[child])
+            boundary[child] = _intersect(field, len(seps[child]), up.pop(child), outside[child])
     return order, seps, joint, boundary
 
 
@@ -171,7 +161,7 @@ def _local_tables(m: MatroidInstance, tree: RootedBranchTree):
     spaces: dict[int, list[Rows]] = {}
     for node in order:
         own = seps[node]
-        bound = boundary.pop(node).rows
+        bound = boundary.pop(node)
         kids = tree.children.get(node, ())
         if not kids:
             spaces[node] = [(), bound]
@@ -197,18 +187,3 @@ def construct(m: MatroidInstance, tree: RootedBranchTree) -> KDecomposition:
     """Decomposition whose rank evaluation equals the matroid's rank oracle."""
     nodes = {node: entry for node, entry, *_ in _local_tables(m, tree)}
     return KDecomposition(tree.n, nodes, tree.root)
-
-
-def construct_with_data(
-    m: MatroidInstance, tree: RootedBranchTree
-) -> tuple[KDecomposition, dict[int, NodeSubspaceData]]:
-    """Like :func:`construct`, also returning every node's boundary and
-    color spaces as checked subspaces of GF(q)^d."""
-    ambient = tuple(range(m.dim))
-    nodes: dict[int, Leaf | Inner] = {}
-    data: dict[int, NodeSubspaceData] = {}
-    for node, entry, coords, bound, color_spaces in _local_tables(m, tree):
-        nodes[node] = entry
-        lift = [Subspace(m.field, m.dim, _moved(rows, coords, ambient)) for rows in (bound, *color_spaces)]
-        data[node] = NodeSubspaceData(lift[0], lift[1:])
-    return KDecomposition(tree.n, nodes, tree.root), data

@@ -471,6 +471,9 @@ def incidence_matrix(num_vertices: int, edges) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
+_HEADER_FIELDS = {"linear": ("q", "rows", "cols"), "graphic": ("vertices", "edges"), "uniform": ("r", "n")}
+
+
 def parse_matroid(text: str) -> MatroidInstance:
     lines = list(records(text))
     if not lines:
@@ -479,16 +482,24 @@ def parse_matroid(text: str) -> MatroidInstance:
     if tok[0] != "matroid" or len(tok) < 2:
         raise ParseError(lineno, "header must start with 'matroid <kind>'")
     kind = tok[1]
+    if kind not in _HEADER_FIELDS:
+        raise ParseError(lineno, f"unknown matroid kind {kind!r}")
     opts: dict[str, int] = {}
     for t in tok[2:]:
         key = t.partition("=")[0]
+        if key not in _HEADER_FIELDS[kind]:
+            raise ParseError(lineno, f"unknown field {key!r} in a {kind} header")
+        if key in opts:
+            raise ParseError(lineno, f"field {key}= given twice")
         opts[key] = keyed(t, key, lineno)
+    for key in _HEADER_FIELDS[kind]:
+        if key not in opts:
+            raise ParseError(lineno, f"{kind} header needs {key}=")
+        if key != "q" and opts[key] < 0:  # q < 2 gets field_of_order's message
+            raise ParseError(lineno, f"{key}={opts[key]} is negative")
     body = lines[1:]
 
     if kind == "linear":
-        for key in ("q", "rows", "cols"):
-            if key not in opts:
-                raise ParseError(lineno, f"linear header needs {key}=")
         try:
             fld = field_of_order(opts["q"])
         except ValueError as exc:
@@ -511,9 +522,6 @@ def parse_matroid(text: str) -> MatroidInstance:
         return MatroidInstance.linear(fld, rows)
 
     if kind == "graphic":
-        for key in ("vertices", "edges"):
-            if key not in opts:
-                raise ParseError(lineno, f"graphic header needs {key}=")
         if len(body) != opts["edges"]:
             raise ParseError(lineno, f"expected {opts['edges']} edge lines, found {len(body)}")
         edges = []
@@ -526,18 +534,12 @@ def parse_matroid(text: str) -> MatroidInstance:
             edges.append((u, v))
         return MatroidInstance.graphic(opts["vertices"], edges)
 
-    if kind == "uniform":
-        for key in ("r", "n"):
-            if key not in opts:
-                raise ParseError(lineno, f"uniform header needs {key}=")
-        if body:
-            raise ParseError(body[0][0], "uniform matroids take no body lines")
-        try:
-            return MatroidInstance.uniform(opts["r"], opts["n"])
-        except ValueError as exc:
-            raise ParseError(lineno, str(exc)) from None
-
-    raise ParseError(lineno, f"unknown matroid kind {kind!r}")
+    if body:
+        raise ParseError(body[0][0], "uniform matroids take no body lines")
+    try:
+        return MatroidInstance.uniform(opts["r"], opts["n"])
+    except ValueError as exc:
+        raise ParseError(lineno, str(exc)) from None
 
 
 def format_matroid(m: MatroidInstance) -> str:

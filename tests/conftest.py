@@ -1,8 +1,10 @@
 """Shared corpus builders and helpers."""
 
 import copy
+import importlib
 import random
 from itertools import combinations, product
+from typing import NamedTuple
 
 from hypothesis import strategies as st
 
@@ -128,6 +130,27 @@ def construct_exact(m):
     tree, w = exact_branch_decomposition(m)
     dec = construct(m, root_tree(tree))
     return dec, w
+
+
+class NodeSubspaceData(NamedTuple):
+    """Per-node geometry backing the color tables."""
+
+    boundary: Subspace
+    color_spaces: list[Subspace]  # index = color; [0] is the trivial space
+
+
+def construct_with_data(m, tree):
+    """``construct(m, tree)`` and every node's boundary and color spaces,
+    lifted from its separator rows into GF(q)^d as checked subspaces."""
+    # the package's ``construct`` name is the function, not the module
+    module = importlib.import_module("decompwidth.construct")
+    ambient = tuple(range(m.dim))
+    nodes, data = {}, {}
+    for node, entry, coords, bound, color_spaces in module._local_tables(m, tree):
+        nodes[node] = entry
+        lift = [Subspace(m.field, m.dim, module._moved(rows, coords, ambient)) for rows in (bound, *color_spaces)]
+        data[node] = NodeSubspaceData(lift[0], lift[1:])
+    return KDecomposition(tree.n, nodes, tree.root), data
 
 
 def label_mismatch(dec, m):

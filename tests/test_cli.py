@@ -346,6 +346,22 @@ def test_parse_error_exit_code(tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("matroid linear q=2 rows=1 cols=1 extra=3", "unknown field 'extra' in a linear header"),
+        ("matroid uniform r=2 n=3 r=1", "field r= given twice"),
+        ("matroid graphic vertices=-1 edges=0", "vertices=-1 is negative"),
+        ("matroid linear q=2 rows=-1 cols=1", "rows=-1 is negative"),
+    ],
+)
+def test_matroid_header_with_a_bad_field_exits_2(tmp_path, header, message):
+    bad = tmp_path / "bad.matroid"
+    bad.write_text(header + "\n1\n")
+    code, out, err = run(["bw", "--matroid", str(bad)])
+    assert (code, out, err) == (2, "", f"error: line 1: {message}\n")
+
+
 def test_matroid_over_a_huge_field_is_refused_at_once(tmp_path):
     bad = tmp_path / "huge.matroid"
     bad.write_text("matroid linear q=1000000000000000003 rows=1 cols=1\n1\n")

@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     GF2,
     construct_exact,
+    construct_with_data,
     fano,
     galois_number,
     label_mismatch,
@@ -25,13 +26,11 @@ from conftest import (
 from decompwidth import (
     MatroidInstance,
     construct,
-    construct_with_data,
     dw_width,
     eval_rank,
     exact_branch_decomposition,
     field_of_order,
     greedy_branch_decomposition,
-    hull,
     incidence_matrix,
     intersect,
     root_tree,
@@ -218,20 +217,20 @@ def banded_matroid(n, band=5):
 
 
 def subspace_work(monkeypatch, m):
-    """Calls to construct's rref, hull, intersect and _meet plus the table
+    """Calls to construct's rref, _intersect and _meet plus the table
     pairs its pair_traces yields, over the column-order caterpillar, and
     the longest vector any of them returns or, for _meet, eliminates."""
     module = importlib.import_module("decompwidth.construct")
     lengths = []
     with monkeypatch.context() as patch:
-        for name in ("rref", "hull", "intersect"):
 
-            def recorded(*args, op=getattr(module, name)):
-                out = op(*args)
-                lengths.append(out.d)
-                return out
+        def recorded_rref(field, d, rows, op=module.rref):
+            lengths.append(d)
+            return op(field, d, rows)
 
-            patch.setattr(module, name, recorded)
+        def recorded_intersect(field, d, rows1, rows2, op=module._intersect):
+            lengths.append(d)
+            return op(field, d, rows1, rows2)
 
         def recorded_pairs(field, d, *args, op=module.pair_traces):
             for trace, joined in op(field, d, *args):
@@ -242,6 +241,8 @@ def subspace_work(monkeypatch, m):
             lengths.append(len(interior) + len(keep))
             return op(field, parts, interior, keep)
 
+        patch.setattr(module, "rref", recorded_rref)
+        patch.setattr(module, "_intersect", recorded_intersect)
         patch.setattr(module, "pair_traces", recorded_pairs)
         patch.setattr(module, "_meet", recorded_meet)
         construct(m, left_deep_rooted_tree(m.n))
@@ -270,9 +271,8 @@ def test_construct_vectors_stay_band_long_on_banded_matrices(monkeypatch):
 
 
 def test_construct_checks_a_few_subspaces_per_tree_node(monkeypatch):
-    # the tables pass works on row tuples; only the boundaries pass builds
-    # checked subspaces, a bounded number per node, not one per table cell:
-    # on these cases 2.97-3.00 per node, one of them per meet
+    # every space is a row tuple once the matrix entries are checked; only
+    # the leaves' rref builds a checked subspace, one per element
     checks = []
     check = gf.Subspace._check_canonical
 
@@ -286,7 +286,7 @@ def test_construct_checks_a_few_subspaces_per_tree_node(monkeypatch):
     for m in cases:
         checks.clear()
         construct(m, left_deep_rooted_tree(m.n))
-        assert len(checks) <= 3 * (2 * m.n - 1), (m.n, len(checks))
+        assert len(checks) <= m.n, (m.n, len(checks))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from conftest import (
     c5_linear,
     dependent_rows,
     fano,
+    left_deep_rooted_tree,
     mk4_graphic,
     mk4_linear,
     single_loop,
@@ -31,6 +32,7 @@ from decompwidth import (
     MatroidInstance,
     brute_axiom_check,
     brute_whitney,
+    construct,
     format_matroid,
     loops_and_coloops,
     parse_matroid,
@@ -377,14 +379,17 @@ def test_primitives_reject_foreign_elements():
 @pytest.mark.parametrize("q", [2, 3, 4, 2**10])
 def test_linear_primitives_check_their_entries(q):
     # built past the constructor's check: like gf.rank, each elimination
-    # path refuses an entry outside 0..q-1 itself
-    m = unchecked_linear(decompwidth.field_of_order(q), ((1, 0, q), (0, 1, 1)))
-    for query in (m.rank, m.closure, m.coloops, lambda s: prefix_sweep(m, [0])):
-        with pytest.raises(ValueError, match="outside"):
-            query(0b111)
-    for query in (rank_table, loops_and_coloops, _dual_columns):
-        with pytest.raises(ValueError, match="outside"):
-            query(m)
+    # path refuses an entry outside 0..q-1 itself, also on a row that only
+    # one column touches, which construct eliminates apart from the rest
+    field = decompwidth.field_of_order(q)
+    for rows in (((1, 0, q), (0, 1, 1)), ((1, 0, 1), (0, 1, 1), (q, 0, 0))):
+        m = unchecked_linear(field, rows)
+        for query in (m.rank, m.closure, m.coloops, lambda s: prefix_sweep(m, [0])):
+            with pytest.raises(ValueError, match="outside"):
+                query(0b111)
+        for query in (rank_table, loops_and_coloops, _dual_columns, lambda m: construct(m, left_deep_rooted_tree(3))):
+            with pytest.raises(ValueError, match="outside"):
+                query(m)
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +547,23 @@ def test_parse_rejects_bad_entries():
         parse_matroid("")
     with pytest.raises(ParseError):
         parse_matroid("matroid fancy n=2\n")
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("matroid linear q=2 rows=1 cols=1 extra=3", "unknown field 'extra' in a linear header"),
+        ("matroid uniform r=2 n=3 r=1", "field r= given twice"),
+        ("matroid graphic vertices=-1 edges=0", "vertices=-1 is negative"),
+        ("matroid graphic vertices=2 edges=-1", "edges=-1 is negative"),
+        ("matroid linear q=2 rows=-1 cols=1", "rows=-1 is negative"),
+        ("matroid linear q=2 rows=1 cols=-1", "cols=-1 is negative"),
+    ],
+)
+def test_parse_rejects_bad_header_fields(header, message):
+    with pytest.raises(ParseError) as err:
+        parse_matroid(header + "\n1\n")
+    assert (err.value.line, str(err.value)) == (1, f"line 1: {message}")
 
 
 def test_import_leaves_numpy_unloaded():

@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .errors import ParseError, integers, keyed, records
-from .kdecomp import tree_defect, tree_postorder
+from .kdecomp import StructureDefect, tree_defect, tree_postorder
 from .matroids import (
     ElementSet,
     MatroidInstance,
@@ -158,9 +158,9 @@ class RootedBranchTree:
     def __post_init__(self) -> None:
         nodes = {*range(self.n), *self.children}
         leaves = [v for v in nodes if v not in self.children]
-        defect = tree_defect(nodes, self.root, self.children, leaves, self.n)
-        if defect is not None:
-            raise ValueError(str(defect))
+        found = tree_defect(nodes, self.root, self.children, leaves, self.n)
+        if isinstance(found, StructureDefect):
+            raise ValueError(str(found))
 
     def postorder(self) -> list[int]:
         return tree_postorder(self.root, self.children)

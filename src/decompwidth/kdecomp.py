@@ -22,7 +22,9 @@ caches the traversal order on the instance.  The first walk runs
 form one binary tree whose leaves hold 0..n-1 once each and whose tables
 match the child palettes, keep their colors in the node's palette, have no
 negative defect and respect the empty-set convention.  So every pass indexes
-the tables unguarded and never runs on a malformed decomposition.  Rooted
+the tables unguarded and never runs on a malformed decomposition.  An
+explicit ``validate_structure`` call that finds no defect fills the same
+cache, so a check followed by a pass checks once.  Rooted
 branch trees (``branchdecomp``) are checked and walked by the same
 ``tree_defect`` and ``tree_postorder``.
 """
@@ -75,7 +77,6 @@ class KDecomposition:
             defect = validate_structure(self)
             if defect is not None:
                 raise ValueError(str(defect))
-            self._postorder = tree_postorder(self.root, self._children())
         return self._postorder
 
     def subtree_elements(self, node_id: int) -> ElementSet:
@@ -137,14 +138,18 @@ def eval_rank(dec: KDecomposition, subset: ElementSet) -> int:
     return node_states(dec, subset)[dec.root][1]
 
 
-def singleton_ranks(dec: KDecomposition, base: ElementSet = 0) -> list[int]:
+def singleton_ranks(
+    dec: KDecomposition, base: ElementSet = 0, states: dict[int, tuple[int, int]] | None = None
+) -> list[int]:
     """eval_rank(base ^ {e}) for every element e, in one O(nK) top-down pass.
 
     Flipping e changes node states only on the path from its leaf to the
     root.  Every sibling along that path keeps its state for ``base``, so
     the label gained above a node depends only on that node's color.
+    ``states`` is ``node_states(dec, base)`` when the caller has it already.
     """
-    states = node_states(dec, base)
+    if states is None:
+        states = node_states(dec, base)
     offsets: dict[int, list[int]] = {dec.root: [0] * dec.palette_of(dec.root)}
     ranks = [0] * dec.n
     for node_id in reversed(dec.postorder()):
@@ -202,11 +207,11 @@ def tree_postorder(root: int, children: dict[int, tuple[int, ...]]) -> list[int]
 
 def tree_defect(
     nodes, root: int, children: dict[int, tuple[int, ...]], elements, n: int
-) -> StructureDefect | None:
+) -> StructureDefect | list[int]:
     """First reason why ``children`` (inner node -> its children) is not one
     binary tree over ``nodes`` rooted at ``root`` whose leaves hold the
-    elements 0..n-1 once each, or None when it is.  ``elements`` lists the
-    element of every leaf."""
+    elements 0..n-1 once each, or the tree's ``tree_postorder`` when it is.
+    ``elements`` lists the element of every leaf."""
     if root not in nodes:
         return StructureDefect("tree", None, f"root {root} is not a node")
     referenced: dict[int, int] = {}
@@ -224,7 +229,8 @@ def tree_defect(
             )
     # every other node now has exactly one parent, so the walk down from the
     # root meets no node twice, and the nodes it misses lie on a cycle
-    reached = set(tree_postorder(root, children))
+    order = tree_postorder(root, children)
+    reached = set(order)
     for node_id in nodes:
         if node_id not in reached:
             return StructureDefect("tree", node_id, "not reachable from the root")
@@ -238,15 +244,26 @@ def tree_defect(
         return StructureDefect(
             "leaf bijection", None, f"leaf elements {elements} are not exactly 0..{n - 1}"
         )
-    return None
+    return order
 
 
 def validate_structure(dec: KDecomposition) -> StructureDefect | None:
-    """First structural defect, or None when the decomposition is well formed."""
+    """First structural defect, or None when the decomposition is well formed.
+
+    Every call checks the whole decomposition.  A well-formed one keeps the
+    postorder the check walked as its cached traversal order, so the passes
+    run right after the check do not check it again; a malformed one drops
+    any cached order.
+    """
     elements = [node.element for node in dec.nodes.values() if isinstance(node, Leaf)]
-    defect = tree_defect(dec.nodes, dec.root, dec._children(), elements, dec.n)
-    if defect is not None:
-        return defect
+    found = tree_defect(dec.nodes, dec.root, dec._children(), elements, dec.n)
+    defect = found if isinstance(found, StructureDefect) else _table_defect(dec)
+    dec._postorder = None if defect is not None else found
+    return defect
+
+
+def _table_defect(dec: KDecomposition) -> StructureDefect | None:
+    """First defect of the color and defect tables of a well-formed tree."""
     for node_id, node in sorted(dec.nodes.items()):
         if isinstance(node, Leaf):
             continue

@@ -34,8 +34,8 @@ from .kdecomp import (
     ElementSet,
     KDecomposition,
     Leaf,
-    eval_rank,
     fold,
+    node_states,
     singleton_ranks,
     validate_structure,
 )
@@ -67,9 +67,93 @@ class VerifyResult:
         return self.is_matroid
 
 
-def _quad(c0: int, c1: int, c2: int, c3: int) -> Quad:
-    """Q key with its middle pair sorted: swapping e and f gives the same key."""
-    return (c0, c1, c2, c3) if c1 <= c2 else (c0, c2, c1, c3)
+def _least_candidate(defect, n1, q1, n2, q2, p1, p2) -> tuple[dict, dict]:
+    """Q table and pointers of a palette-1 node.
+
+    Every Q key there is (0, 0, 0, 0), so the node keeps only the least
+    value and the first pointer reaching it.  Candidates come one row at a
+    time in the order ``_candidate_table`` offers them, so a row's first least
+    value replaces the running minimum only when strictly lower.
+    """
+    best, pointer = None, None
+    n2_keys = list(n2)
+    for quad, v in q1.items():
+        g0, g1, g2, g3 = quad
+        d0, d1, d2, d3 = defect[g0], defect[g1], defect[g2], defect[g3]
+        values = [v - d1[b] - d2[b] + d3[b] + d0[b] for b in n2_keys]
+        low = min(values)
+        if best is None or low < best:
+            best, pointer = low, (Q, quad, N, n2_keys[values.index(low)])
+    if q2:
+        q2_items = list(q2.items())
+        for b in n1:
+            drop = defect[b]
+            values = [
+                v - drop[g1] - drop[g2] + drop[g3] + drop[g0]
+                for (g0, g1, g2, g3), v in q2_items
+            ]
+            low = min(values)
+            if best is None or low < best:
+                best, pointer = low, (N, b, Q, q2_items[values.index(low)][0])
+    p2_keys = list(p2)
+    for e_pair in p1:
+        a, ax = e_pair
+        da, dx = defect[a], defect[ax]
+        values = [da[b] + dx[bf] - dx[b] - da[bf] for b, bf in p2_keys]
+        low = min(values)
+        if best is None or low < best:
+            best, pointer = low, (P, e_pair, P, p2_keys[values.index(low)])
+    # p1 and p2 are never empty: a subtree can always pin one of its leaves
+    return {(0, 0, 0, 0): best}, {(0, 0, 0, 0): pointer}
+
+
+def _candidate_table(color, defect, n1, q1, n2, q2, p1, p2) -> tuple[dict, dict]:
+    """Q table and pointers of a node of palette above 1.
+
+    A candidate is stored when its key is new or its value strictly lower,
+    so each key keeps the first pointer at its least value.  The key's
+    middle pair is sorted: swapping e and f gives the same key.
+    """
+    qset: dict[Quad, int] = {}
+    pointers: dict[Quad, tuple] = {}
+    for quad, v in q1.items():
+        g0, g1, g2, g3 = quad
+        r0, r1, r2, r3 = color[g0], color[g1], color[g2], color[g3]
+        d0, d1, d2, d3 = defect[g0], defect[g1], defect[g2], defect[g3]
+        for b in n2:
+            c1, c2 = r1[b], r2[b]
+            key = (r0[b], c1, c2, r3[b]) if c1 <= c2 else (r0[b], c2, c1, r3[b])
+            value = v - d1[b] - d2[b] + d3[b] + d0[b]
+            old = qset.get(key)
+            if old is None or value < old:
+                qset[key] = value
+                pointers[key] = (Q, quad, N, b)
+    for b in n1:
+        row, drop = color[b], defect[b]
+        for quad, v in q2.items():
+            g0, g1, g2, g3 = quad
+            c1, c2 = row[g1], row[g2]
+            key = (row[g0], c1, c2, row[g3]) if c1 <= c2 else (row[g0], c2, c1, row[g3])
+            value = v - drop[g1] - drop[g2] + drop[g3] + drop[g0]
+            old = qset.get(key)
+            if old is None or value < old:
+                qset[key] = value
+                pointers[key] = (N, b, Q, quad)
+    # e on the left, f on the right; the other way round gives the same
+    # sorted keys and values
+    for e_pair in p1:
+        a, ax = e_pair
+        ra, rx, da, dx = color[a], color[ax], defect[a], defect[ax]
+        for f_pair in p2:
+            b, bf = f_pair
+            c1, c2 = rx[b], ra[bf]
+            key = (ra[b], c1, c2, rx[bf]) if c1 <= c2 else (ra[b], c2, c1, rx[bf])
+            value = da[b] + dx[bf] - dx[b] - da[bf]
+            old = qset.get(key)
+            if old is None or value < old:
+                qset[key] = value
+                pointers[key] = (P, e_pair, P, f_pair)
+    return qset, pointers
 
 
 def _submodularity_tables(dec: KDecomposition):
@@ -87,59 +171,39 @@ def _submodularity_tables(dec: KDecomposition):
         color, defect = node.color, node.defect
         n1, p1, q1 = left
         n2, p2, q2 = right
+        # N and P states keep their first pointer; a row of candidates is
+        # skipped once every color (pair) of the palette has been reached
+        palette = node.palette
         nset: dict[int, tuple] = {}
         for a in n1:
+            if len(nset) == palette:
+                break
             row = color[a]
             for b in n2:
-                nset.setdefault(row[b], (N, a, N, b))
+                if row[b] not in nset:
+                    nset[row[b]] = (N, a, N, b)
         pset: dict[tuple[int, int], tuple] = {}
         for pair in p1:
+            if len(pset) == palette * palette:
+                break
             ra, rx = color[pair[0]], color[pair[1]]
             for b in n2:
-                pset.setdefault((ra[b], rx[b]), (P, pair, N, b))
+                key = (ra[b], rx[b])
+                if key not in pset:
+                    pset[key] = (P, pair, N, b)
         for b in n1:
+            if len(pset) == palette * palette:
+                break
             row = color[b]
             for pair in p2:
-                pset.setdefault((row[pair[0]], row[pair[1]]), (N, b, P, pair))
+                key = (row[pair[0]], row[pair[1]])
+                if key not in pset:
+                    pset[key] = (N, b, P, pair)
 
-        qset: dict[Quad, int] = {}
-        pointers: dict[Quad, tuple] = {}
-
-        def offer(key, value, pointer):
-            if key not in qset or value < qset[key]:
-                qset[key] = value
-                pointers[key] = pointer
-
-        for quad, v in q1.items():
-            r0, r1, r2, r3 = (color[g] for g in quad)
-            d0, d1, d2, d3 = (defect[g] for g in quad)
-            for b in n2:
-                offer(
-                    _quad(r0[b], r1[b], r2[b], r3[b]),
-                    v - d1[b] - d2[b] + d3[b] + d0[b],
-                    (Q, quad, N, b),
-                )
-        for b in n1:
-            row, drop = color[b], defect[b]
-            for quad, v in q2.items():
-                g0, g1, g2, g3 = quad
-                offer(
-                    _quad(row[g0], row[g1], row[g2], row[g3]),
-                    v - drop[g1] - drop[g2] + drop[g3] + drop[g0],
-                    (N, b, Q, quad),
-                )
-        # e on the left, f on the right; the other way round gives the same
-        # sorted keys and values
-        for e_pair in p1:
-            a, ax = e_pair
-            ra, rx, da, dx = color[a], color[ax], defect[a], defect[ax]
-            for f_pair in p2:
-                b, bf = f_pair
-                offer(
-                    _quad(ra[b], rx[b], ra[bf], rx[bf]),
-                    da[b] + dx[bf] - dx[b] - da[bf],
-                    (P, e_pair, P, f_pair),
-                )
+        if palette == 1:
+            qset, pointers = _least_candidate(defect, n1, q1, n2, q2, p1, p2)
+        else:
+            qset, pointers = _candidate_table(color, defect, n1, q1, n2, q2, p1, p2)
         back[node_id] = (nset, pset, pointers)
         return nset, pset, qset
 
@@ -193,8 +257,9 @@ def verify(dec: KDecomposition) -> VerifyResult:
         )
 
     full = dec.full_set()
-    full_rank = eval_rank(dec, full)
-    co_ranks = singleton_ranks(dec, full)
+    states = node_states(dec, full)
+    full_rank = states[dec.root][1]
+    co_ranks = singleton_ranks(dec, full, states)
     e = max(range(dec.n), key=co_ranks.__getitem__)
     if co_ranks[e] > full_rank:
         return VerifyResult(

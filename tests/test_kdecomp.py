@@ -18,8 +18,10 @@ from decompwidth import (
     root_tree,
     singleton_ranks,
     validate_structure,
+    verify,
     whitney_coefficients,
 )
+from decompwidth import kdecomp
 from decompwidth.errors import ParseError
 from decompwidth.kdecomp import Inner, KDecomposition, Leaf, node_states, parse, serialize
 
@@ -230,6 +232,29 @@ def test_validate_cycle_off_the_root():
     nodes[6] = Inner((5, 3), 1, [[0, 0]], [[0, 0]])
     defect = validate_structure(KDecomposition(4, nodes, 4))
     assert str(defect) == "tree at node 2: not reachable from the root"
+
+
+def test_a_check_then_a_pass_checks_once(monkeypatch):
+    calls = []
+    check = kdecomp.tree_defect
+    monkeypatch.setattr(kdecomp, "tree_defect", lambda *args: calls.append(1) or check(*args))
+    dec = parse(serialize(construct_exact(fano())[0]))
+    assert validate_structure(dec) is None
+    assert eval_rank(dec, dec.full_set()) == 3
+    assert len(calls) == 1
+    # verify checks the whole decomposition on every call, and only once
+    assert verify(dec)
+    assert verify(dec)
+    assert len(calls) == 3
+
+
+def test_a_failed_check_drops_the_cached_order():
+    dec = two_loops_decomposition()
+    assert eval_rank(dec, 3) == 0
+    dec.nodes[2].defect[1][0] = -1
+    assert validate_structure(dec).kind == "palette bound"
+    with pytest.raises(ValueError, match="defect"):
+        eval_rank(dec, 3)
 
 
 def orphan_cycle_decomposition():

@@ -1,11 +1,13 @@
 """Matroid verdicts: soundness, completeness and witness extraction."""
 
 import copy
+import hashlib
 import random
 
 import pytest
 
 from conftest import (
+    GF2,
     c5_linear,
     construct_exact,
     fano,
@@ -17,9 +19,14 @@ from conftest import (
     u23,
 )
 from decompwidth import (
+    MatroidInstance,
     brute_axiom_check,
+    construct,
     eval_rank,
     extract_witness,
+    field_of_order,
+    greedy_branch_decomposition,
+    root_tree,
     singleton_ranks,
     verify,
 )
@@ -137,6 +144,16 @@ def dense_balanced(n, palette, seed):
     return KDecomposition(n, nodes, level[0])
 
 
+def dense_palette_1_root(n, palette, seed):
+    """``dense_balanced`` with its root cut to palette 1: every root color
+    is 0, and the root's defects stay random."""
+    dec = dense_balanced(n, palette, seed)
+    root = dec.nodes[dec.root]
+    root.palette = 1
+    root.color = [[0] * len(row) for row in root.color]
+    return dec
+
+
 def test_dense_tables_rejected_with_replayable_witness():
     # about 10^4 reachable color quadruples per node: a DP pairing the two
     # children's quadruples would need some 10^8 steps per node here
@@ -209,9 +226,7 @@ def test_dp_minima_exact(make):
     assert_flip_ranks_exact(dec)
 
 
-def test_dp_minima_exact_after_mutations():
-    rng = random.Random(99)
-    base, _ = construct_exact(u23())
+def assert_minima_exact_after_mutations(base, rng):
     for _ in range(30):
         dec = copy.deepcopy(base)
         inner_ids = [i for i, nd in dec.nodes.items() if isinstance(nd, Inner)]
@@ -227,6 +242,52 @@ def test_dp_minima_exact_after_mutations():
         root, _ = _submodularity_tables(dec)
         assert root == brute_local_minima(dec)
         assert_flip_ranks_exact(dec)
+
+
+def test_dp_minima_exact_after_mutations():
+    base, _ = construct_exact(u23())
+    assert_minima_exact_after_mutations(base, random.Random(99))
+
+
+def root_palette_2():
+    """Random tables of palette 2 on every inner node, the root's included:
+    the root's Q keys are not all (0, 0, 0, 0)."""
+    dec = dense_balanced(8, 2, seed=5)
+    assert dec.palette_of(dec.root) == 2
+    return dec
+
+
+def palette_1_inner_node():
+    """U_{2,3} + U_{2,3}: one component spans an inner node of palette 1
+    below the root, whose left child is an inner node of palette 2."""
+    m = MatroidInstance.linear(
+        GF2, [[1, 0, 1, 0, 0, 0], [0, 1, 1, 0, 0, 0], [0, 0, 0, 1, 0, 1], [0, 0, 0, 0, 1, 1]]
+    )
+    dec, _ = construct_exact(m)
+    below = [
+        node
+        for node_id, node in dec.nodes.items()
+        if isinstance(node, Inner) and node_id != dec.root and node.palette == 1
+    ]
+    assert any(isinstance(dec.nodes[node.children[0]], Inner) for node in below)
+    return dec
+
+
+def palette_1_root_over_inner_children():
+    """Random tables under a palette-1 root whose children are both inner
+    nodes: all three rows of candidates meet at the root."""
+    return dense_palette_1_root(8, 3, seed=7)
+
+
+@pytest.mark.parametrize(
+    "make", [root_palette_2, palette_1_inner_node, palette_1_root_over_inner_children]
+)
+def test_dp_minima_exact_after_mutations_on_both_paths(make):
+    # a palette-1 node keeps one running minimum, any other node a table
+    base = make()
+    root, _ = _submodularity_tables(base)
+    assert root == brute_local_minima(base)
+    assert_minima_exact_after_mutations(base, random.Random(99))
 
 
 # ---------------------------------------------------------------------------
@@ -259,3 +320,56 @@ def test_mutation_verdicts_agree_with_brute_force(make, seed):
         if not_monotone:
             a, b = extract_witness(dec, result)
             assert a & ~b == 0 and table[a] > table[b]
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs
+# ---------------------------------------------------------------------------
+
+# SHA-256 of every verdict of verify_corpus (verdict, reason, detail, witness
+# and loop flag mismatches) and of its sorted root submodularity table.  A
+# change that alters verdicts or witnesses on purpose updates it and says why.
+VERIFY_DIGEST = "540e79a4fe664ec42b470447c2500698668702d5fd5781b7957cd2f7e280a3d0"
+
+
+def verify_corpus(per_field=8, mutants=3, seed=20261019):
+    """Seeded linear instances over GF(2), GF(3) and GF(4) on greedy trees,
+    each followed by ``mutants`` table mutants, then dense random tables whose
+    roots have palettes 2, 3 and 1, each followed by its mutants."""
+    rng = random.Random(seed)
+    bases = []
+    for q in (2, 3, 4):
+        f = field_of_order(q)
+        for _ in range(per_field):
+            rows, cols = rng.randint(2, 4), rng.randint(4, 10)
+            matrix = [
+                [rng.randrange(1, q) if rng.random() < 0.7 else 0 for _ in range(cols)]
+                for _ in range(rows)
+            ]
+            m = MatroidInstance.linear(f, matrix)
+            bases.append(construct(m, root_tree(greedy_branch_decomposition(m)[0])))
+    bases += [dense_balanced(8, palette, seed=palette) for palette in (2, 3)]
+    bases.append(dense_palette_1_root(8, 3, seed=4))
+    for base in bases:
+        yield base
+        for _ in range(mutants):
+            yield mutate_tables(base, rng)
+
+
+def test_verify_outputs_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    count = 0
+    for dec in verify_corpus():
+        count += 1
+        result = verify(dec)
+        verdict = (
+            result.is_matroid,
+            result.reason,
+            result.detail,
+            result._witness,
+            result.loop_flag_mismatches,
+        )
+        digest.update(repr(verdict).encode())
+        digest.update(repr(sorted(_submodularity_tables(dec)[0].items())).encode())
+    assert count == 108
+    assert digest.hexdigest() == VERIFY_DIGEST, digest.hexdigest()

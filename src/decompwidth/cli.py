@@ -81,7 +81,7 @@ def _format_set(mask: int) -> str:
 
 def _pick_tree(m: matroids.MatroidInstance, mode: str | None):
     if mode is None:
-        mode = "exact" if m.n <= 9 else "greedy"
+        mode = "exact" if m.n <= branchdecomp._EXACT_LIMIT else "greedy"
     if mode == "exact":
         return branchdecomp.exact_branch_decomposition(m)
     return branchdecomp.greedy_branch_decomposition(m)
@@ -179,8 +179,8 @@ def _cmd_check(args) -> int:
     if m.n != dec.n:
         print(f"mismatch: matroid has {m.n} elements, decomposition {dec.n}", file=sys.stderr)
         return 1
-    if args.exhaustive and dec.n > 20:
-        raise ValueError("exhaustive check limited to n <= 20")
+    if args.exhaustive and dec.n > matroids._FULL_TABLE_LIMIT:
+        raise ValueError(f"exhaustive check limited to n <= {matroids._FULL_TABLE_LIMIT}")
     if args.exhaustive or 1 << dec.n <= args.samples:
         # sampling would repeat subsets: check each one once instead
         subsets = range(1 << dec.n)
@@ -223,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument(
         "--bd-search",
         choices=("exact", "greedy"),
-        help="search strategy (default: exact for n <= 9, greedy beyond)",
+        help=f"search strategy (default: exact for n <= {branchdecomp._EXACT_LIMIT}, greedy beyond)",
     )
     p.add_argument("-o", "--output", help="output decomposition file (default: stdout)")
     p.set_defaults(func=_cmd_construct)
@@ -251,13 +251,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bw", help="search a branch decomposition and report its width")
     p.add_argument("--matroid", required=True)
-    p.add_argument("--exact", action="store_true", help="exhaustive search (n <= 9)")
+    p.add_argument("--exact", action="store_true", help=f"exhaustive search (n <= {branchdecomp._EXACT_LIMIT})")
     p.set_defaults(func=_cmd_bw)
 
     p = sub.add_parser("check", help="compare decomposition ranks against the matroid oracle")
     p.add_argument("decomposition")
     p.add_argument("--matroid", required=True)
-    p.add_argument("--exhaustive", action="store_true", help="all 2^n subsets (n <= 20)")
+    p.add_argument("--exhaustive", action="store_true", help=f"all 2^n subsets (n <= {matroids._FULL_TABLE_LIMIT})")
     p.add_argument(
         "--samples",
         type=int,

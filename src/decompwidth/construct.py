@@ -52,16 +52,17 @@ every S_v but the root's is every row, and moving between equal coordinate
 lists is the identity.
 
 Every space is held as its tuple of RREF rows (``()`` is {0}), and colors
-are keyed by them.  The matrix entries are checked once, up front; after
-that only the leaves' ``rref`` builds a checked ``Subspace``, the meets and
-the boundaries (``gf._intersect``) are eliminated unchecked, and
-``pair_traces`` checks only its input.
+are keyed by them.  The matrix entries are checked once, up front, when
+the ``MatroidInstance`` is built; after that only the leaves' ``rref``
+builds a checked ``Subspace``, the meets and the boundaries
+(``gf._intersect``) are eliminated unchecked, and ``pair_traces`` checks
+only its input.
 """
 
 from __future__ import annotations
 
 from .branchdecomp import RootedBranchTree
-from .gf import FieldSpec, FVector, _check_rows, _echelon, _intersect, pair_traces
+from .gf import FieldSpec, FVector, _echelon, _intersect, pair_traces
 from .gf import hull, intersect, rref  # noqa: F401  perfbench's traced run patches these names
 from .kdecomp import Inner, KDecomposition, Leaf
 from .matroids import MatroidInstance
@@ -108,7 +109,6 @@ def _boundaries(m: MatroidInstance, tree: RootedBranchTree):
     if m.n != tree.n:
         raise ValueError(f"matroid has {m.n} elements but the tree has {tree.n} leaves")
     field = m.field
-    _check_rows(field, m.dim, m.columns)
     order = tree.postorder()
     touched = [tuple(i for i, x in enumerate(col) if x) for col in m.columns]
     total = [0] * m.dim

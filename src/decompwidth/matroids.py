@@ -3,12 +3,13 @@
 Subsets of the ground set are plain int bitmasks (bit i = element i).  Four
 backends share one interface:
 
-* linear    -- columns of a matrix over GF(q); rank = dimension of the span
-               (bit-packed elimination for GF(2), pivot counting by gf.rank
+* linear    -- columns of a matrix over GF(q), checked once, however the
+               instance is built; rank = dimension of the span (bit-packed
+               elimination for GF(2), pivot counting by gf's elimination
                else); rank_table and prefix_sweep eliminate in bulk, the
                latter over the columns of M and of its dual M*
 * graphic   -- edges of a graph; rank = vertices minus components, through
-               union-find
+               union-find; prefix_sweep runs on its GF(2) incidence matrix
 * uniform   -- rank(F) = min(|F|, r)
 * explicit  -- a full rank table over all 2^n subsets, n <= 20, with the
                matroid axioms checked eagerly at construction
@@ -31,6 +32,7 @@ The text format (one record per file, '#' comments):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import gf
 from .errors import ParseError, integers, keyed, records
@@ -40,8 +42,7 @@ from .tutte import WhitneyTable
 
 ElementSet = int
 
-_EXPLICIT_LIMIT = 20
-_WHITNEY_LIMIT = 20
+_FULL_TABLE_LIMIT = 20  # the largest n whose 2^n subsets are tabulated or enumerated
 _AXIOM_PAIR_LIMIT = 12
 
 
@@ -61,6 +62,13 @@ class MatroidInstance:
         self.__dict__.update(data)
         self._cache: dict[int, int] = {}
         self._dual_cache: list | None = None  # see _dual_columns
+        if kind == "linear":  # rows of length n, entries in 0..q-1
+            gf._check_rows(self.field, n, self.matrix)
+            self.dim = len(self.matrix)
+            self.columns = list(zip(*self.matrix)) or [()] * n
+            self.column_bits = None
+            if self.field.q == 2:
+                self.column_bits = [sum(x << i for i, x in enumerate(col)) for col in self.columns]
 
     # ------------------------------------------------------------------
     # constructors
@@ -69,23 +77,8 @@ class MatroidInstance:
     @classmethod
     def linear(cls, field: FieldSpec, matrix) -> "MatroidInstance":
         """Columns of ``matrix`` (a sequence of d rows of n entries) over ``field``."""
-        rows = [tuple(int(x) for x in row) for row in matrix]
-        d = len(rows)
-        n = len(rows[0]) if rows else 0
-        for row in rows:
-            if len(row) != n:
-                raise ValueError("matrix rows have unequal lengths")
-            for x in row:
-                if not 0 <= x < field.q:
-                    raise ValueError(f"entry {x} outside 0..{field.q - 1}")
-        columns = [tuple(rows[i][e] for i in range(d)) for e in range(n)]
-        column_bits = None
-        if field.q == 2:
-            column_bits = [sum(rows[i][e] << i for i in range(d)) for e in range(n)]
-        return cls(
-            "linear", n, field=field, matrix=tuple(rows), dim=d,
-            columns=columns, column_bits=column_bits,
-        )
+        rows = tuple([tuple([int(x) for x in row]) for row in matrix])
+        return cls("linear", len(rows[0]) if rows else 0, field=field, matrix=rows)
 
     @classmethod
     def graphic(cls, num_vertices: int, edges) -> "MatroidInstance":
@@ -108,10 +101,15 @@ class MatroidInstance:
         n = size.bit_length() - 1
         if size != 1 << n:
             raise ValueError("rank table length must be a power of two")
-        if n > _EXPLICIT_LIMIT:
-            raise ValueError(f"explicit rank tables limited to n <= {_EXPLICIT_LIMIT}")
+        if n > _FULL_TABLE_LIMIT:
+            raise ValueError(f"explicit rank tables limited to n <= {_FULL_TABLE_LIMIT}")
         _validate_rank_table(table, n)
         return cls("explicit", n, table=table)
+
+    @cached_property
+    def twin(self) -> "MatroidInstance":
+        """A graphic instance's GF(2) incidence matrix, as a linear instance built on first use."""
+        return MatroidInstance.linear(field_of_order(2), incidence_matrix(self.num_vertices, self.edges))
 
     # ------------------------------------------------------------------
     # the rank oracle
@@ -134,7 +132,8 @@ class MatroidInstance:
             if self.column_bits is not None:
                 r = _gf2_rank(self.column_bits, subset)
             else:
-                r = gf.rank(self.field, [self.columns[e] for e in iter_elements(subset)])
+                cols = [self.columns[e] for e in iter_elements(subset)]
+                r = len(gf._eliminate(self.field, self.dim, cols, False))
         elif self.kind == "graphic":
             r = self._graphic_rank(subset)
         elif self.kind == "uniform":
@@ -239,8 +238,8 @@ def loops_and_coloops(m: MatroidInstance) -> tuple[ElementSet, ElementSet]:
 
 def brute_whitney(m: MatroidInstance) -> WhitneyTable:
     """N(n', r') by enumerating all 2^n subsets against the rank oracle."""
-    if m.n > _WHITNEY_LIMIT:
-        raise ValueError(f"brute-force enumeration limited to n <= {_WHITNEY_LIMIT}")
+    if m.n > _FULL_TABLE_LIMIT:
+        raise ValueError(f"brute-force enumeration limited to n <= {_FULL_TABLE_LIMIT}")
     counts: dict[tuple[int, int], int] = {}
     for subset in range(1 << m.n):
         key = (subset.bit_count(), m.rank(subset))
@@ -300,16 +299,16 @@ def rank_table(m: MatroidInstance) -> list[int]:
     column has a zero residue has its parent's rank and reuses its
     parent's residues; any other child scales that residue to a pivot and
     reduces only the later residues against it, one row operation per
-    residue with a nonzero entry at the pivot.  An explicit instance
-    returns its table; the others ask ``rank`` per subset."""
-    if m.n > _WHITNEY_LIMIT:
-        raise ValueError(f"full tables limited to n <= {_WHITNEY_LIMIT}")
+    residue with a nonzero entry at the pivot; the instance checked the
+    entries when it was built.  An explicit instance returns its table;
+    the others ask ``rank`` per subset."""
+    if m.n > _FULL_TABLE_LIMIT:
+        raise ValueError(f"full tables limited to n <= {_FULL_TABLE_LIMIT}")
     if m.kind == "explicit":
         return list(m.table)
     if m.kind != "linear":
         return [m.rank(subset) for subset in range(1 << m.n)]
-    field, d, columns = m.field, m.dim, m.columns
-    gf._check_rows(field, d, columns)
+    field, columns = m.field, m.columns
     scale, reduce = field._row_kernels
     n = m.n
     table = [0] * (1 << n)
@@ -344,13 +343,11 @@ def _dual_columns(m: MatroidInstance) -> list:
     indexed by element: with the RREF [I | A] of m's matrix (pivot columns
     first), the columns of [A^T | I].  That is the standard [-A^T | I]
     with every column scaled by -1 and then the I columns scaled back,
-    which keeps the matroid.  The entries are checked before the
-    elimination, and the columns are computed once per instance."""
+    which keeps the matroid.  The elimination trusts the instance's checked
+    entries, and the columns are computed once per instance."""
     if m._dual_cache is None:
-        field, n = m.field, m.n
-        rows = list(m.matrix)
-        gf._check_rows(field, n, rows)
-        rows = gf._eliminate(field, n, rows, True)
+        n = m.n
+        rows = gf._eliminate(m.field, n, list(m.matrix), True)
         pivots = {row.index(1) for row in rows}
         free = [e for e in range(n) if e not in pivots]
         dual = [None] * n
@@ -401,16 +398,17 @@ class _GrowingSet:
     r(P) + r(E - P) - r(E).  For e outside P,
     λ(P + e) = λ(P) + [e not in cl(P)] + [e not in cl*(P)] - 1.
 
-    A linear instance keeps a ``_PrefixSpan`` over the columns of M and
-    one over those of M* (``_dual_columns``).  The other backends ask
-    ``closure(P)`` and, since e outside P lies in cl*(P) iff it is a
-    coloop of M|(E - P), ``coloops(E - P)``."""
+    A linear instance keeps a ``_PrefixSpan`` over its checked columns and
+    one over those of M* (``_dual_columns``), and a graphic instance the
+    same over its ``twin``, its GF(2) incidence matrix.  The other
+    backends ask ``closure(P)`` and, since e outside P lies in cl*(P) iff
+    it is a coloop of M|(E - P), ``coloops(E - P)``."""
 
     def __init__(self, m: MatroidInstance):
         self.m, self.members, self._spans = m, 0, ()
-        if m.kind == "linear":
-            gf._check_rows(m.field, m.dim, m.columns)
-            self._spans = (_PrefixSpan(m.field, m.columns), _PrefixSpan(m.field, _dual_columns(m)))
+        if m.kind in ("linear", "graphic"):
+            rep = m if m.kind == "linear" else m.twin
+            self._spans = (_PrefixSpan(rep.field, rep.columns), _PrefixSpan(rep.field, _dual_columns(rep)))
         self._read()
 
     def add(self, e: int) -> None:

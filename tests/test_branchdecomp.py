@@ -5,6 +5,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     GF2,
@@ -433,6 +434,30 @@ def test_search_outputs_match_the_pinned_digest():
         searches[search] += 1
     assert min(searches.values()) >= 40
     assert digest.hexdigest() == SEARCH_DIGEST, digest.hexdigest()
+
+
+@st.composite
+def graphic_instances(draw):
+    """A graph on 1..8 vertices with up to 16 edges, self-loops and
+    parallel edges among them."""
+    v = draw(st.integers(min_value=1, max_value=8))
+    vertex = st.integers(min_value=0, max_value=v - 1)
+    return MatroidInstance.graphic(v, draw(st.lists(st.tuples(vertex, vertex), max_size=16)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphic_instances())
+def test_the_greedy_runs_graphic_instances_on_their_incidence_matrix(m):
+    # the greedy reads cl and cl* off the spans of the GF(2) incidence
+    # matrix, so it asks the union-find oracle nothing, and it finds the
+    # tree it finds on that matrix as a linear instance
+    if m.n == 0:
+        return
+    tree, w = greedy_branch_decomposition(m)
+    assert m._cache == {}
+    assert (tree, w) == greedy_branch_decomposition(m.twin)
+    assert m.twin is m.twin  # built once per instance
+    assert w == width(m, tree)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])

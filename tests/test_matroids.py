@@ -19,7 +19,6 @@ from conftest import (
     c5_linear,
     dependent_rows,
     fano,
-    left_deep_rooted_tree,
     mk4_graphic,
     mk4_linear,
     single_loop,
@@ -32,7 +31,6 @@ from decompwidth import (
     MatroidInstance,
     brute_axiom_check,
     brute_whitney,
-    construct,
     format_matroid,
     loops_and_coloops,
     parse_matroid,
@@ -233,15 +231,6 @@ def test_rank_table_matches_elimination_on_wide_instances(m):
     assert rank_table(m) == expected
 
 
-def unchecked_linear(field, rows):
-    """A linear instance built past the constructor's entry check."""
-    return MatroidInstance(
-        "linear", len(rows[0]), field=field, matrix=rows, dim=len(rows),
-        columns=[tuple(row[e] for row in rows) for e in range(len(rows[0]))],
-        column_bits=None,
-    )
-
-
 def dual_rank_table(m):
     """r* of every subset, as the rank table of the columns _dual_columns
     gives; with no coordinates, every element is a loop of M*."""
@@ -355,18 +344,8 @@ def test_prefix_sweep_refuses_bad_orders_and_entries():
     with pytest.raises(ValueError, match="outside the ground set"):
         prefix_sweep(u23(), [0, 3])
     with pytest.raises(ValueError, match="outside"):
-        prefix_sweep(unchecked_linear(GF3, ((1, 0, 3), (0, 1, 1))), [0, 1, 2])
-
-
-def test_dual_columns_check_entries_before_eliminating():
-    # the pivot 2 makes the RREF scale the first row by 3 through GF(4)'s
-    # multiplication row of 3, which has no entry 4
-    m = unchecked_linear(decompwidth.field_of_order(4), ((2, 4, 1), (0, 1, 1)))
-    with pytest.raises(IndexError):
-        gf._eliminate(m.field, 3, list(m.matrix), True)
-    with pytest.raises(ValueError, match="outside"):
-        _dual_columns(m)
-    assert m._dual_cache is None
+        # the instance refuses the entry 3 when it is built, before any sweep
+        prefix_sweep(MatroidInstance.linear(GF3, ((1, 0, 3), (0, 1, 1))), [0, 1, 2])
 
 
 def test_primitives_reject_foreign_elements():
@@ -376,20 +355,57 @@ def test_primitives_reject_foreign_elements():
         u23().coloops(0b1000)
 
 
+def linear_builders(field, rows):
+    """Both ways of building a linear instance: ``linear``, and a direct
+    constructor call."""
+    yield lambda: MatroidInstance.linear(field, rows)
+    yield lambda: MatroidInstance("linear", len(rows[0]), field=field, matrix=rows)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 2**10])
-def test_linear_primitives_check_their_entries(q):
-    # built past the constructor's check: like gf.rank, each elimination
-    # path refuses an entry outside 0..q-1 itself, also on a row that only
-    # one column touches, which construct eliminates apart from the rest
+def test_linear_instances_refuse_bad_entries_when_built(q):
+    # rank, closure, prefix_sweep, rank_table, _dual_columns and construct
+    # eliminate the matrix unchecked, so the instance refuses an entry
+    # outside 0..q-1 however it is built, also on a row that only one
+    # column touches, which construct eliminates apart from the rest
     field = decompwidth.field_of_order(q)
-    for rows in (((1, 0, q), (0, 1, 1)), ((1, 0, 1), (0, 1, 1), (q, 0, 0))):
-        m = unchecked_linear(field, rows)
-        for query in (m.rank, m.closure, m.coloops, lambda s: prefix_sweep(m, [0])):
+    for rows in (((1, 0, q), (0, 1, 1)), ((1, 0, 1), (0, 1, 1), (q, 0, 0)), ((1, 0, -1), (0, 1, 1))):
+        for build in linear_builders(field, rows):
             with pytest.raises(ValueError, match="outside"):
-                query(0b111)
-        for query in (rank_table, loops_and_coloops, _dual_columns, lambda m: construct(m, left_deep_rooted_tree(3))):
-            with pytest.raises(ValueError, match="outside"):
-                query(m)
+                build()
+    for build in linear_builders(field, ((1, 0, 1), (0, 1))):
+        with pytest.raises(ValueError, match="lengths"):
+            build()
+
+
+def test_linear_instances_refuse_a_gf4_entry_4_when_built():
+    # the pivot 2 makes the RREF scale the first row by 3 through GF(4)'s
+    # multiplication row of 3, which has no entry 4: the dual's unchecked
+    # elimination would fail with an IndexError, not a ValueError
+    field = decompwidth.field_of_order(4)
+    rows = ((2, 4, 1), (0, 1, 1))
+    with pytest.raises(IndexError):
+        gf._eliminate(field, 3, list(rows), True)
+    for build in linear_builders(field, rows):
+        with pytest.raises(ValueError, match="outside"):
+            build()
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        MatroidInstance.linear(GF2, []),  # d = 0, n = 0
+        MatroidInstance.linear(GF3, [[]]),  # n = 0
+        MatroidInstance.linear(GF2, [[1, 0, 1], [0, 0, 1]]),
+        *[twelve_columns(q) for q in KERNEL_FIELDS],
+    ],
+)
+def test_a_direct_linear_instance_derives_what_linear_does(m):
+    direct = MatroidInstance("linear", m.n, field=m.field, matrix=m.matrix)
+    assert (direct.dim, direct.columns, direct.column_bits) == (m.dim, m.columns, m.column_bits)
+    assert m.columns == [tuple(row[e] for row in m.matrix) for e in range(m.n)]
+    if m.field.q == 2:
+        assert m.column_bits == [sum(row[e] << i for i, row in enumerate(m.matrix)) for e in range(m.n)]
 
 
 # ---------------------------------------------------------------------------

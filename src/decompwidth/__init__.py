@@ -43,7 +43,6 @@ from .matroids import (
     AxiomVerdict,
     MatroidInstance,
     brute_axiom_check,
-    brute_whitney,
     format_matroid,
     incidence_matrix,
     loops_and_coloops,
@@ -54,6 +53,7 @@ from .matroids import (
 from .tutte import (
     TuttePolynomial,
     WhitneyTable,
+    brute_whitney,
     evaluate,
     to_tutte,
     whitney_coefficients,

@@ -185,10 +185,12 @@ def edge_width(m: MatroidInstance, tree: BranchTree, edge: Edge) -> int:
 
 
 def width(m: MatroidInstance, tree: BranchTree) -> int:
-    """Maximum edge width; 0 for trees on at most one leaf."""
+    """Maximum edge width, asking r(E) once; 0 for trees on at most one leaf."""
     if tree.n <= 1:
         return 0
-    return max(edge_width(m, tree, e) for e in tree.edges())
+    full = m.full_set
+    sides = [tree.side_mask(*e) for e in tree.edges()]
+    return max(m.rank(side) + m.rank(full & ~side) for side in sides) - m.rank(full)
 
 
 def _tree_from_edges(n: int, edge_list: list[tuple[int, int, int]]) -> BranchTree:

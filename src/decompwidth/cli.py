@@ -181,17 +181,20 @@ def _cmd_check(args) -> int:
         return 1
     if args.exhaustive and dec.n > matroids._FULL_TABLE_LIMIT:
         raise ValueError(f"exhaustive check limited to n <= {matroids._FULL_TABLE_LIMIT}")
+    oracle = m.rank
     if args.exhaustive or 1 << dec.n <= args.samples:
         # sampling would repeat subsets: check each one once instead
         subsets = range(1 << dec.n)
         checked = 1 << dec.n
+        if dec.n <= matroids._FULL_TABLE_LIMIT:
+            oracle = matroids.rank_table(m).__getitem__
     else:
         rng = random.Random(args.seed)
         subsets = (rng.randrange(1 << dec.n) for _ in range(args.samples))
         checked = args.samples
     for subset in subsets:
         got = kdecomp.eval_rank(dec, subset)
-        want = m.rank(subset)
+        want = oracle(subset)
         if got != want:
             print(
                 f"mismatch set={_format_set(subset)} decomposition={got} oracle={want}"
@@ -203,7 +206,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_oracle_tutte(args) -> int:
     m = _load_matroid(args.matroid)
-    table = matroids.brute_whitney(m)
+    table = tutte.brute_whitney(m)
     for (size, rank), count in sorted(table.counts.items()):
         print(f"N {size} {rank} {count}")
     return 0

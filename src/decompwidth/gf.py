@@ -28,10 +28,11 @@ so a small elimination pays for a few rows, not for all q^2 entries.  Every
 other field (odd extension fields, and characteristic 2 above the cutoff)
 calls the ``FieldSpec`` methods per entry; no benchmark workload uses
 those fields, so no table kernel for them has been shown to pay for its
-build.  ``rref`` and ``rank`` share one elimination loop: ``rref`` clears
-every pivot column above and below the pivot, ``rank`` only below it and
-counts the pivots.  Both refuse entries outside 0..q-1, which a table
-would otherwise index past or silently accept, as does every ``Subspace``.
+build.  ``rref`` and a linear matroid's rank oracle share one elimination
+loop, ``_eliminate``: ``rref`` clears every pivot column above and below
+the pivot, the oracle only below it and counts the pivots.  ``rref``
+refuses entries outside 0..q-1, which a table would otherwise index past
+or silently accept, as does every ``Subspace``.
 
 ``pair_traces`` serves a decomposition's table pass: for a bound B and
 lists of spaces S1 and S2 it gives B ∩ (S1 + S2) and dim(S1 + S2) for
@@ -494,15 +495,6 @@ def rref(field: FieldSpec, d: int, rows) -> Subspace:
     rows = list(rows)
     _check_rows(field, d, rows)
     return Subspace(field, d, _echelon(field, d, rows))
-
-
-def rank(field: FieldSpec, rows) -> int:
-    """Dimension of the span of ``rows`` (vectors of one length, entries in
-    0..q-1), by forward elimination alone."""
-    rows = list(rows)
-    d = len(rows[0]) if rows else 0
-    _check_rows(field, d, rows)
-    return len(_eliminate(field, d, rows, False))
 
 
 def hull(u1: Subspace, u2: Subspace) -> Subspace:

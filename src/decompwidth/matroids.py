@@ -14,8 +14,9 @@ backends share one interface:
 * explicit  -- a full rank table over all 2^n subsets, n <= 20, with the
                matroid axioms checked eagerly at construction
 
-Rank queries are memoized per instance, as is a linear instance's dual
-representation; instances are immutable, so concurrent readers are fine.
+An instance keeps its data and what it derives from it on first use (a
+graphic ``twin``, a linear instance's dual columns and GF(2) column bits),
+never rank answers; instances are immutable, so concurrent readers are fine.
 
 ``closure`` and ``coloops`` ask ``rank`` once per element.  The branch-
 decomposition search instead grows a set P one element at a time and reads
@@ -38,7 +39,6 @@ from . import gf
 from .errors import ParseError, integers, keyed, records
 from .gf import FieldSpec, field_of_order
 from .gf import rref  # noqa: F401  perfbench's traced run counts gf calls by patching matroids.rref
-from .tutte import WhitneyTable
 
 ElementSet = int
 
@@ -60,15 +60,11 @@ class MatroidInstance:
         self.kind = kind
         self.n = n
         self.__dict__.update(data)
-        self._cache: dict[int, int] = {}
         self._dual_cache: list | None = None  # see _dual_columns
         if kind == "linear":  # rows of length n, entries in 0..q-1
             gf._check_rows(self.field, n, self.matrix)
             self.dim = len(self.matrix)
             self.columns = list(zip(*self.matrix)) or [()] * n
-            self.column_bits = None
-            if self.field.q == 2:
-                self.column_bits = [sum(x << i for i, x in enumerate(col)) for col in self.columns]
 
     # ------------------------------------------------------------------
     # constructors
@@ -111,6 +107,13 @@ class MatroidInstance:
         """A graphic instance's GF(2) incidence matrix, as a linear instance built on first use."""
         return MatroidInstance.linear(field_of_order(2), incidence_matrix(self.num_vertices, self.edges))
 
+    @cached_property
+    def column_bits(self) -> list[int] | None:
+        """A GF(2) instance's columns as ints (bit i = row i); None over other fields."""
+        if self.field.q != 2:
+            return None
+        return [sum(x << i for i, x in enumerate(col)) for col in self.columns]
+
     # ------------------------------------------------------------------
     # the rank oracle
     # ------------------------------------------------------------------
@@ -125,23 +128,16 @@ class MatroidInstance:
 
     def rank(self, subset: ElementSet) -> int:
         self._check_subset(subset)
-        cached = self._cache.get(subset)
-        if cached is not None:
-            return cached
         if self.kind == "linear":
             if self.column_bits is not None:
-                r = _gf2_rank(self.column_bits, subset)
-            else:
-                cols = [self.columns[e] for e in iter_elements(subset)]
-                r = len(gf._eliminate(self.field, self.dim, cols, False))
-        elif self.kind == "graphic":
-            r = self._graphic_rank(subset)
-        elif self.kind == "uniform":
-            r = min(subset.bit_count(), self.r)
-        else:
-            r = self.table[subset]
-        self._cache[subset] = r
-        return r
+                return _gf2_rank(self.column_bits, subset)
+            cols = [self.columns[e] for e in iter_elements(subset)]
+            return len(gf._eliminate(self.field, self.dim, cols, False))
+        if self.kind == "graphic":
+            return self._graphic_rank(subset)
+        if self.kind == "uniform":
+            return min(subset.bit_count(), self.r)
+        return self.table[subset]
 
     def closure(self, subset: ElementSet) -> ElementSet:
         """The elements e with r(subset + e) = r(subset), subset included,
@@ -236,17 +232,6 @@ def loops_and_coloops(m: MatroidInstance) -> tuple[ElementSet, ElementSet]:
     return empty.closure, empty.coclosure
 
 
-def brute_whitney(m: MatroidInstance) -> WhitneyTable:
-    """N(n', r') by enumerating all 2^n subsets against the rank oracle."""
-    if m.n > _FULL_TABLE_LIMIT:
-        raise ValueError(f"brute-force enumeration limited to n <= {_FULL_TABLE_LIMIT}")
-    counts: dict[tuple[int, int], int] = {}
-    for subset in range(1 << m.n):
-        key = (subset.bit_count(), m.rank(subset))
-        counts[key] = counts.get(key, 0) + 1
-    return WhitneyTable(m.n, m.rank(m.full_set), counts)
-
-
 @dataclass
 class AxiomVerdict:
     valid: bool
@@ -301,7 +286,8 @@ def rank_table(m: MatroidInstance) -> list[int]:
     reduces only the later residues against it, one row operation per
     residue with a nonzero entry at the pivot; the instance checked the
     entries when it was built.  An explicit instance returns its table;
-    the others ask ``rank`` per subset."""
+    the others ask ``rank`` per subset.  The exact search,
+    ``tutte.brute_whitney`` and an every-subset ``check`` read it."""
     if m.n > _FULL_TABLE_LIMIT:
         raise ValueError(f"full tables limited to n <= {_FULL_TABLE_LIMIT}")
     if m.kind == "explicit":

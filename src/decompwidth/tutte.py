@@ -23,11 +23,13 @@ modulo the given modulus) the coefficient table is used instead, with
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .kdecomp import KDecomposition, eval_rank, fold
+from .matroids import _FULL_TABLE_LIMIT, MatroidInstance, rank_table
 from .verify import NotAMatroidError, verify
 
 
@@ -126,6 +128,16 @@ def whitney_coefficients(dec: KDecomposition, check: bool = True) -> WhitneyTabl
     # only counted subset of size n
     [full_rank] = [r for (size, r) in counts if size == dec.n]
     return WhitneyTable(dec.n, full_rank, counts)
+
+
+def brute_whitney(m: MatroidInstance) -> WhitneyTable:
+    """N(n', r') of an instance by counting its ``rank_table``, n <= 20:
+    the oracle that ``whitney_coefficients`` is checked against."""
+    if m.n > _FULL_TABLE_LIMIT:
+        raise ValueError(f"brute-force enumeration limited to n <= {_FULL_TABLE_LIMIT}")
+    table = rank_table(m)
+    counts = Counter(zip(map(int.bit_count, range(1 << m.n)), table))
+    return WhitneyTable(m.n, table[-1], dict(counts))
 
 
 def to_tutte(table: WhitneyTable) -> TuttePolynomial:

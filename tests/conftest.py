@@ -3,9 +3,11 @@
 import copy
 import importlib
 import random
+from contextlib import contextmanager
 from itertools import combinations, product
 from typing import NamedTuple
 
+import pytest
 from hypothesis import strategies as st
 
 from decompwidth import (
@@ -82,6 +84,22 @@ def c5_linear():
 
 def c5_graphic():
     return MatroidInstance.graphic(5, C5_EDGES)
+
+
+@contextmanager
+def rank_calls():
+    """The subsets that ``MatroidInstance.rank`` is asked for, on any
+    instance, while the block runs, in a list that grows as it runs."""
+    calls = []
+    rank = MatroidInstance.rank
+
+    def counted(self, subset):
+        calls.append(subset)
+        return rank(self, subset)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MatroidInstance, "rank", counted)
+        yield calls
 
 
 def random_gf2_instances(count=20, rows=4, cols=8, seed=20260810):

@@ -15,6 +15,7 @@ from conftest import (
     mk4_linear,
     parallel_coloop,
     path_matroid,
+    rank_calls,
     small_instances,
     u23,
 )
@@ -347,8 +348,11 @@ def test_greedy_rank_memo_stays_linear(field):
         for i in range(n // 3)
     ]
     m = MatroidInstance.linear(field, matrix)
-    tree, w = greedy_branch_decomposition(m)
-    assert len(m._cache) <= 4 * n
+    # the greedy reads a linear instance's spans, so its rank work stays
+    # linear in n: it asks no rank query at all
+    with rank_calls() as calls:
+        tree, w = greedy_branch_decomposition(m)
+    assert calls == []
     assert w == width(m, tree)
 
 
@@ -449,39 +453,50 @@ def graphic_instances(draw):
 @given(graphic_instances())
 def test_the_greedy_runs_graphic_instances_on_their_incidence_matrix(m):
     # the greedy reads cl and cl* off the spans of the GF(2) incidence
-    # matrix, so it asks the union-find oracle nothing, and it finds the
-    # tree it finds on that matrix as a linear instance
+    # matrix, so it asks the union-find oracle nothing, leaves the twin's
+    # column bits unbuilt, and finds the tree it finds on that matrix as a
+    # linear instance
     if m.n == 0:
         return
-    tree, w = greedy_branch_decomposition(m)
-    assert m._cache == {}
+    with rank_calls() as calls:
+        tree, w = greedy_branch_decomposition(m)
+    assert calls == []
+    assert "column_bits" not in vars(m.twin)
     assert (tree, w) == greedy_branch_decomposition(m.twin)
     assert m.twin is m.twin  # built once per instance
     assert w == width(m, tree)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
-def test_the_search_runs_on_incremental_rank_state(q, monkeypatch):
+def test_the_search_runs_on_incremental_rank_state(q):
     # on a linear instance the greedy order updates one split per step
-    # instead of asking the instance for a closure or coloops, and the
-    # exact search reads every rank from one table, none from the memo
-    def refuse(self, subset):
-        raise AssertionError("the greedy order eliminated afresh")
-
+    # instead of asking the instance for a rank, a closure or coloops, and
+    # the exact search reads every rank from one table
     rng = random.Random(q)
     field = field_of_order(q)
     for n in (1, 5, 9, 30):
         d = rng.randint(1, 8)
         matrix = [[rng.randrange(q) if rng.random() < 0.5 else 0 for _ in range(n)] for _ in range(d)]
         m = MatroidInstance.linear(field, matrix)
-        if n <= 9:
-            exact_branch_decomposition(m)
-            assert m._cache == {}
-        with monkeypatch.context() as patch:
-            patch.setattr(MatroidInstance, "closure", refuse)
-            patch.setattr(MatroidInstance, "coloops", refuse)
+        with rank_calls() as calls:
+            if n <= 9:
+                exact_branch_decomposition(m)
             order = _greedy_order(m)
+        assert calls == []
         assert order == reference_greedy_order(m)
+
+
+@pytest.mark.parametrize("n", [3, 7, 12])
+def test_width_asks_the_full_rank_once(n):
+    # one query per side of each of the 2n - 3 edges, and r(E) once
+    rng = random.Random(n)
+    m = MatroidInstance.linear(GF3, [[rng.randrange(3) for _ in range(n)] for _ in range(3)])
+    tree = caterpillar_tree(n, list(range(n)))
+    with rank_calls() as calls:
+        w = width(m, tree)
+    assert len(calls) == 2 * (2 * n - 3) + 1
+    assert calls.count(m.full_set) == 1
+    assert w == max(edge_width(m, tree, e) for e in tree.edges())
 
 
 def test_exact_never_worse_than_greedy():

@@ -22,6 +22,7 @@ from conftest import (
     loops_and_parallels,
     mk4_linear,
     parallel_coloop,
+    rank_calls,
     u12,
     u23,
 )
@@ -188,6 +189,20 @@ def test_check_exhaustive(u23_files):
     code, out, _ = run(["check", dw, "--matroid", matroid, "--exhaustive"])
     assert code == 0
     assert out.strip() == "ok 8 subsets"
+
+
+@pytest.mark.parametrize("extra", [["--exhaustive"], ["--samples", "64"]], ids=["exhaustive", "samples"])
+def test_every_subset_check_reads_one_rank_table(tmp_path, extra):
+    m = MatroidInstance.linear(GF2, [[1, 0, 1, 1, 0, 1], [0, 1, 1, 0, 1, 1]])
+    matroid_path = tmp_path / "six.matroid"
+    matroid_path.write_text(format_matroid(m))
+    dw_path = tmp_path / "six.dw"
+    code, _, err = run(["construct", "--matroid", str(matroid_path), "-o", str(dw_path)])
+    assert code == 0, err
+    with rank_calls() as calls:
+        code, out, _ = run(["check", str(dw_path), "--matroid", str(matroid_path), *extra])
+    assert (code, out) == (0, "ok 64 subsets\n")
+    assert calls == []
 
 
 def test_check_sampled(u23_files):

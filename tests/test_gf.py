@@ -23,7 +23,6 @@ from decompwidth.gf import (
     hull,
     intersect,
     pair_traces,
-    rank,
     rref,
 )
 
@@ -223,7 +222,6 @@ def test_rref_matches_method_call_elimination(data):
     f, d, rows = data
     s = rref(f, d, rows)
     assert s.rows == reference_rref(f, d, rows)
-    assert rank(f, rows) == s.dim
     assert all(s.contains(row) for row in rows)
 
 
@@ -233,8 +231,6 @@ def test_rref_refuses_entries_outside_the_field(q):
     for bad in (q, q + 2, q + 3, -1):  # 5 over GF(3), 7 over GF(4)
         with pytest.raises(ValueError, match="outside"):
             rref(f, 2, [(1, 0), (1, bad)])
-        with pytest.raises(ValueError, match="outside"):
-            rank(f, [(1, 0), (1, bad)])
         with pytest.raises(ValueError, match="outside"):
             rref(f, 3, [(1, 0, 1)]).contains((1, 0, bad))
 
@@ -248,15 +244,6 @@ def test_subspace_refuses_entries_outside_the_field(q):
         with pytest.raises(ValueError, match="outside"):
             Subspace(f, 3, ((1, 0, 0), (0, 1, bad)))
     assert Subspace(f, 2, ((1, q - 1),)).rows == ((1, q - 1),)
-
-
-def test_rank_refuses_mixed_lengths_and_counts_the_empty_span():
-    f = FieldSpec(3)
-    with pytest.raises(ValueError):
-        rank(f, [(1, 0), (1, 0, 1)])
-    assert rank(f, []) == 0
-    assert rank(f, [(0, 0), (0, 0)]) == 0
-    assert rank(f, [(1, 2), (2, 1), (0, 1)]) == 2
 
 
 def test_contains_checks_the_vector_length():

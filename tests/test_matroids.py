@@ -21,6 +21,7 @@ from conftest import (
     fano,
     mk4_graphic,
     mk4_linear,
+    rank_calls,
     single_loop,
     small_instances,
     u12,
@@ -29,6 +30,7 @@ from conftest import (
 import decompwidth
 from decompwidth import (
     MatroidInstance,
+    WhitneyTable,
     brute_axiom_check,
     brute_whitney,
     format_matroid,
@@ -196,6 +198,13 @@ def twelve_columns(q):
     return MatroidInstance.linear(f, [[col[i] for col in columns] for i in range(3)])
 
 
+def rref_dimensions(m):
+    """The rank of every subset of a linear instance, as the dimension of
+    the checked ``rref`` of its columns."""
+    cols = m.columns
+    return [rref(m.field, m.dim, [cols[e] for e in range(m.n) if s >> e & 1]).dim for s in range(1 << m.n)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_instances())
 def test_rank_table_matches_the_rank_oracle(m):
@@ -203,10 +212,7 @@ def test_rank_table_matches_the_rank_oracle(m):
     assert len(table) == 1 << m.n
     if m.kind == "linear":
         # elimination over the field, also for GF(2) where rank packs bits
-        cols = m.columns
-        expected = [
-            gf.rank(m.field, [cols[e] for e in range(m.n) if s >> e & 1]) for s in range(1 << m.n)
-        ]
+        expected = rref_dimensions(m)
     else:
         expected = [m.rank(s) for s in range(1 << m.n)]
     assert table == expected
@@ -224,11 +230,7 @@ def test_rank_table_matches_the_rank_oracle(m):
 @example(twelve_columns(2**10))
 def test_rank_table_matches_elimination_on_wide_instances(m):
     # zero and repeated columns, and every row-kernel family, on up to 12 columns
-    cols = m.columns
-    expected = [
-        gf.rank(m.field, [cols[e] for e in range(m.n) if s >> e & 1]) for s in range(1 << m.n)
-    ]
-    assert rank_table(m) == expected
+    assert rank_table(m) == rref_dimensions(m)
 
 
 def dual_rank_table(m):
@@ -330,12 +332,13 @@ def test_prefix_sweep_on_a_worked_example():
     # 4 is a loop, 3 is parallel to 1, and 2 = 0 + 2·1; λ(P + e) - λ(P) is
     # [e not in cl(P)] + [e not in cl*(P)] - 1 at every step
     m = MatroidInstance.linear(GF3, [[1, 0, 1, 0, 0], [0, 1, 2, 2, 0]])
-    lams, closures, coclosures = prefix_sweep(m, [4, 0, 1, 3, 2])
+    with rank_calls() as calls:
+        lams, closures, coclosures = prefix_sweep(m, [4, 0, 1, 3, 2])
+    assert calls == []  # no rank query on a linear instance
     assert lams == [0, 0, 1, 2, 1, 0]
     assert closures == [0b10000, 0b10000, 0b10001, 0b11111, 0b11111, 0b11111]
     # 2 is a coloop of M|{1, 2, 3}, so it lies in cl*({0, 4})
     assert coclosures == [0, 0b10000, 0b10101, 0b11111, 0b11111, 0b11111]
-    assert m._cache == {}  # no rank query on a linear instance
 
 
 def test_prefix_sweep_refuses_bad_orders_and_entries():
@@ -435,6 +438,38 @@ def test_brute_whitney_totals(make):
     t = brute_whitney(m)
     assert t.total() == 1 << m.n
     assert all(rk <= min(size, t.r) for (size, rk) in t.counts)
+
+
+def per_subset_whitney(m):
+    """N(n', r') by asking ``m.rank`` for every subset."""
+    counts = {}
+    for subset in range(1 << m.n):
+        key = (subset.bit_count(), m.rank(subset))
+        counts[key] = counts.get(key, 0) + 1
+    return WhitneyTable(m.n, m.rank(m.full_set), counts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_instances())
+@example(MatroidInstance.linear(GF2, []))
+@example(MatroidInstance.graphic(1, []))
+@example(MatroidInstance.uniform(0, 0))
+@example(MatroidInstance.explicit([0]))
+def test_brute_whitney_counts_the_rank_oracle(m):
+    assert brute_whitney(m) == per_subset_whitney(m)
+
+
+def test_brute_whitney_asks_a_linear_instance_no_rank():
+    m = twelve_columns(3)
+    with rank_calls() as calls:
+        table = brute_whitney(m)
+    assert calls == []
+    assert table == per_subset_whitney(m)
+
+
+def test_brute_whitney_refuses_more_than_20_elements():
+    with pytest.raises(ValueError, match=r"^brute-force enumeration limited to n <= 20$"):
+        brute_whitney(MatroidInstance.uniform(2, 21))
 
 
 def test_connectivity_symmetry():

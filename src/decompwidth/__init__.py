@@ -10,7 +10,6 @@ from .branchdecomp import (
     BranchTree,
     RootedBranchTree,
     caterpillar_tree,
-    edge_width,
     exact_branch_decomposition,
     format_branch_tree,
     greedy_branch_decomposition,

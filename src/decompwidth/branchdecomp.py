@@ -177,13 +177,6 @@ class RootedBranchTree:
         return self._masks
 
 
-def edge_width(m: MatroidInstance, tree: BranchTree, edge: Edge) -> int:
-    """r(E1) + r(E2) - r(E) for the bipartition induced by removing ``edge``."""
-    side = tree.side_mask(*edge)
-    full = m.full_set
-    return m.rank(side) + m.rank(full & ~side) - m.rank(full)
-
-
 def width(m: MatroidInstance, tree: BranchTree) -> int:
     """Maximum edge width, asking r(E) once; 0 for trees on at most one leaf."""
     if tree.n <= 1:

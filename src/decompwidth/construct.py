@@ -14,8 +14,8 @@ For child colors (g1, g2) naming boundary subspaces S1, S2, the parent entry
 is the color of (parent boundary) intersect hull(S1, S2), and the rank
 defect is dim S1 + dim S2 - dim hull(S1, S2): exactly the dimension lost
 when the two subtrees' spans meet.  ``gf.pair_traces`` gives both for all
-pairs of a node from one Zassenhaus elimination per left color, extended
-once per right color, and builds no hull.  Colors are numbered by first
+pairs of a node from one Zassenhaus elimination per child color, extended
+once per pair, and builds no hull.  Colors are numbered by first
 appearance in (g1, g2) order.
 
 Leaves color the empty set 0 and the selected singleton 1.  When a leaf's

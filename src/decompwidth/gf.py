@@ -547,13 +547,14 @@ def pair_traces(field: FieldSpec, d: int, bound, lefts: list, rights: list):
     RREF rows of length d, and only their lengths and entries are checked.
 
     Zassenhaus elimination as in :func:`intersect`, shared across pairs:
-    the rows [b | b] of B and [s | 0] of S1 are put in forward echelon
-    form once per S1, and each S2 only reduces its rows [s | 0] against
-    those pivots and echelons what is left.  In any echelon form of the
-    stack, the rows with a zero left half hold a basis of the trace in
-    their right halves, and there are dim B + dim(S1 + S2) rows.  One RREF
-    makes the trace canonical, unless S2 adds no row to S1's trace or the
-    trace is all of B.
+    the rows [s | 0] of every S1 and of every S2 are reduced against the
+    rows [b | b] of B and put in forward echelon form once, which for
+    S1 = {0} is all a pair needs.  Any other pair only reduces the echelon
+    rows of S2 against the new pivots of S1 and echelons what is left.  In
+    any echelon form of the stack, the rows with a zero left half hold a
+    basis of the trace in their right halves, and there are dim B +
+    dim(S1 + S2) rows.  One RREF makes the trace canonical, unless S2 adds
+    no row to S1's trace or the trace is all of B.
     """
     _check_rows(field, d, [row for s in (bound, *lefts, *rights) for row in s])
     full, width, zero = len(bound), 2 * d, (0,) * d
@@ -562,12 +563,12 @@ def pair_traces(field: FieldSpec, d: int, bound, lefts: list, rights: list):
         return bound if len(rows) == full else _echelon(field, d, rows)
 
     base = [(row.index(1), row + row) for row in bound]
-    padded = [[row + zero for row in s] for s in rights]
+    reduced = [_extend(field, width, base, [row + zero for row in s]) for s in rights]
     for s1 in lefts:
-        stem = base + _extend(field, width, base, [row + zero for row in s1])
+        stem = _extend(field, width, base, [row + zero for row in s1]) if s1 else []
         low = [row[d:] for col, row in stem if col >= d]
         prefix = canonical(low[:])
-        for rows in padded:
-            new = _extend(field, width, stem, rows[:])
+        for rows in reduced:
+            new = _extend(field, width, stem, [row for _, row in rows]) if stem else rows
             high = [row[d:] for col, row in new if col >= d]
-            yield prefix if not high else canonical(low + high), len(stem) + len(new) - full
+            yield prefix if not high else canonical(low + high), len(stem) + len(new)

@@ -372,7 +372,10 @@ def parse(text: str) -> KDecomposition:
         elif tok[0] == "phi":
             if len(tok) != 6:
                 raise ParseError(lineno, "phi line needs: phi <id> <g1> <g2> <color> <rdef>")
-            phis.append((lineno, *integers(tok[1:], lineno, "phi entries must be integers")))
+            try:
+                phis.append((lineno, int(tok[1]), int(tok[2]), int(tok[3]), int(tok[4]), int(tok[5])))
+            except ValueError:
+                integers(tok[1:], lineno, "phi entries must be integers")
         elif tok[0] == "root":
             if root is not None:
                 raise ParseError(lineno, "duplicate root line")
@@ -410,16 +413,21 @@ def parse(text: str) -> KDecomposition:
             [[0] * rp for _ in range(lp)],
             [[0] * rp for _ in range(lp)],
         )
-    filled: set[tuple[int, int, int]] = set()
+    # per inner node, which of its cells a phi line has set; a duplicate
+    # repeats a line that passed every check, so its indices are in bounds
+    filled: dict[int, list[list[bool]]] = {}
     for lineno, node_id, g1, g2, color, drop in phis:
         node = nodes.get(node_id)
         if not isinstance(node, Inner):
             raise ParseError(lineno, f"phi refers to non-inner node {node_id}")
-        if (node_id, g1, g2) in filled:
-            raise ParseError(lineno, f"duplicate phi entry for node {node_id} at ({g1}, {g2})")
-        filled.add((node_id, g1, g2))
         if not (0 <= g1 < len(node.color) and 0 <= g2 < len(node.color[0])):
             raise ParseError(lineno, f"phi index ({g1}, {g2}) outside the child palettes")
+        cells = filled.get(node_id)
+        if cells is None:
+            cells = filled[node_id] = [[False] * len(row) for row in node.color]
+        if cells[g1][g2]:
+            raise ParseError(lineno, f"duplicate phi entry for node {node_id} at ({g1}, {g2})")
+        cells[g1][g2] = True
         if not 0 <= color < node.palette:
             raise ParseError(lineno, f"color {color} outside palette 0..{node.palette - 1}")
         if drop < 0:

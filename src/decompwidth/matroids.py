@@ -73,7 +73,7 @@ class MatroidInstance:
     @classmethod
     def linear(cls, field: FieldSpec, matrix) -> "MatroidInstance":
         """Columns of ``matrix`` (a sequence of d rows of n entries) over ``field``."""
-        rows = tuple([tuple([int(x) for x in row]) for row in matrix])
+        rows = tuple([tuple(map(int, row)) for row in matrix])
         return cls("linear", len(rows[0]) if rows else 0, field=field, matrix=rows)
 
     @classmethod

@@ -16,9 +16,11 @@ label axis.  Counts are exact Python integers.
 and color it accumulates sums of (x-1)^(|Ev|-label) (y-1)^(|F|-label), so
 combining children only multiplies by ((x-1)(y-1))^defect and a single
 division by (x-1)^(n-r) remains at the root.  That keeps the work at O(K^2)
-per node.  Where that division is undefined (x = 1, or x - 1 not invertible
-modulo the given modulus) the coefficient table is used instead, with
-0^0 = 1.  Arithmetic is exact rational, or modular when a modulus is given.
+per node.  The sums are held as integers: scaled by a power of the
+denominators of x - 1 and y - 1 for an exact value, which is one Fraction
+built at the root, or as residues when a modulus is given.  Where the
+division is undefined (x = 1, or x - 1 not invertible modulo the given
+modulus) the coefficient table is used instead, with 0^0 = 1.
 """
 
 from __future__ import annotations
@@ -185,41 +187,67 @@ def _point_from_table(table: WhitneyTable, x, y):
     )
 
 
-def _scaled_point_dp(dec: KDecomposition, x, y, reduce):
-    """sum over F of (x-1)^(n-r(F)) (y-1)^(|F|-r(F)), via per-color sums.
+class _Powers(dict):
+    """base^k % mod for every k asked, each computed on its first lookup."""
 
-    Each node carries, per color, the sum of (x-1)^(|Ev|-label) *
-    (y-1)^(|F|-label); this is the point value scaled by (x-1)^(n-r), which
-    the caller divides out.  ``reduce`` maps each product into the target
-    ring (identity for rationals, a mod for residues).
+    def __init__(self, base: int, mod: int):
+        super().__init__({0: 1 % mod})
+        self.base, self.mod = base, mod
+
+    def __missing__(self, k: int) -> int:
+        v = self[k] = self[k - 1] * self.base % self.mod
+        return v
+
+
+def _point_dp(dec: KDecomposition, a: int, b: int, c: int, e: int, mod: int | None):
+    """(S, P) with S / (be)^P = sum over F of X^(n-r(F)) Y^(|F|-r(F)),
+    for X = a/b and Y = c/e; with ``mod``, b = e = 1 and S is a residue.
+
+    Each node carries, per color, the sum of X^(|Ev|-label) Y^(|F|-label).
+    Every such sum is a polynomial in X and Y (``validate_structure``
+    refuses negative defects), so a node keeps it times (be)^P as an
+    integer: P = 1 at a leaf, and P = P1 + P2 + top at an inner node whose
+    largest defect is top, where a pair at defect d takes the factor
+    (ac)^d (be)^(top-d).  Modulo ``mod`` there is nothing to clear: b = e =
+    1, the factors are the powers of ac, and no node needs its top.
     """
-    base = reduce((x - 1) * (y - 1))
-    powers = {0: reduce(1), 1: base}
+    ac, be = a * c, b * e
+    leaves = ({0: a * e, 1: be}, {0: a * e, 1: ac})
+    if mod is None:
+        tops: list[int] = []
+        by_top: dict[int, list[int]] = {}
 
-    def power(k):
-        v = powers.get(k)
-        if v is None:
-            v = powers[max(powers)]
-            for i in range(max(powers) + 1, k + 1):
-                v = reduce(v * base)
-                powers[i] = v
-        return powers[k]
+        def factors(defect):
+            top = max(map(max, defect))
+            tops.append(top)
+            factor = by_top.get(top)
+            if factor is None:
+                factor = by_top[top] = [ac**d * be ** (top - d) for d in range(top + 1)]
+            return factor
 
-    empty = reduce(x - 1)
-    one = reduce(1)
+    else:
+        powers = _Powers(ac % mod, mod)
+        tops = []
+
+        def factors(defect):
+            return powers
 
     def combine(node_id, node, table1, table2):
         color, defect = node.color, node.defect
-        merged: dict[int, object] = {}
+        factor = factors(defect)
+        merged: dict[int, int] = {}
         for g1, v1 in table1.items():
+            colors, drops = color[g1], defect[g1]
             for g2, v2 in table2.items():
-                g = color[g1][g2]
-                term = reduce(v1 * v2 * power(defect[g1][g2]))
-                merged[g] = reduce(merged.get(g, 0) + term)
+                g = colors[g2]
+                merged[g] = merged.get(g, 0) + v1 * v2 * factor[drops[g2]]
+        if mod is not None:
+            for g, v in merged.items():
+                merged[g] = v % mod
         return merged
 
-    root = fold(dec, lambda node_id, node: {0: empty, 1: base if node.loop else one}, combine)
-    return reduce(sum(root.values()))
+    root = fold(dec, lambda node_id, node: leaves[node.loop], combine)
+    return sum(root.values()), dec.n + sum(tops)
 
 
 def _to_residue(value, mod: int) -> int:
@@ -230,9 +258,12 @@ def _to_residue(value, mod: int) -> int:
 def evaluate(dec: KDecomposition, x, y, mod: int | None = None):
     """Tutte polynomial value at (x, y): exact Fraction, or a residue mod ``mod``.
 
-    Points where (x - 1)^(n - r) is invertible take the O(K^2 n) per-color
-    pass; the rest (x = 1 below full rank, or x - 1 not invertible modulo
-    ``mod``) fall back to the coefficient table.  No floating point anywhere.
+    Points where (x - 1)^(n - r) is invertible take the per-color pass:
+    O(K^2 n) integer operations, on residues modulo ``mod`` or on integers
+    scaled by the denominators of x - 1 and y - 1, and for an exact value
+    one Fraction at the end.  The rest (x = 1 below full rank, or x - 1 not
+    invertible modulo ``mod``) fall back to the coefficient table.  No
+    floating point anywhere.
 
     ``dec`` is not verified here: a caller with an untrusted decomposition
     runs :func:`verify` first.  Unverified, a malformed decomposition still
@@ -246,22 +277,23 @@ def evaluate(dec: KDecomposition, x, y, mod: int | None = None):
     for name, value in (("x", x), ("y", y)):
         if mod is not None and gcd(value.denominator, mod) != 1:
             raise ValueError(f"{name} = {value} has no residue modulo {mod}")
-    if mod is None:
-        ring, reduce, inverse_power = Fraction, (lambda v: v), (lambda v, k: 1 / v**k)
-    else:
-        ring, reduce, inverse_power = (
-            (lambda v: _to_residue(v, mod)), (lambda v: v % mod), (lambda v, k: pow(v, -k, mod))
-        )
-    rx, ry = ring(x), ring(y)
     corank = dec.n - eval_rank(dec, dec.full_set())
-    try:
-        inv = inverse_power(rx - 1, corank)
-    except (ValueError, ZeroDivisionError):
+    if mod is None:
+        (a, b), (c, e) = (x - 1).as_integer_ratio(), (y - 1).as_integer_ratio()
+        divisible = a != 0
+    else:
+        a, b, c, e = _to_residue(x - 1, mod), 1, _to_residue(y - 1, mod), 1
+        divisible = gcd(a, mod) == 1
+    if corank and not divisible:
         # x - 1 is zero or not invertible: count coefficients instead
         table = whitney_coefficients(dec, check=False)
         if any(rk > table.r for _, rk in table.counts):
             raise ValueError(
                 "rank label above r(E) while counting; the decomposition does not define a matroid"
-            ) from None
-        return ring(_point_from_table(table, x, y))
-    return reduce(_scaled_point_dp(dec, rx, ry, reduce) * inv)
+            )
+        value = _point_from_table(table, x, y)
+        return Fraction(value) if mod is None else _to_residue(value, mod)
+    total, scale = _point_dp(dec, a, b, c, e, mod)
+    if mod is not None:
+        return total * pow(a, -corank, mod) % mod
+    return Fraction(total * b**corank, (b * e) ** scale * a**corank)

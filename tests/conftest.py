@@ -4,6 +4,7 @@ import copy
 import importlib
 import random
 from contextlib import contextmanager
+from fractions import Fraction
 from itertools import combinations, product
 from typing import NamedTuple
 
@@ -21,7 +22,7 @@ from decompwidth import (
     root_tree,
 )
 from decompwidth.gf import Subspace
-from decompwidth.kdecomp import Inner, KDecomposition, Leaf, node_states
+from decompwidth.kdecomp import Inner, KDecomposition, Leaf, eval_rank, fold, node_states
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -100,6 +101,38 @@ def rank_calls():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(MatroidInstance, "rank", counted)
         yield calls
+
+
+def edge_width(m, tree, edge):
+    """r(E1) + r(E2) - r(E) for the bipartition induced by removing
+    ``edge``: the oracle that ``width`` is checked against."""
+    side = tree.side_mask(*edge)
+    full = m.full_set
+    return m.rank(side) + m.rank(full & ~side) - m.rank(full)
+
+
+def fraction_point_dp(dec, x, y):
+    """T(x, y) by the per-color point DP in Fraction arithmetic, for x != 1
+    unless r(E) = n: the oracle that ``evaluate`` is checked against.
+
+    Each node carries, per color, the sum of (x-1)^(|Ev|-label) *
+    (y-1)^(|F|-label); combining children multiplies by
+    ((x-1)(y-1))^defect, and the root sum is divided by (x-1)^(n-r).
+    """
+    x, y = Fraction(x), Fraction(y)
+    base = (x - 1) * (y - 1)
+
+    def combine(node_id, node, table1, table2):
+        merged = {}
+        for g1, v1 in table1.items():
+            for g2, v2 in table2.items():
+                g = node.color[g1][g2]
+                merged[g] = merged.get(g, 0) + v1 * v2 * base ** node.defect[g1][g2]
+        return merged
+
+    root = fold(dec, lambda node_id, node: {0: x - 1, 1: base if node.loop else Fraction(1)}, combine)
+    corank = dec.n - eval_rank(dec, dec.full_set())
+    return sum(root.values()) / (x - 1) ** corank
 
 
 def random_gf2_instances(count=20, rows=4, cols=8, seed=20260810):

@@ -11,6 +11,7 @@ from conftest import (
     GF2,
     GF3,
     c5_graphic,
+    edge_width,
     fano,
     mk4_linear,
     parallel_coloop,
@@ -25,7 +26,6 @@ from decompwidth import (
     MatroidInstance,
     RootedBranchTree,
     caterpillar_tree,
-    edge_width,
     exact_branch_decomposition,
     field_of_order,
     format_branch_tree,

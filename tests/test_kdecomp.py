@@ -454,6 +454,29 @@ def test_parse_duplicate_phi():
     assert err.value.line == 6
 
 
+PHI_HEAD = "dw version=1 n=2 K=1\nleaf 0 elem=0 loop=0\nleaf 1 elem=1 loop=0\ninner 2 left=0 right=1 kv=2\n"
+
+
+@pytest.mark.parametrize(
+    "phis, message",
+    [
+        ("phi 2 1 x 1 0\n", "line 5: phi entries must be integers, got '2 1 x 1 0'"),
+        ("phi 1 1 1 1 0\n", "line 5: phi refers to non-inner node 1"),
+        ("phi 2 2 0 1 0\n", "line 5: phi index (2, 0) outside the child palettes"),
+        ("phi 2 0 -1 1 0\n", "line 5: phi index (0, -1) outside the child palettes"),
+        ("phi 2 1 1 2 0\n", "line 5: color 2 outside palette 0..1"),
+        ("phi 2 1 1 1 -1\n", "line 5: rank defect -1 is negative"),
+        ("phi 2 1 1 1 0\nphi 2 1 0 1 0\nphi 2 1 1 1 0\n", "line 7: duplicate phi entry for node 2 at (1, 1)"),
+        # the duplicate is reported before the bad color of its own line
+        ("phi 2 1 1 1 0\nphi 2 1 1 5 0\n", "line 6: duplicate phi entry for node 2 at (1, 1)"),
+    ],
+)
+def test_phi_errors_name_their_line_and_cause(phis, message):
+    with pytest.raises(ParseError) as err:
+        parse(PHI_HEAD + phis + "root 2\n")
+    assert str(err.value) == message
+
+
 def test_serialize_omits_zero_entries():
     dec = path_caterpillar_decomposition(50)
     text = serialize(dec)

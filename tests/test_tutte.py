@@ -1,19 +1,22 @@
 """Tutte polynomial coefficients and evaluation against enumeration oracles."""
 
+import copy
 import hashlib
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     balanced_rooted_tree,
     construct_exact,
     fano,
+    fraction_point_dp,
     left_deep_rooted_tree,
     loop_coloop,
     mk4_graphic,
@@ -38,7 +41,7 @@ from decompwidth import (
     verify,
     whitney_coefficients,
 )
-from decompwidth.kdecomp import Inner, KDecomposition, Leaf, node_states
+from decompwidth.kdecomp import Inner, KDecomposition, Leaf, eval_rank, node_states
 
 
 # ---------------------------------------------------------------------------
@@ -441,3 +444,139 @@ def test_single_leaf_tutte():
     dec = KDecomposition(1, {0: Leaf(0, False)}, 0)
     assert to_tutte(whitney_coefficients(dec)).coeffs == {(1, 0): 1}  # x
     assert evaluate(dec, 3, 7) == 3
+
+
+# ---------------------------------------------------------------------------
+# evaluation against the Fraction point DP
+# ---------------------------------------------------------------------------
+
+
+@cache
+def corpus_decompositions():
+    return tuple(construct_exact(m)[0] for _, m, _ in named_corpus())
+
+
+def raised_defect(dec, node_id, cell, by):
+    """Copy of ``dec`` with one defect entry other than (0, 0) raised by
+    ``by``: structure-valid, and in general not a matroid."""
+    out = copy.deepcopy(dec)
+    defect = out.nodes[node_id].defect
+    g1, g2 = divmod(cell, len(defect[0]))
+    defect[g1][g2] += by
+    return out
+
+
+@st.composite
+def random_tables(draw, max_n=6):
+    """A structure-valid decomposition on at most ``max_n`` elements with
+    drawn tree, loops, palettes, colors and defects up to 4: rarely a
+    matroid, and every defect pattern the corpus lacks."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    nodes = {e: Leaf(e, draw(st.booleans())) for e in range(n)}
+    tops = [(e, 2) for e in range(n)]
+    while len(tops) > 1:
+        i = draw(st.integers(min_value=0, max_value=len(tops) - 2))
+        (left, lp), (right, rp) = tops.pop(i), tops.pop(i)
+        palette = draw(st.integers(min_value=1, max_value=4))
+        color = [[draw(st.integers(min_value=0, max_value=palette - 1)) for _ in range(rp)] for _ in range(lp)]
+        defect = [[draw(st.integers(min_value=0, max_value=4)) for _ in range(rp)] for _ in range(lp)]
+        color[0][0] = defect[0][0] = 0
+        node_id = len(nodes)
+        nodes[node_id] = Inner((left, right), palette, color, defect)
+        tops.insert(i, (node_id, palette))
+    return KDecomposition(n, nodes, tops[0][0])
+
+
+@st.composite
+def raised_corpus(draw):
+    """A corpus decomposition, or one with a raised defect."""
+    dec = draw(st.sampled_from(corpus_decompositions()))
+    cells = {
+        v: len(node.defect) * len(node.defect[0])
+        for v, node in dec.nodes.items()
+        if isinstance(node, Inner) and len(node.defect) * len(node.defect[0]) > 1
+    }
+    if not cells or draw(st.booleans()):
+        return dec
+    node_id = draw(st.sampled_from(sorted(cells)))
+    cell = draw(st.integers(min_value=1, max_value=cells[node_id] - 1))
+    return raised_defect(dec, node_id, cell, draw(st.integers(min_value=1, max_value=3)))
+
+
+decompositions = st.one_of(raised_corpus(), random_tables())
+
+
+# x - 1 < 0, x = 0, y = 1, and numerators and denominators of 40 digits
+BIG = 10**40
+coordinates = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(2), Fraction(-3, 7), Fraction(1, 2), Fraction(5, 3)]),
+    st.builds(Fraction, st.integers(min_value=-BIG, max_value=BIG), st.integers(min_value=1, max_value=BIG)),
+)
+
+
+def residue(value: Fraction, mod: int) -> int:
+    return value.numerator * pow(value.denominator, -1, mod) % mod
+
+
+def corank(dec) -> int:
+    return dec.n - eval_rank(dec, dec.full_set())
+
+
+@settings(max_examples=300, deadline=None)
+@given(decompositions, coordinates, coordinates)
+def test_evaluate_is_the_fraction_point_dp(dec, x, y):
+    assume(x != 1 or corank(dec) == 0)
+    got = evaluate(dec, x, y)
+    assert type(got) is Fraction and got == fraction_point_dp(dec, x, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    decompositions,
+    coordinates,
+    coordinates,
+    st.sampled_from([7, 9, 97, 2**31 - 1]),
+    st.booleans(),
+)
+def test_modular_evaluate_is_the_residue_of_the_fraction_point_dp(dec, x, y, mod, degenerate):
+    if degenerate:
+        # x - 1 is 0 modulo mod: the coefficient-table fallback
+        x = 1 + mod * x
+    assume(gcd(x.denominator, mod) == 1 and gcd(y.denominator, mod) == 1)
+    assume(x != 1 or corank(dec) == 0)
+    want = fraction_point_dp(dec, x, y)
+    try:
+        got = evaluate(dec, x, y, mod=mod)
+    except ValueError:
+        # only the fallback, where x - 1 has no inverse, refuses a
+        # structure-valid decomposition: at a negative rank label or one
+        # above r(E), which no matroid has
+        assert gcd((x - 1).numerator, mod) != 1 and corank(dec) and not verify(dec)
+        return
+    assert type(got) is int and got == residue(want, mod)
+
+
+def test_evaluate_is_the_fraction_point_dp_on_the_corpus():
+    # every corpus decomposition, and each with its last table entry raised
+    points = [(Fraction(3, 2), Fraction(5, 3)), (Fraction(-3, 7), 2), (2, 1), (0, Fraction(1, 2))]
+    points += [(Fraction(BIG + 1, BIG - 1), Fraction(-BIG, BIG + 3))]
+    raised = 0
+    for base in corpus_decompositions():
+        decs = [base]
+        inner = [v for v, node in base.nodes.items() if isinstance(node, Inner)]
+        if inner:
+            node = base.nodes[max(inner)]
+            cells = len(node.defect) * len(node.defect[0])
+            if cells > 1:
+                decs.append(raised_defect(base, max(inner), cells - 1, 1))
+                raised += not verify(decs[-1])
+        for dec in decs:
+            for x, y in points:
+                want = fraction_point_dp(dec, x, y)
+                assert evaluate(dec, x, y) == want
+                for mod in (13, 2**31 - 1):
+                    assert evaluate(dec, x, y, mod=mod) == residue(want, mod)
+            # x - 1 = 7 vanishes modulo 7, so this residue comes from the table
+            if verify(dec):
+                assert evaluate(dec, 8, 3, mod=7) == residue(fraction_point_dp(dec, 8, 3), 7)
+    assert raised

@@ -36,6 +36,8 @@ from dataclasses import dataclass, field
 from .errors import ParseError, integers, keyed, records
 
 ElementSet = int  # bitmask over ground-set elements
+# node_states reads a subset as one byte per element: a shift per leaf copies n bits
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass
@@ -116,11 +118,12 @@ def node_states(dec: KDecomposition, subset: ElementSet) -> dict[int, tuple[int,
     """(color, label) of every node for the given subset."""
     if subset & ~dec.full_set():
         raise ValueError("subset contains elements outside the ground set")
+    members = bin(subset)[:1:-1].ljust(dec.n, "0").encode().translate(_BIT_VALUES)
     states: dict[int, tuple[int, int]] = {}
     for node_id in dec.postorder():
         node = dec.nodes[node_id]
         if isinstance(node, Leaf):
-            selected = subset >> node.element & 1
+            selected = members[node.element]
             states[node_id] = (selected, selected if not node.loop else 0)
         else:
             c1, l1 = states[node.children[0]]
@@ -138,36 +141,35 @@ def eval_rank(dec: KDecomposition, subset: ElementSet) -> int:
     return node_states(dec, subset)[dec.root][1]
 
 
-def singleton_ranks(
-    dec: KDecomposition, base: ElementSet = 0, states: dict[int, tuple[int, int]] | None = None
-) -> list[int]:
-    """eval_rank(base ^ {e}) for every element e, in one O(nK) top-down pass.
-
-    Flipping e changes node states only on the path from its leaf to the
-    root.  Every sibling along that path keeps its state for ``base``, so
-    the label gained above a node depends only on that node's color.
-    ``states`` is ``node_states(dec, base)`` when the caller has it already.
-    """
-    if states is None:
-        states = node_states(dec, base)
-    offsets: dict[int, list[int]] = {dec.root: [0] * dec.palette_of(dec.root)}
-    ranks = [0] * dec.n
-    for node_id in reversed(dec.postorder()):
+def offsets(dec: KDecomposition, states: dict[int, tuple[int, int]]) -> dict[int, list[int]]:
+    """The one top-down pass, O(nK): for every node v and color g of v, what
+    the root's label adds to v's label when v takes color g and every node
+    off v's path keeps its state in ``states``, a node absent from it being
+    at (0, 0).  With states = node_states(dec, B), or {} for B empty, that is
+    eval_rank((B - E_v) | X) - label_v(X) for X in v's subtree E_v of color g."""
+    order = dec.postorder()  # checks dec before its root is read
+    off = {dec.root: [0] * dec.palette_of(dec.root)}
+    for node_id in reversed(order):
         node = dec.nodes[node_id]
-        off = offsets.pop(node_id)
+        if isinstance(node, Inner):
+            here, (left, right) = off[node_id], node.children
+            c1, l1 = states.get(left, (0, 0))
+            c2, l2 = states.get(right, (0, 0))
+            off[left] = [here[r[c2]] + l2 - d[c2] for r, d in zip(node.color, node.defect)]
+            off[right] = [here[c] + l1 - d for c, d in zip(node.color[c1], node.defect[c1])]
+    return off
+
+
+def singleton_ranks(dec: KDecomposition, base: ElementSet = 0) -> list[int]:
+    """eval_rank(base ^ {e}) for every element e, read off the leaves of
+    ``offsets`` in O(nK); the empty base needs no ``node_states`` pass."""
+    states = node_states(dec, base) if base else {}
+    off = offsets(dec, states)
+    ranks = [0] * dec.n
+    for node_id, node in dec.nodes.items():
         if isinstance(node, Leaf):
-            flipped = 1 - (base >> node.element & 1)
-            ranks[node.element] = (0 if node.loop else flipped) + off[flipped]
-            continue
-        left, right = node.children
-        (c1, l1), (c2, l2) = states[left], states[right]
-        color, defect = node.color, node.defect
-        offsets[left] = [
-            off[color[g][c2]] + l2 - defect[g][c2] for g in range(dec.palette_of(left))
-        ]
-        offsets[right] = [
-            off[color[c1][g]] + l1 - defect[c1][g] for g in range(dec.palette_of(right))
-        ]
+            flipped = 1 - states.get(node_id, (0, 0))[0]
+            ranks[node.element] = (0 if node.loop else flipped) + off[node_id][flipped]
     return ranks
 
 

@@ -60,7 +60,6 @@ class MatroidInstance:
         self.kind = kind
         self.n = n
         self.__dict__.update(data)
-        self._dual_cache: list | None = None  # see _dual_columns
         if kind == "linear":  # rows of length n, entries in 0..q-1
             gf._check_rows(self.field, n, self.matrix)
             self.dim = len(self.matrix)
@@ -113,6 +112,24 @@ class MatroidInstance:
         if self.field.q != 2:
             return None
         return [sum(x << i for i, x in enumerate(col)) for col in self.columns]
+
+    @cached_property
+    def dual_columns(self) -> list:
+        """A linear instance's representation of the dual M*, one column per
+        element: with the RREF [I | A] of the matrix (pivot columns first),
+        the columns of [A^T | I], which is [-A^T | I] with every column scaled
+        by -1 and the I columns scaled back, so it keeps the matroid.  The
+        elimination trusts the instance's checked entries."""
+        n = self.n
+        rows = gf._eliminate(self.field, n, list(self.matrix), True)
+        pivots = {row.index(1) for row in rows}
+        free = [e for e in range(n) if e not in pivots]
+        dual = [None] * n
+        for row in rows:
+            dual[row.index(1)] = tuple([row[f] for f in free])
+        for i, e in enumerate(free):
+            dual[e] = (0,) * i + (1,) + (0,) * (len(free) - 1 - i)
+        return dual
 
     # ------------------------------------------------------------------
     # the rank oracle
@@ -324,27 +341,6 @@ def rank_table(m: MatroidInstance) -> list[int]:
     return table
 
 
-def _dual_columns(m: MatroidInstance) -> list:
-    """Columns of a representation of the dual M* of a linear instance,
-    indexed by element: with the RREF [I | A] of m's matrix (pivot columns
-    first), the columns of [A^T | I].  That is the standard [-A^T | I]
-    with every column scaled by -1 and then the I columns scaled back,
-    which keeps the matroid.  The elimination trusts the instance's checked
-    entries, and the columns are computed once per instance."""
-    if m._dual_cache is None:
-        n = m.n
-        rows = gf._eliminate(m.field, n, list(m.matrix), True)
-        pivots = {row.index(1) for row in rows}
-        free = [e for e in range(n) if e not in pivots]
-        dual = [None] * n
-        for row in rows:
-            dual[row.index(1)] = tuple([row[f] for f in free])
-        for i, e in enumerate(free):
-            dual[e] = (0,) * i + (1,) + (0,) * (len(free) - 1 - i)
-        m._dual_cache = dual
-    return m._dual_cache
-
-
 class _PrefixSpan:
     """cl(P) and r(P) of a set P of ``columns`` that grows one element at a
     time.  Every column outside the closure keeps a residue, reduced once
@@ -385,7 +381,7 @@ class _GrowingSet:
     λ(P + e) = λ(P) + [e not in cl(P)] + [e not in cl*(P)] - 1.
 
     A linear instance keeps a ``_PrefixSpan`` over its checked columns and
-    one over those of M* (``_dual_columns``), and a graphic instance the
+    one over those of M* (``dual_columns``), and a graphic instance the
     same over its ``twin``, its GF(2) incidence matrix.  The other
     backends ask ``closure(P)`` and, since e outside P lies in cl*(P) iff
     it is a coloop of M|(E - P), ``coloops(E - P)``."""
@@ -394,7 +390,7 @@ class _GrowingSet:
         self.m, self.members, self._spans = m, 0, ()
         if m.kind in ("linear", "graphic"):
             rep = m if m.kind == "linear" else m.twin
-            self._spans = (_PrefixSpan(rep.field, rep.columns), _PrefixSpan(rep.field, _dual_columns(rep)))
+            self._spans = (_PrefixSpan(rep.field, rep.columns), _PrefixSpan(rep.field, rep.dual_columns))
         self._read()
 
     def add(self, e: int) -> None:

@@ -2,8 +2,8 @@
 
 An integer-valued set function is a matroid rank function exactly when it is
 zero on the empty set, monotone, submodular, and at most 1 on singletons
-(those four together imply the unit-increase property).  Each condition is
-checked here without enumerating subsets:
+(those four together imply the unit-increase property).  The first three
+are checked here without enumerating subsets, and they imply the fourth:
 
 * empty set: structural, the (0, 0) table entries are pinned to (0, 0);
 * submodularity: in its local form, label(A+e) + label(A+f) >=
@@ -13,7 +13,8 @@ checked here without enumerating subsets:
 * monotonicity: a submodular r has diminishing returns, r(A+e) - r(A) >=
   r(E) - r(E-e) for e outside A, so it is monotone exactly when r(E-e) <=
   r(E) for every element e; all n of those ranks come from one linear pass;
-* singletons: all n singleton ranks in one linear pass.
+* singletons: over {e} the nodes off e's path are at (0, 0) and defects are
+  >= 0, so r({e}) <= its leaf's label <= 1; r monotone gives r({e}) >= 0.
 
 Unreachable color combinations are simply absent from the sparse DP tables
 (an absent entry behaves as +infinity: adding anything keeps it absent).
@@ -36,6 +37,7 @@ from .kdecomp import (
     Leaf,
     fold,
     node_states,
+    offsets,
     singleton_ranks,
     validate_structure,
 )
@@ -58,7 +60,7 @@ _LEAF_STATE = ({0: None, 1: None}, {(0, 1): None}, {})
 @dataclass
 class VerifyResult:
     is_matroid: bool
-    reason: str | None = None  # "structure" | "empty-set" | "submodularity" | "monotonicity" | "singleton"
+    reason: str | None = None  # "structure" | "empty-set" | "submodularity" | "monotonicity"
     detail: str | None = None
     loop_flag_mismatches: tuple[int, ...] = ()
     _witness: tuple[ElementSet, ElementSet] | None = field(default=None, repr=False)
@@ -236,8 +238,8 @@ def verify(dec: KDecomposition) -> VerifyResult:
 
     Work per inner node for submodularity is O(|Q| K + |P|^2) <= O(K^5),
     Q and P being the children's reachable color quadruples and pairs; the
-    monotonicity and singleton checks add O(nK).  The whole verdict is
-    linear in n for fixed width.
+    monotonicity check and the loop-flag ranks add O(nK).  The whole verdict
+    is linear in n for fixed width.
     """
     defect = validate_structure(dec)
     if defect is not None:
@@ -259,7 +261,9 @@ def verify(dec: KDecomposition) -> VerifyResult:
     full = dec.full_set()
     states = node_states(dec, full)
     full_rank = states[dec.root][1]
-    co_ranks = singleton_ranks(dec, full, states)
+    # r(E - e) puts e's leaf at color 0, label 0, and keeps E's other states
+    off = offsets(dec, states)
+    co_ranks = {node.element: off[v][0] for v, node in dec.nodes.items() if isinstance(node, Leaf)}
     e = max(range(dec.n), key=co_ranks.__getitem__)
     if co_ranks[e] > full_rank:
         return VerifyResult(
@@ -270,9 +274,6 @@ def verify(dec: KDecomposition) -> VerifyResult:
         )
 
     ranks = singleton_ranks(dec)
-    for e, r in enumerate(ranks):
-        if r not in (0, 1):
-            return VerifyResult(False, "singleton", f"rank of single element {e} is {r}")
     mismatches = tuple(
         node.element
         for node in dec.nodes.values()

@@ -393,3 +393,32 @@ def small_instances(draw):
     if kind == "explicit":
         return MatroidInstance.explicit([m.rank(s) for s in range(1 << m.n)])
     return m
+
+
+@st.composite
+def structure_valid_decompositions(draw, max_n=6, max_palette=3, max_defect=2):
+    """Random decompositions that pass ``validate_structure`` and need not
+    define a matroid: any tree shape over n <= ``max_n`` leaves in any
+    element order, about one loop flag in five, and random palettes and
+    tables with the (0, 0) entry pinned to color 0, defect 0."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    order = draw(st.permutations(range(n)))
+    loop = st.sampled_from([False, False, False, False, True])
+    nodes = {i: Leaf(e, draw(loop)) for i, e in enumerate(order)}
+    palettes = [2] * n
+    pool = list(range(n))
+    while len(pool) > 1:
+        i = draw(st.integers(min_value=0, max_value=len(pool) - 2))
+        left, right = pool[i], pool[i + 1]
+        palette = draw(st.integers(min_value=1, max_value=max_palette))
+        cells = palettes[left] * palettes[right]
+        colors = draw(st.lists(st.integers(0, palette - 1), min_size=cells, max_size=cells))
+        defects = draw(st.lists(st.integers(0, max_defect), min_size=cells, max_size=cells))
+        colors[0] = defects[0] = 0
+        rows = range(0, cells, palettes[right])
+        color = [colors[r : r + palettes[right]] for r in rows]
+        defect = [defects[r : r + palettes[right]] for r in rows]
+        pool[i : i + 2] = [len(nodes)]
+        nodes[len(nodes)] = Inner((left, right), palette, color, defect)
+        palettes.append(palette)
+    return KDecomposition(n, nodes, pool[0])

@@ -120,6 +120,27 @@ def test_verify_rejects_mutation(tmp_path, u23_files):
     assert "A={" in out and "B={" in out
 
 
+# element 0's leaf is flagged non-loop, but defect[1][0] = defect[1][1] = 1
+# makes it a loop of the matroid the tables describe
+LOOP_FLAG_DW = """dw version=1 n=2 K=1
+leaf 0 elem=0 loop=0
+leaf 1 elem=1 loop=0
+inner 2 left=0 right=1 kv=1
+phi 2 1 0 0 1
+phi 2 1 1 0 1
+root 2
+"""
+
+
+def test_verify_notes_a_loop_flag_that_disagrees(tmp_path):
+    path = tmp_path / "flag.dw"
+    path.write_text(LOOP_FLAG_DW)
+    code, out, err = run(["verify", str(path)])
+    assert code == 0
+    assert out == "matroid\n# note: loop flag of element 0 disagrees with its rank\n"
+    assert err == ""
+
+
 ORPHAN_LEAF_DW = """dw version=1 n=3 K=1
 leaf 0 elem=0 loop=0
 leaf 1 elem=1 loop=0

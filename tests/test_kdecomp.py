@@ -1,12 +1,20 @@
 """Decomposition structure, rank evaluation, validation, serialization."""
 
 import copy
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import construct_exact, fano, path_caterpillar_decomposition, u23
+from conftest import (
+    construct_exact,
+    fano,
+    named_corpus,
+    path_caterpillar_decomposition,
+    structure_valid_decompositions,
+    u23,
+)
 from decompwidth import (
     MatroidInstance,
     construct,
@@ -122,6 +130,50 @@ def test_single_leaf_decomposition():
     assert eval_rank(dec, 0) == 0
     assert dw_width(dec) == 1
     assert singleton_ranks(dec) == [1]
+
+
+# ---------------------------------------------------------------------------
+# offsets: the top-down pass
+# ---------------------------------------------------------------------------
+
+
+def assert_offsets_exact(dec, rng):
+    """eval_rank((B - E_v) | X) == label_v(X) + offsets[v][color_v(X)] for
+    every node v, every X inside v's subtree E_v, and B the empty set, E
+    and one random set."""
+    full = dec.full_set()
+    states = [node_states(dec, x) for x in range(1 << dec.n)]
+    for base in (0, full, rng.getrandbits(dec.n)):
+        off = kdecomp.offsets(dec, node_states(dec, base))
+        for v in dec.nodes:
+            inside = dec.subtree_elements(v)
+            x = inside
+            while True:
+                color, label = states[x][v]
+                assert eval_rank(dec, base & ~inside | x) == label + off[v][color]
+                if x == 0:
+                    break
+                x = (x - 1) & inside
+    # an absent node is in state (0, 0), which is every node's state over {}
+    assert kdecomp.offsets(dec, {}) == kdecomp.offsets(dec, states[0])
+
+
+@pytest.mark.parametrize("name,m", [(name, m) for name, m, _ in named_corpus() if m.n <= 8])
+def test_offsets_match_brute_force_on_the_corpus(name, m):
+    dec, _ = construct_exact(m)
+    assert_offsets_exact(dec, random.Random(name))
+
+
+@settings(max_examples=100, deadline=None)
+@given(structure_valid_decompositions(max_n=8), st.randoms(use_true_random=False))
+def test_offsets_match_brute_force_on_random_tables(dec, rng):
+    assert_offsets_exact(dec, rng)
+
+
+def test_offsets_of_a_single_leaf():
+    dec = KDecomposition(1, {0: Leaf(0, True)}, 0)
+    assert kdecomp.offsets(dec, {}) == {0: [0, 0]}
+    assert singleton_ranks(dec) == [0]
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +386,9 @@ def test_every_pass_refuses_a_malformed_shape(make, message):
     passes = [
         lambda dec: eval_rank(dec, dec.full_set()),
         lambda dec: node_states(dec, 0),
+        lambda dec: kdecomp.offsets(dec, {}),
         singleton_ranks,
+        lambda dec: singleton_ranks(dec, dec.full_set()),
         lambda dec: evaluate(dec, 2, 2),
         lambda dec: evaluate(dec, 1, 1),
         lambda dec: evaluate(dec, 2, 2, mod=7),

@@ -41,7 +41,7 @@ from decompwidth import (
     rref,
 )
 from decompwidth import gf
-from decompwidth.matroids import _dual_columns, _GrowingSet
+from decompwidth.matroids import _GrowingSet
 from decompwidth.errors import ParseError
 
 
@@ -234,9 +234,9 @@ def test_rank_table_matches_elimination_on_wide_instances(m):
 
 
 def dual_rank_table(m):
-    """r* of every subset, as the rank table of the columns _dual_columns
+    """r* of every subset, as the rank table of the columns dual_columns
     gives; with no coordinates, every element is a loop of M*."""
-    dual = _dual_columns(m)
+    dual = m.dual_columns
     k = len(dual[0]) if dual else 0
     rows = [[col[i] for col in dual] for i in range(k)] or [[0] * m.n]
     return rank_table(MatroidInstance.linear(m.field, rows))
@@ -265,7 +265,7 @@ def check_dual_columns(m):
     ranks, full = rank_table(m), m.full_set
     expected = [s.bit_count() + ranks[full & ~s] - ranks[full] for s in range(1 << m.n)]
     assert dual_rank_table(m) == expected
-    assert _dual_columns(m) is _dual_columns(m)  # computed once per instance
+    assert m.dual_columns is m.dual_columns  # computed once per instance
 
 
 def check_prefix_sweep(m, order):
@@ -367,7 +367,7 @@ def linear_builders(field, rows):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 2**10])
 def test_linear_instances_refuse_bad_entries_when_built(q):
-    # rank, closure, prefix_sweep, rank_table, _dual_columns and construct
+    # rank, closure, prefix_sweep, rank_table, dual_columns and construct
     # eliminate the matrix unchecked, so the instance refuses an entry
     # outside 0..q-1 however it is built, also on a row that only one
     # column touches, which construct eliminates apart from the rest

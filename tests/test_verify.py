@@ -5,6 +5,7 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from conftest import (
     GF2,
@@ -15,6 +16,7 @@ from conftest import (
     mutate_tables,
     parallel_coloop,
     single_loop,
+    structure_valid_decompositions,
     u12,
     u23,
 )
@@ -183,6 +185,27 @@ def test_loop_flag_mismatch_is_informational():
     result = verify(dec)
     assert result.is_matroid
     assert result.loop_flag_mismatches == (0,)
+
+
+@settings(max_examples=300, deadline=None)
+@given(structure_valid_decompositions())
+def test_singleton_ranks_need_no_check_of_their_own(dec):
+    # over {e} every node off e's path is at (0, 0) and no defect is
+    # negative, so r({e}) <= 1; and r({e}) < 0 breaks monotonicity, which
+    # the submodularity and monotonicity checks catch between them
+    ranks = singleton_ranks(dec)
+    assert max(ranks) <= 1
+    result = verify(dec)
+    if min(ranks) < 0:
+        assert result.reason in ("submodularity", "monotonicity")
+    table = [eval_rank(dec, s) for s in range(1 << dec.n)]
+    assert result.is_matroid == brute_axiom_check(table).valid
+    if result:
+        assert result.loop_flag_mismatches == tuple(
+            node.element
+            for node in dec.nodes.values()
+            if isinstance(node, Leaf) and node.loop != (table[1 << node.element] == 0)
+        )
 
 
 # ---------------------------------------------------------------------------

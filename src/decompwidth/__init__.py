@@ -35,7 +35,6 @@ from .kdecomp import (
     dw_width,
     eval_rank,
     node_states,
-    singleton_ranks,
     validate_structure,
 )
 from .matroids import (

@@ -16,17 +16,18 @@ palette size minus one (leaves included, so it is always >= 1).
 The empty set must color and label every node with 0, which pins the (0, 0)
 entry of every table to color 0 / defect 0.
 
-Everything here treats decompositions as immutable once built; evaluation
-caches the traversal order on the instance.  The first walk runs
+Everything here treats decompositions as immutable once built; an instance
+caches its traversal order and, on the first ``subtree_elements`` call,
+every node's subtree mask.  The first walk runs
 ``validate_structure`` and raises ValueError with its text unless the nodes
 form one binary tree whose leaves hold 0..n-1 once each and whose tables
 match the child palettes, keep their colors in the node's palette, have no
 negative defect and respect the empty-set convention.  So every pass indexes
 the tables unguarded and never runs on a malformed decomposition.  An
 explicit ``validate_structure`` call that finds no defect fills the same
-cache, so a check followed by a pass checks once.  Rooted
-branch trees (``branchdecomp``) are checked and walked by the same
-``tree_defect`` and ``tree_postorder``.
+cache, so a check followed by a pass checks once; every check drops the
+masks.  Rooted branch trees (``branchdecomp``) are checked and walked by
+the same ``tree_defect`` and ``tree_postorder``.
 """
 
 from __future__ import annotations
@@ -60,14 +61,11 @@ class KDecomposition:
     nodes: dict[int, Leaf | Inner]
     root: int
     _postorder: list[int] | None = field(default=None, repr=False, compare=False)
+    _masks: dict[int, ElementSet] | None = field(default=None, repr=False, compare=False)
 
     def palette_of(self, node_id: int) -> int:
         node = self.nodes[node_id]
         return 2 if isinstance(node, Leaf) else node.palette
-
-    def _children(self) -> dict[int, tuple[int, ...]]:
-        """Inner node -> its children."""
-        return {v: node.children for v, node in self.nodes.items() if isinstance(node, Inner)}
 
     def postorder(self) -> list[int]:
         """Children-before-parent order, cached.
@@ -82,14 +80,22 @@ class KDecomposition:
         return self._postorder
 
     def subtree_elements(self, node_id: int) -> ElementSet:
-        """Bitmask of ground-set elements under ``node_id``."""
-        self.postorder()
-        mask = 0
-        for v in tree_postorder(node_id, self._children()):
-            node = self.nodes[v]
-            if isinstance(node, Leaf):
-                mask |= 1 << node.element
-        return mask
+        """Bitmask of ground-set elements under ``node_id``.
+
+        The first call fills every node's mask in one walk of the cached
+        order; together they hold up to n^2/2 bits, so no pass builds them
+        unasked.
+        """
+        if self._masks is None:
+            masks: dict[int, ElementSet] = {}
+            for v in self.postorder():
+                node = self.nodes[v]
+                if isinstance(node, Leaf):
+                    masks[v] = 1 << node.element
+                else:
+                    masks[v] = masks[node.children[0]] | masks[node.children[1]]
+            self._masks = masks
+        return self._masks[node_id]
 
     def full_set(self) -> ElementSet:
         return (1 << self.n) - 1
@@ -158,19 +164,6 @@ def offsets(dec: KDecomposition, states: dict[int, tuple[int, int]]) -> dict[int
             off[left] = [here[r[c2]] + l2 - d[c2] for r, d in zip(node.color, node.defect)]
             off[right] = [here[c] + l1 - d for c, d in zip(node.color[c1], node.defect[c1])]
     return off
-
-
-def singleton_ranks(dec: KDecomposition, base: ElementSet = 0) -> list[int]:
-    """eval_rank(base ^ {e}) for every element e, read off the leaves of
-    ``offsets`` in O(nK); the empty base needs no ``node_states`` pass."""
-    states = node_states(dec, base) if base else {}
-    off = offsets(dec, states)
-    ranks = [0] * dec.n
-    for node_id, node in dec.nodes.items():
-        if isinstance(node, Leaf):
-            flipped = 1 - states.get(node_id, (0, 0))[0]
-            ranks[node.element] = (0 if node.loop else flipped) + off[node_id][flipped]
-    return ranks
 
 
 def dw_width(dec: KDecomposition) -> int:
@@ -255,12 +248,14 @@ def validate_structure(dec: KDecomposition) -> StructureDefect | None:
     Every call checks the whole decomposition.  A well-formed one keeps the
     postorder the check walked as its cached traversal order, so the passes
     run right after the check do not check it again; a malformed one drops
-    any cached order.
+    any cached order.  Every call drops the cached subtree masks.
     """
+    children = {v: node.children for v, node in dec.nodes.items() if isinstance(node, Inner)}
     elements = [node.element for node in dec.nodes.values() if isinstance(node, Leaf)]
-    found = tree_defect(dec.nodes, dec.root, dec._children(), elements, dec.n)
+    found = tree_defect(dec.nodes, dec.root, children, elements, dec.n)
     defect = found if isinstance(found, StructureDefect) else _table_defect(dec)
     dec._postorder = None if defect is not None else found
+    dec._masks = None
     return defect
 
 
@@ -349,6 +344,9 @@ def parse(text: str) -> KDecomposition:
             if len(tok) != 4 or tok[1] != "version=1":
                 raise ParseError(lineno, "header must be 'dw version=1 n=<n> K=<K>'")
             header = (keyed(tok[2], "n", lineno), keyed(tok[3], "K", lineno))
+            if header[1] < 1:
+                # every leaf has palette 2, so every decomposition has width >= 1
+                raise ParseError(lineno, f"K={header[1]} must be >= 1")
         elif tok[0] == "leaf":
             if len(tok) != 4:
                 raise ParseError(lineno, "leaf line needs: leaf <id> elem=<k> loop=<0|1>")

@@ -38,7 +38,6 @@ from .kdecomp import (
     fold,
     node_states,
     offsets,
-    singleton_ranks,
     validate_structure,
 )
 
@@ -273,11 +272,12 @@ def verify(dec: KDecomposition) -> VerifyResult:
             _witness=(full & ~(1 << e), full),
         )
 
-    ranks = singleton_ranks(dec)
+    # r({e}) puts e's leaf at color 1 and every other node at (0, 0)
+    off = offsets(dec, {})
     mismatches = tuple(
         node.element
-        for node in dec.nodes.values()
-        if isinstance(node, Leaf) and node.loop != (ranks[node.element] == 0)
+        for v, node in dec.nodes.items()
+        if isinstance(node, Leaf) and node.loop != ((0 if node.loop else 1) + off[v][1] == 0)
     )
     return VerifyResult(True, loop_flag_mismatches=mismatches)
 

@@ -22,7 +22,7 @@ from decompwidth import (
     root_tree,
 )
 from decompwidth.gf import Subspace
-from decompwidth.kdecomp import Inner, KDecomposition, Leaf, eval_rank, fold, node_states
+from decompwidth.kdecomp import Inner, KDecomposition, Leaf, eval_rank, fold, node_states, offsets
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -220,6 +220,29 @@ def label_mismatch(dec, m):
             if label != m.rank(subset & masks[node_id]):
                 return subset, node_id
     return None
+
+
+def singleton_ranks_by_offsets(dec):
+    """r({e}) for every element e, read as ``verify`` reads it: e's leaf at
+    color 1 with its own label, plus that color's offset over the empty set."""
+    off = offsets(dec, {})
+    ranks = [0] * dec.n
+    for v, node in dec.nodes.items():
+        if isinstance(node, Leaf):
+            ranks[node.element] = (0 if node.loop else 1) + off[v][1]
+    return ranks
+
+
+def subtree_elements_by_walk(dec, node_id):
+    """Elements of the leaves under ``node_id``, by a walk of its own."""
+    mask, stack = 0, [node_id]
+    while stack:
+        node = dec.nodes[stack.pop()]
+        if isinstance(node, Leaf):
+            mask |= 1 << node.element
+        else:
+            stack.extend(node.children)
+    return mask
 
 
 def mutate_tables(dec, rng):

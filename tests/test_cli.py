@@ -435,6 +435,17 @@ def test_non_integer_node_id_exit_code(tmp_path, lineno, bad):
     assert f"line {lineno}" in err
 
 
+def test_dw_header_bound_below_1_exits_2(tmp_path):
+    # two leaves of palette 2 under a palette-1 root: width 1, not 0
+    path = tmp_path / "zero.dw"
+    path.write_text(
+        "dw version=1 n=2 K=0\nleaf 0 elem=0 loop=0\nleaf 1 elem=1 loop=0\n"
+        "inner 2 left=0 right=1 kv=1\nroot 2\n"
+    )
+    code, out, err = run(["verify", str(path)])
+    assert (code, out, err) == (2, "", "error: line 1: K=0 must be >= 1\n")
+
+
 def test_bd_parse_error_names_its_line(tmp_path, u23_files):
     matroid, _ = u23_files
     bd = tmp_path / "bad.bd"

@@ -12,7 +12,9 @@ from conftest import (
     fano,
     named_corpus,
     path_caterpillar_decomposition,
+    singleton_ranks_by_offsets,
     structure_valid_decompositions,
+    subtree_elements_by_walk,
     u23,
 )
 from decompwidth import (
@@ -24,7 +26,6 @@ from decompwidth import (
     field_of_order,
     greedy_branch_decomposition,
     root_tree,
-    singleton_ranks,
     validate_structure,
     verify,
     whitney_coefficients,
@@ -93,12 +94,11 @@ def test_node_states_track_colors_and_labels():
     assert states[2] == (0, 0)
 
 
-def test_node_states_and_singleton_ranks_reject_foreign_elements():
+def test_node_states_rejects_foreign_elements():
     dec, _ = construct_exact(u23())
     for subset in (-1, 0b1000, 1 << 50):
-        for run in (node_states, singleton_ranks):
-            with pytest.raises(ValueError, match="^subset contains elements outside the ground set$"):
-                run(dec, subset)
+        with pytest.raises(ValueError, match="^subset contains elements outside the ground set$"):
+            node_states(dec, subset)
 
 
 def test_malformed_table_domain_raises():
@@ -119,9 +119,9 @@ def test_malformed_table_domain_raises():
 def test_singleton_ranks_match_per_element_evaluation():
     for make in (u23, fano):
         dec, _ = construct_exact(make())
-        assert singleton_ranks(dec) == [eval_rank(dec, 1 << e) for e in range(dec.n)]
+        assert singleton_ranks_by_offsets(dec) == [eval_rank(dec, 1 << e) for e in range(dec.n)]
     dec = path_caterpillar_decomposition(30)
-    assert singleton_ranks(dec) == [1] * 30
+    assert singleton_ranks_by_offsets(dec) == [1] * 30
 
 
 def test_single_leaf_decomposition():
@@ -129,7 +129,7 @@ def test_single_leaf_decomposition():
     assert eval_rank(dec, 0b1) == 1
     assert eval_rank(dec, 0) == 0
     assert dw_width(dec) == 1
-    assert singleton_ranks(dec) == [1]
+    assert singleton_ranks_by_offsets(dec) == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +173,54 @@ def test_offsets_match_brute_force_on_random_tables(dec, rng):
 def test_offsets_of_a_single_leaf():
     dec = KDecomposition(1, {0: Leaf(0, True)}, 0)
     assert kdecomp.offsets(dec, {}) == {0: [0, 0]}
-    assert singleton_ranks(dec) == [0]
+    assert singleton_ranks_by_offsets(dec) == [0]
+    assert verify(dec).loop_flag_mismatches == ()
+
+
+# ---------------------------------------------------------------------------
+# subtree masks
+# ---------------------------------------------------------------------------
+
+
+def assert_subtree_elements_exact(dec):
+    for v in dec.nodes:
+        assert dec.subtree_elements(v) == subtree_elements_by_walk(dec, v)
+    assert dec.subtree_elements(dec.root) == dec.full_set()
+
+
+@pytest.mark.parametrize("name,m", [(name, m) for name, m, _ in named_corpus() if m.n <= 8])
+def test_subtree_elements_match_a_walk_on_the_corpus(name, m):
+    assert_subtree_elements_exact(construct_exact(m)[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(structure_valid_decompositions(max_n=8))
+def test_subtree_elements_match_a_walk_on_random_trees(dec):
+    assert_subtree_elements_exact(dec)
+
+
+def test_every_subtree_mask_comes_from_one_walk(monkeypatch):
+    dec = path_caterpillar_decomposition(200)
+    assert validate_structure(dec) is None
+    calls = []
+    walk = kdecomp.tree_postorder
+    monkeypatch.setattr(kdecomp, "tree_postorder", lambda *args: calls.append(1) or walk(*args))
+    masks = {v: dec.subtree_elements(v) for v in dec.nodes}
+    assert len(calls) <= 1
+    assert masks[dec.root] == dec.full_set()
+
+
+def test_a_check_drops_the_subtree_masks():
+    # swapping two leaves' elements keeps the tree valid and moves their
+    # masks; the check forgets the masks cached before the swap
+    dec = path_caterpillar_decomposition(4)
+    leaves = [v for v, node in dec.nodes.items() if isinstance(node, Leaf)]
+    before = {v: dec.subtree_elements(v) for v in leaves}
+    first, second = dec.nodes[leaves[0]], dec.nodes[leaves[1]]
+    first.element, second.element = second.element, first.element
+    assert validate_structure(dec) is None
+    assert dec.subtree_elements(leaves[0]) == before[leaves[1]]
+    assert dec.subtree_elements(leaves[1]) == before[leaves[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +434,8 @@ def test_every_pass_refuses_a_malformed_shape(make, message):
         lambda dec: eval_rank(dec, dec.full_set()),
         lambda dec: node_states(dec, 0),
         lambda dec: kdecomp.offsets(dec, {}),
-        singleton_ranks,
-        lambda dec: singleton_ranks(dec, dec.full_set()),
+        lambda dec: kdecomp.offsets(dec, {dec.root: (1, 1)}),
+        lambda dec: kdecomp.offsets(dec, {v: (1, 1) for v in dec.nodes}),
         lambda dec: evaluate(dec, 2, 2),
         lambda dec: evaluate(dec, 1, 1),
         lambda dec: evaluate(dec, 2, 2, mod=7),
@@ -481,6 +528,9 @@ def test_parse_errors_carry_line_numbers():
         ("dw version=1 n=1 K=1\nleaf 0 elem=0 loop=2\nroot 0\n", 2),
         ("dw version=1 n=1 K=1\nleaf 0 elem=0 loop=0\nwat 1\n", 3),
         ("dw version=1 n=1 K=1\nleaf 0 elem=0 loop=0\nleaf 0 elem=0 loop=0\nroot 0\n", 3),
+        # every leaf has palette 2, so no decomposition has width below 1
+        ("# no width\ndw version=1 n=1 K=0\nleaf 0 elem=0 loop=0\nroot 0\n", 2),
+        ("dw version=1 n=1 K=-1\nleaf 0 elem=0 loop=0\nroot 0\n", 1),
     ]
     for text, line in bad:
         with pytest.raises(ParseError) as err:

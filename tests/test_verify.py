@@ -16,6 +16,7 @@ from conftest import (
     mutate_tables,
     parallel_coloop,
     single_loop,
+    singleton_ranks_by_offsets,
     structure_valid_decompositions,
     u12,
     u23,
@@ -29,10 +30,9 @@ from decompwidth import (
     field_of_order,
     greedy_branch_decomposition,
     root_tree,
-    singleton_ranks,
     verify,
 )
-from decompwidth.kdecomp import Inner, KDecomposition, Leaf, node_states
+from decompwidth.kdecomp import Inner, KDecomposition, Leaf, node_states, offsets
 from decompwidth.verify import _submodularity_tables
 
 
@@ -193,12 +193,13 @@ def test_singleton_ranks_need_no_check_of_their_own(dec):
     # over {e} every node off e's path is at (0, 0) and no defect is
     # negative, so r({e}) <= 1; and r({e}) < 0 breaks monotonicity, which
     # the submodularity and monotonicity checks catch between them
-    ranks = singleton_ranks(dec)
+    table = [eval_rank(dec, s) for s in range(1 << dec.n)]
+    ranks = singleton_ranks_by_offsets(dec)
+    assert ranks == [table[1 << e] for e in range(dec.n)]
     assert max(ranks) <= 1
     result = verify(dec)
     if min(ranks) < 0:
         assert result.reason in ("submodularity", "monotonicity")
-    table = [eval_rank(dec, s) for s in range(1 << dec.n)]
     assert result.is_matroid == brute_axiom_check(table).valid
     if result:
         assert result.loop_flag_mismatches == tuple(
@@ -236,9 +237,17 @@ def brute_local_minima(dec):
 
 
 def assert_flip_ranks_exact(dec):
+    # eval_rank(B ^ {e}) is the label of e's leaf at its flipped color plus
+    # that color's offset over B
     full = dec.full_set()
     for base in (0, full, full & 0x55555555):
-        assert singleton_ranks(dec, base) == [eval_rank(dec, base ^ 1 << e) for e in range(dec.n)]
+        states = node_states(dec, base)
+        off = offsets(dec, states)
+        for v, node in dec.nodes.items():
+            if isinstance(node, Leaf):
+                flipped = 1 - states[v][0]
+                rank = (0 if node.loop else flipped) + off[v][flipped]
+                assert rank == eval_rank(dec, base ^ 1 << node.element)
 
 
 @pytest.mark.parametrize("make", [single_loop, u12, u23, parallel_coloop, c5_linear, mk4_linear])

@@ -30,9 +30,15 @@ growing set P in M and in its dual M*: for e outside P,
 λ(P + e) = λ(P) + [e not in cl(P)] + [e not in cl*(P)] - 1, since λ is
 self-dual.  Its first phase chooses the order greedily, each step reading
 cl(P) and cl*(P) off a ``matroids._GrowingSet``, which a linear instance
-updates by one pivot's residue update per span.  Its second phase
-hill-climbs the order by moving one element at a time, while a move
-lowers (max, sum) of the spine λ values.  A round runs
+updates by one pivot's residue update per span.  It builds three orders:
+the plain one, then one opened by the last element of the order before,
+twice, after the pseudo-peripheral starts of bandwidth-reducing orderings
+(George and Liu, ACM TOMS 1979): in a shuffled band, element 0 usually
+sits mid-band and the last element of a greedy order near one end.  The
+order of least (max, sum) of its spine λ values goes on, the earliest of
+equal ones, so the plain order is kept wherever it is already best.  The
+second phase hill-climbs that order by moving one element at a time,
+while a move lowers (max, sum) of the spine λ values.  A round runs
 ``matroids.prefix_sweep`` on the order and on its reverse, which gives λ,
 cl and cl* of every prefix and suffix, and scores all n(n-1) moves from
 those in O(n^2).  (max, sum) drops strictly, so the climb ends, and the
@@ -69,6 +75,9 @@ from .matroids import (
 Edge = tuple[int, int]
 
 _EXACT_LIMIT = 9
+# greedy orders the search scores before it climbs: the plain one, then
+# twice one opened by the last element of the order before
+_STARTS = 3
 
 
 class BranchTree:
@@ -258,9 +267,11 @@ def greedy_branch_decomposition(m: MatroidInstance) -> tuple[BranchTree, int]:
     """Caterpillar over a greedy element order, refined by single-element
     moves; width reported, not optimal.
 
-    The first phase is ``_greedy_order``.  The second moves one element
-    to another position of the order, the move that lowers (max, sum) of
-    the spine λ values most, until no move lowers them; see
+    The first phase runs ``_greedy_order`` as is, then twice from the last
+    element of the order before, and keeps the order of least (max, sum)
+    of its spine λ values, the earliest of equal ones.  The second moves
+    one element to another position of the order, the move that lowers
+    (max, sum) of the spine λ values most, until no move lowers them; see
     ``_best_move``.  The width is read off the final sweeps: the spine
     edges split off the prefixes P_2..P_{n-2}, and the pendant edge of e
     has λ({e}) = 1 - [e a loop] - [e a coloop], a loop lying in cl({})
@@ -269,10 +280,16 @@ def greedy_branch_decomposition(m: MatroidInstance) -> tuple[BranchTree, int]:
     n = m.n
     if n == 0:
         raise ValueError("matroid has no elements")
-    order = _greedy_order(m)
+    orders = [_greedy_order(m)]
+    for _ in range(_STARTS - 1):
+        orders.append(_greedy_order(m, orders[-1][-1]))
+    # min keeps the first of equal scores, so the plain order wins ties
+    order, prefix = min(
+        ((order, prefix_sweep(m, order)) for order in orders),
+        key=lambda pair: _spine_score(pair[1][0]),
+    )
     expected = None
     while True:
-        prefix = prefix_sweep(m, order)
         suffix = [values[::-1] for values in prefix_sweep(m, order[::-1])]
         lam, score, best = _best_move(order, prefix, suffix)
         # the scores are exact, so (max, sum) drops strictly and the
@@ -283,14 +300,22 @@ def greedy_branch_decomposition(m: MatroidInstance) -> tuple[BranchTree, int]:
             break
         order.insert(j, order.pop(i))
         expected = best[:2]
+        prefix = prefix_sweep(m, order)
     loops, coloops = prefix[1][0], prefix[2][0]  # cl({}) and cl*({})
     pendants = [1 - (loops >> e & 1) - (coloops >> e & 1) for e in range(n)]
     return caterpillar_tree(n, order), max(pendants + lam[2 : n - 1])
 
 
-def _greedy_order(m: MatroidInstance) -> list[int]:
+def _spine_score(lam: list[int]) -> tuple[int, int]:
+    """(max, sum) of λ(P_k) over the spine cuts k = 2..n-2."""
+    spine = lam[2:-2]
+    return max(spine, default=0), sum(spine)
+
+
+def _greedy_order(m: MatroidInstance, first: int | None = None) -> list[int]:
     """Greedy element order: each step appends the element whose extended
-    prefix has the smallest separation rank, ties to the smallest id.
+    prefix has the smallest separation rank, ties to the smallest id; with
+    ``first``, that element opens the order and the greedy picks the rest.
 
     With prefix P, a candidate e has λ(P + e) - λ(P) + 1 =
     [e not in cl(P)] + [e not in cl*(P)], so a step reads cl(P) and
@@ -300,6 +325,10 @@ def _greedy_order(m: MatroidInstance) -> list[int]:
     grown = _GrowingSet(m)
     order: list[int] = []
     rest = m.full_set
+    if first is not None:
+        order.append(first)
+        grown.add(first)
+        rest ^= 1 << first
     while rest:
         cl, cocl = grown.closure, grown.coclosure
         best = next(mask for mask in (rest & cl & cocl, rest & (cl | cocl), rest) if mask)

@@ -200,7 +200,7 @@ class _Powers(dict):
 
 
 def _point_dp(dec: KDecomposition, a: int, b: int, c: int, e: int, mod: int | None):
-    """(S, P) with S / (be)^P = sum over F of X^(n-r(F)) Y^(|F|-r(F)),
+    """(S, P, r(E)) with S / (be)^P = sum over F of X^(n-r(F)) Y^(|F|-r(F)),
     for X = a/b and Y = c/e; with ``mod``, b = e = 1 and S is a residue.
 
     Each node carries, per color, the sum of X^(|Ev|-label) Y^(|F|-label).
@@ -210,6 +210,8 @@ def _point_dp(dec: KDecomposition, a: int, b: int, c: int, e: int, mod: int | No
     largest defect is top, where a pair at defect d takes the factor
     (ac)^d (be)^(top-d).  Modulo ``mod`` there is nothing to clear: b = e =
     1, the factors are the powers of ac, and no node needs its top.
+    Beside its sums a node carries the full set's (color, label), so r(E)
+    is the root's label.
     """
     ac, be = a * c, b * e
     leaves = ({0: a * e, 1: be}, {0: a * e, 1: ac})
@@ -232,7 +234,11 @@ def _point_dp(dec: KDecomposition, a: int, b: int, c: int, e: int, mod: int | No
         def factors(defect):
             return powers
 
-    def combine(node_id, node, table1, table2):
+    def leaf(node_id, node):
+        return leaves[node.loop], (1, 0 if node.loop else 1)
+
+    def combine(node_id, node, value1, value2):
+        (table1, (c1, l1)), (table2, (c2, l2)) = value1, value2
         color, defect = node.color, node.defect
         factor = factors(defect)
         merged: dict[int, int] = {}
@@ -244,10 +250,10 @@ def _point_dp(dec: KDecomposition, a: int, b: int, c: int, e: int, mod: int | No
         if mod is not None:
             for g, v in merged.items():
                 merged[g] = v % mod
-        return merged
+        return merged, (color[c1][c2], l1 + l2 - defect[c1][c2])
 
-    root = fold(dec, lambda node_id, node: leaves[node.loop], combine)
-    return sum(root.values()), dec.n + sum(tops)
+    root, (_, full_rank) = fold(dec, leaf, combine)
+    return sum(root.values()), dec.n + sum(tops), full_rank
 
 
 def _to_residue(value, mod: int) -> int:
@@ -277,15 +283,15 @@ def evaluate(dec: KDecomposition, x, y, mod: int | None = None):
     for name, value in (("x", x), ("y", y)):
         if mod is not None and gcd(value.denominator, mod) != 1:
             raise ValueError(f"{name} = {value} has no residue modulo {mod}")
-    corank = dec.n - eval_rank(dec, dec.full_set())
     if mod is None:
         (a, b), (c, e) = (x - 1).as_integer_ratio(), (y - 1).as_integer_ratio()
         divisible = a != 0
     else:
         a, b, c, e = _to_residue(x - 1, mod), 1, _to_residue(y - 1, mod), 1
         divisible = gcd(a, mod) == 1
-    if corank and not divisible:
-        # x - 1 is zero or not invertible: count coefficients instead
+    if not divisible and eval_rank(dec, dec.full_set()) != dec.n:
+        # x - 1 is zero or not invertible below full rank: count
+        # coefficients instead
         table = whitney_coefficients(dec, check=False)
         if any(rk > table.r for _, rk in table.counts):
             raise ValueError(
@@ -293,7 +299,8 @@ def evaluate(dec: KDecomposition, x, y, mod: int | None = None):
             )
         value = _point_from_table(table, x, y)
         return Fraction(value) if mod is None else _to_residue(value, mod)
-    total, scale = _point_dp(dec, a, b, c, e, mod)
+    total, scale, full_rank = _point_dp(dec, a, b, c, e, mod)
+    corank = dec.n - full_rank
     if mod is not None:
         return total * pow(a, -corank, mod) % mod
     return Fraction(total * b**corank, (b * e) ** scale * a**corank)

@@ -11,18 +11,23 @@ for K4's cycle matroid both have width 2 here.
 Leaves are the node ids 0..n-1 (leaf id = element id); inner nodes get ids
 from n upward.
 
-Exact search enumerates the (2n-5)!! leaf-labeled cubic trees by inserting
-leaves in element order into every edge of every partial tree.  Partial
-trees are pruned against the best width so far, which is sound because
-connectivity cannot grow when elements are deleted: every bipartition of a
-partial tree is induced by an edge of any completion, restricted to fewer
-elements.  The first tree attaining the minimum in enumeration order is
-returned.  A partial tree with E edges scores all E children before it
-builds any: two λ values per edge, with and without the new element, give
-each child's width in O(E), and only the children below the best width
-are built.  The widths come from one ``matroids.rank_table``, which for a
-linear instance costs at most one row operation per subset and later
-column.
+Exact search is the subset DP behind the exact branch-width algorithms of
+Oum and Seymour (JCTB 2006) and Hliněný and Oum (SIAM J. Comput. 2008).
+For a set X of elements let g(X) be the least width of a rooted subtree
+whose leaves are X, counting the edge above it:
+
+    g({e}) = λ({e}),
+    g(X) = max(λ(X), min over splits {A, X - A} of max(g(A), g(X - A))),
+
+and the branch-width is g(E), whose edge above has λ(E) = 0.  One list
+holds g over all 2^n subsets, filled in increasing order of X, so every
+proper subset is final before X is read.  A split of X puts X's lowest
+element in A and runs the other elements of A over the submasks of the
+rest in decreasing order; the first strict minimum is kept, and the scan
+stops at a split whose cost reaches λ(X), below which g(X) cannot go.
+That is O(3^n) splits at worst, over one ``matroids.rank_table``, which
+for a linear instance costs at most one row operation per subset and
+later column.  The chosen splits, read down from E, give the tree.
 
 The greedy fallback builds a caterpillar over an element order and works
 at any size, without optimality.  Everything it needs is the closure of a
@@ -34,15 +39,17 @@ updates by one pivot's residue update per span.  It builds three orders:
 the plain one, then one opened by the last element of the order before,
 twice, after the pseudo-peripheral starts of bandwidth-reducing orderings
 (George and Liu, ACM TOMS 1979): in a shuffled band, element 0 usually
-sits mid-band and the last element of a greedy order near one end.  The
+sits mid-band and the last element of a greedy order near one end.  Each
+order comes with λ, cl and cl* of its prefixes, recorded as it grows.  The
 order of least (max, sum) of its spine λ values goes on, the earliest of
 equal ones, so the plain order is kept wherever it is already best.  The
 second phase hill-climbs that order by moving one element at a time,
-while a move lowers (max, sum) of the spine λ values.  A round runs
-``matroids.prefix_sweep`` on the order and on its reverse, which gives λ,
-cl and cl* of every prefix and suffix, and scores all n(n-1) moves from
-those in O(n^2).  (max, sum) drops strictly, so the climb ends, and the
-tree's width is read off the last sweeps.
+while a move lowers (max, sum) of the spine λ values.  A round reads λ,
+cl and cl* of every prefix, and of every suffix from
+``matroids.prefix_sweep`` on the reversed order, and scores all n(n-1)
+moves from those in O(n^2); after a move, the prefixes come from a sweep
+too.  (max, sum) drops strictly, so the climb ends, and the tree's width
+is read off the last sweeps.
 
 Text format ('#' comments allowed):
 
@@ -74,7 +81,6 @@ from .matroids import (
 
 Edge = tuple[int, int]
 
-_EXACT_LIMIT = 9
 # greedy orders the search scores before it climbs: the plain one, then
 # twice one opened by the last element of the order before
 _STARTS = 3
@@ -195,72 +201,53 @@ def width(m: MatroidInstance, tree: BranchTree) -> int:
     return max(m.rank(side) + m.rank(full & ~side) for side in sides) - m.rank(full)
 
 
-def _tree_from_edges(n: int, edge_list: list[tuple[int, int, int]]) -> BranchTree:
-    adj: dict[int, list[int]] = {}
-    for u, v, _ in edge_list:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    return BranchTree(n, {u: tuple(vs) for u, vs in adj.items()})
-
-
 def exact_branch_decomposition(m: MatroidInstance) -> tuple[BranchTree, int]:
-    """Minimum-width tree by exhaustive insertion enumeration, n <= 9.
-
-    Ties break to the first tree in enumeration order; pruning never skips
-    a tree that could beat or pre-empt the recorded one.
+    """Minimum-width tree by the subset DP over λ of the module docstring,
+    and its width g(E).  Each set keeps the first split of least cost in
+    its scan order.  ``rank_table`` refuses n > 20.
     """
     n = m.n
-    if n > _EXACT_LIMIT:
-        raise ValueError(f"exact search limited to n <= {_EXACT_LIMIT}, got {n}")
     if n == 0:
         raise ValueError("matroid has no elements")
     rank = rank_table(m)
     if n == 1:
         return BranchTree(1, {0: ()}), 0
-
-    best: list = [None, n + 1]  # edges snapshot, width
-    # (k, edges of a tree on the elements 0..k-1, its width); depth-first,
-    # explicit stack; children pushed in reverse keeps the insertion order
-    # identical to the recursive formulation
-    stack = [(2, [(0, 1, 0b10)], rank[0b10] + rank[0b01] - rank[0b11])]
-    while stack:
-        k, edges, partial = stack.pop()
-        if partial >= best[1]:
+    full = (1 << n) - 1
+    total = rank[full]
+    g = [rank[x] + rank[full ^ x] - total for x in range(full + 1)]
+    split = [0] * (full + 1)
+    for x in range(3, full + 1):
+        low = x & -x
+        rest = x ^ low
+        if not rest:
             continue
-        if k == n:
-            best[0], best[1] = edges, partial
-            continue
-        bit = 1 << k
-        present = (1 << (k + 1)) - 1
-        total = rank[present]
-        masks = [mask for _, _, mask in edges]
-        # λ over the elements 0..k of each side with and without k
-        grow = [rank[mask | bit] + rank[present & ~mask & ~bit] - total for mask in masks]
-        keep = [rank[mask] + rank[present & ~mask] - total for mask in masks]
-        lone = rank[bit] + rank[present & ~bit] - total
-        node = n + (k - 2)
-        for i in reversed(range(len(edges))):
-            mask = masks[i]
-            # inserting k into edge i splits it into a grown and a kept
-            # side, and grows every other side that contains edge i's;
-            # the split edge alone rules out about half the children, so
-            # it is tested before the O(E) scan over the other edges
-            floor = max(lone, keep[i], grow[i])
-            if floor >= best[1]:
-                continue
-            child = max(floor, *[g if mb & mask == mask else kp for mb, g, kp in zip(masks, grow, keep)])
-            if child >= best[1]:
-                continue
-            u, v, _ = edges[i]
-            grown = [
-                (a, b, mb | bit if mb & mask == mask else mb)
-                for j, (a, b, mb) in enumerate(edges)
-                if j != i
-            ]
-            grown += [(u, node, mask | bit), (node, v, mask), (node, k, bit)]
-            stack.append((k + 1, grown, child))
-    assert best[0] is not None
-    return _tree_from_edges(n, best[0]), best[1]
+        floor, best, a = g[x], n + 1, rest
+        while a:
+            a = (a - 1) & rest
+            side, other = g[low | a], g[rest ^ a]
+            cost = side if side > other else other
+            if cost < best:
+                best, split[x] = cost, low | a
+                if cost <= floor:
+                    break
+        if best > floor:
+            g[x] = best
+    # the chosen sides top-down from E's two; a side of several elements
+    # is an inner node, numbered from n in this order
+    top = split[full]
+    sides, pairs = [top, full ^ top], [(top, full ^ top)]
+    for x in sides:
+        if x & (x - 1):
+            a = split[x]
+            sides += [a, x ^ a]
+            pairs += [(x, a), (x, x ^ a)]
+    ids = {side: n + i for i, side in enumerate(s for s in sides if s & (s - 1))}
+    adj: dict[int, list[int]] = {}
+    for x, y in pairs:
+        u, v = (ids.get(s, s.bit_length() - 1) for s in (x, y))
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    return BranchTree(n, {u: tuple(vs) for u, vs in adj.items()}), g[full]
 
 
 def greedy_branch_decomposition(m: MatroidInstance) -> tuple[BranchTree, int]:
@@ -280,14 +267,11 @@ def greedy_branch_decomposition(m: MatroidInstance) -> tuple[BranchTree, int]:
     n = m.n
     if n == 0:
         raise ValueError("matroid has no elements")
-    orders = [_greedy_order(m)]
+    starts = [_greedy_order(m)]
     for _ in range(_STARTS - 1):
-        orders.append(_greedy_order(m, orders[-1][-1]))
+        starts.append(_greedy_order(m, starts[-1][0][-1]))
     # min keeps the first of equal scores, so the plain order wins ties
-    order, prefix = min(
-        ((order, prefix_sweep(m, order)) for order in orders),
-        key=lambda pair: _spine_score(pair[1][0]),
-    )
+    order, prefix = min(starts, key=lambda start: _spine_score(start[1][0]))
     expected = None
     while True:
         suffix = [values[::-1] for values in prefix_sweep(m, order[::-1])]
@@ -312,10 +296,13 @@ def _spine_score(lam: list[int]) -> tuple[int, int]:
     return max(spine, default=0), sum(spine)
 
 
-def _greedy_order(m: MatroidInstance, first: int | None = None) -> list[int]:
+def _greedy_order(
+    m: MatroidInstance, first: int | None = None
+) -> tuple[list[int], tuple[list[int], list[ElementSet], list[ElementSet]]]:
     """Greedy element order: each step appends the element whose extended
     prefix has the smallest separation rank, ties to the smallest id; with
     ``first``, that element opens the order and the greedy picks the rest.
+    Returned with ``prefix_sweep`` of the order, recorded as it grows.
 
     With prefix P, a candidate e has λ(P + e) - λ(P) + 1 =
     [e not in cl(P)] + [e not in cl*(P)], so a step reads cl(P) and
@@ -324,19 +311,22 @@ def _greedy_order(m: MatroidInstance, first: int | None = None) -> list[int]:
     """
     grown = _GrowingSet(m)
     order: list[int] = []
+    lams, closures, coclosures = [grown.lam], [grown.closure], [grown.coclosure]
     rest = m.full_set
-    if first is not None:
-        order.append(first)
-        grown.add(first)
-        rest ^= 1 << first
     while rest:
-        cl, cocl = grown.closure, grown.coclosure
-        best = next(mask for mask in (rest & cl & cocl, rest & (cl | cocl), rest) if mask)
-        e = (best & -best).bit_length() - 1
+        if first is not None and not order:
+            e = first
+        else:
+            cl, cocl = grown.closure, grown.coclosure
+            best = next(mask for mask in (rest & cl & cocl, rest & (cl | cocl), rest) if mask)
+            e = (best & -best).bit_length() - 1
         order.append(e)
         grown.add(e)
         rest ^= 1 << e
-    return order
+        lams.append(grown.lam)
+        closures.append(grown.closure)
+        coclosures.append(grown.coclosure)
+    return order, (lams, closures, coclosures)
 
 
 def _best_move(order: list[int], prefix, suffix):

@@ -20,6 +20,10 @@ from .construct import construct
 from .errors import ParseError
 from .verify import extract_witness, verify
 
+# the largest n whose search defaults to exact; asked for, the exact search
+# runs to n = 20, at up to 3^n splits
+_DEFAULT_EXACT_LIMIT = 9
+
 
 def _read(path: str) -> str:
     try:
@@ -81,7 +85,7 @@ def _format_set(mask: int) -> str:
 
 def _pick_tree(m: matroids.MatroidInstance, mode: str | None):
     if mode is None:
-        mode = "exact" if m.n <= branchdecomp._EXACT_LIMIT else "greedy"
+        mode = "exact" if m.n <= _DEFAULT_EXACT_LIMIT else "greedy"
     if mode == "exact":
         return branchdecomp.exact_branch_decomposition(m)
     return branchdecomp.greedy_branch_decomposition(m)
@@ -226,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument(
         "--bd-search",
         choices=("exact", "greedy"),
-        help=f"search strategy (default: exact for n <= {branchdecomp._EXACT_LIMIT}, greedy beyond)",
+        help=f"search strategy (default: exact for n <= {_DEFAULT_EXACT_LIMIT}, greedy beyond)",
     )
     p.add_argument("-o", "--output", help="output decomposition file (default: stdout)")
     p.set_defaults(func=_cmd_construct)
@@ -254,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bw", help="search a branch decomposition and report its width")
     p.add_argument("--matroid", required=True)
-    p.add_argument("--exact", action="store_true", help=f"exhaustive search (n <= {branchdecomp._EXACT_LIMIT})")
+    p.add_argument("--exact", action="store_true", help=f"exact search (n <= {matroids._FULL_TABLE_LIMIT})")
     p.set_defaults(func=_cmd_bw)
 
     p = sub.add_parser("check", help="compare decomposition ranks against the matroid oracle")

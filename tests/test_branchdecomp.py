@@ -31,6 +31,8 @@ from decompwidth import (
     format_branch_tree,
     greedy_branch_decomposition,
     parse_branch_tree,
+    prefix_sweep,
+    rank_table,
     root_tree,
     width,
 )
@@ -136,44 +138,61 @@ def test_exact_mk4_width_2():
     assert w == 2
 
 
+def all_trees(n):
+    """Every leaf-labeled cubic tree on n >= 2 leaves, as (u, v, mask of
+    v's side) edge lists, by unpruned insertion of leaves 2..n-1 into every
+    edge."""
+    trees = [[(0, 1, 0b10)]]
+    for k in range(2, n):
+        grown = []
+        node = n + (k - 2)
+        bit = 1 << k
+        for edges in trees:
+            for i in range(len(edges)):
+                u, v, mask = edges[i]
+                new = [
+                    (a, b, mb | bit if mb & mask == mask else mb)
+                    for j, (a, b, mb) in enumerate(edges)
+                    if j != i
+                ]
+                new += [(u, node, mask | bit), (node, v, mask), (node, k, bit)]
+                grown.append(new)
+        trees = grown
+    return trees
+
+
+def enumerated_width(m):
+    """The least width over every tree of ``all_trees``."""
+    rank, full = rank_table(m), m.full_set
+    return min(
+        max(rank[mask] + rank[full & ~mask] for _, _, mask in edges) - rank[full]
+        for edges in all_trees(m.n)
+    )
+
+
 def test_exact_matches_full_enumeration_without_pruning():
-    # independent route: evaluate every caterpillar plus every tree produced
-    # by unpruned insertion on a small instance
+    # independent route: the least width over every tree that unpruned
+    # insertion builds
+    assert [len(all_trees(n)) for n in (5, 6, 7)] == [15, 105, 945]  # (2n-5)!!
     m = c5_graphic()
-
-    def all_trees(n):
-        trees = [[(0, 1, 0b10)]]
-        for k in range(2, n):
-            grown = []
-            node = n + (k - 2)
-            bit = 1 << k
-            for edges in trees:
-                for i in range(len(edges)):
-                    u, v, mask = edges[i]
-                    new = [
-                        (a, b, mb | bit if mb & mask == mask else mb)
-                        for j, (a, b, mb) in enumerate(edges)
-                        if j != i
-                    ]
-                    new += [(u, node, mask | bit), (node, v, mask), (node, k, bit)]
-                    grown.append(new)
-            trees = grown
-        return trees
-
-    full = m.full_set
-    best = None
-    for edges in all_trees(5):
-        w = max(m.rank(mask) + m.rank(full & ~mask) - m.rank(full) for _, _, mask in edges)
-        best = w if best is None else min(best, w)
     tree, w = exact_branch_decomposition(m)
     # every proper bipartition of U_{4,5} has defect |A| + |B| - 4 = 1
-    assert w == best == 1
-    assert len(all_trees(5)) == 15  # (2*5-5)!! leaf-labeled cubic trees
+    assert w == enumerated_width(m) == width(m, tree) == 1
+    rng = random.Random(2006)
+    for q in (2, 3, 4):
+        field = field_of_order(q)
+        for n in (6, 6, 7, 7):
+            d = rng.randint(2, 4)
+            matrix = [[rng.randrange(q) if rng.random() < 0.7 else 0 for _ in range(n)] for _ in range(d)]
+            m = MatroidInstance.linear(field, matrix)
+            tree, w = exact_branch_decomposition(m)
+            assert w == enumerated_width(m) == width(m, tree)
 
 
 def test_exact_guard():
+    # rank_table's limit
     with pytest.raises(ValueError):
-        exact_branch_decomposition(MatroidInstance.uniform(2, 10))
+        exact_branch_decomposition(MatroidInstance.uniform(2, 21))
 
 
 def test_exact_tiny_instances():
@@ -246,9 +265,9 @@ def spine_score(m, order):
 def greedy_starts(m):
     """The three greedy orders the search scores: the plain one, then twice
     the one opened by the last element of the order before."""
-    orders = [_greedy_order(m)]
+    orders = [_greedy_order(m)[0]]
     for _ in range(2):
-        orders.append(_greedy_order(m, orders[-1][-1]))
+        orders.append(_greedy_order(m, orders[-1][-1])[0])
     return orders
 
 
@@ -285,9 +304,10 @@ def test_greedy_order_matches_the_rank_by_rank_reference(m):
         with pytest.raises(ValueError):
             greedy_branch_decomposition(m)
         return
-    assert _greedy_order(m) == reference_greedy_order(m)
-    for first in range(m.n):
-        assert _greedy_order(m, first) == reference_greedy_order(m, first)
+    for first in (None, *range(m.n)):
+        order, sweep = _greedy_order(m, first)
+        assert order == reference_greedy_order(m, first)
+        assert sweep == prefix_sweep(m, order)
 
 
 @settings(max_examples=300, deadline=None)
@@ -397,7 +417,7 @@ def test_a_later_start_leaves_a_local_minimum_on_a_shuffled_band():
     # no single move lowers the plain order's width 8; the order opened by
     # its last element climbs to 5
     m = MatroidInstance.linear(GF3, [[int(x) for x in row] for row in SHUFFLED_GF3_B3_N40_0])
-    assert width(m, caterpillar_tree(40, _greedy_order(m))) == 8
+    assert width(m, caterpillar_tree(40, _greedy_order(m)[0])) == 8
     tree, w = greedy_branch_decomposition(m)
     assert w == width(m, tree) <= 5
 
@@ -423,9 +443,10 @@ def test_greedy_rank_memo_stays_linear(field):
 SEARCH_FIELDS = (2, 3, 4, 5, 7, 9)
 
 # SHA-256 of format_branch_tree(tree) and the width of every search over
-# search_corpus(), recorded when the greedy began choosing among three
-# starts.  A change that alters trees on purpose updates it and says why.
-SEARCH_DIGEST = "038d7c45076655e910fd38ded8b611c1f77ef60078074c6d38cca7e68b2cf271"
+# search_corpus(), recorded when the exact search became the subset DP,
+# whose ties give other trees of the same widths.  A change that alters
+# trees on purpose updates it and says why.
+SEARCH_DIGEST = "83c82873267aedb4f9d722f2d5f9b007e1d727e6d8af3c082575d3768def3386"
 
 
 def corpus_columns(rng, f, n):
@@ -545,7 +566,7 @@ def test_the_search_runs_on_incremental_rank_state(q):
         with rank_calls() as calls:
             if n <= 9:
                 exact_branch_decomposition(m)
-            order = _greedy_order(m)
+            order, _ = _greedy_order(m)
         assert calls == []
         assert order == reference_greedy_order(m)
 
@@ -564,6 +585,8 @@ def test_width_asks_the_full_rank_once(n):
 
 
 def test_exact_never_worse_than_greedy():
+    # random matrices of 6 columns, then shuffled bands and random matrices
+    # of 10..14 columns, past the enumeration the DP replaced
     rng = random.Random(13)
     for _ in range(10):
         matrix = [[rng.randrange(2) for _ in range(6)] for _ in range(3)]
@@ -571,6 +594,18 @@ def test_exact_never_worse_than_greedy():
         _, exact_w = exact_branch_decomposition(m)
         _, greedy_w = greedy_branch_decomposition(m)
         assert exact_w <= greedy_w
+    rng = random.Random(2008)
+    for q in (2, 3):
+        field = field_of_order(q)
+        for n in (10, 12, 14):
+            band = corpus_band(rng, field, n, rng.randint(2, 3))
+            d = rng.randint(3, 6)
+            dense = [[rng.randrange(q) if rng.random() < 0.6 else 0 for _ in range(n)] for _ in range(d)]
+            for matrix in (band, dense):
+                m = MatroidInstance.linear(field, matrix)
+                tree, exact_w = exact_branch_decomposition(m)
+                assert exact_w == width(m, tree)
+                assert exact_w <= greedy_branch_decomposition(m)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from decompwidth import (
     exact_branch_decomposition,
     format_branch_tree,
     format_matroid,
+    greedy_branch_decomposition,
     root_tree,
 )
 from decompwidth.cli import main
@@ -323,6 +324,24 @@ def test_bw_exact(tmp_path):
     lines = out.splitlines()
     assert lines[0] == "# width 2"
     assert lines[1].startswith("bd n=7")
+    # 11 GF(2) columns, past the 9 where the exact search used to stop: the
+    # greedy reaches width 3 and the exact search 2
+    rows = ["01001011010", "11110000000", "01000100011", "01100010101"]
+    m = MatroidInstance.linear(GF2, [[int(x) for x in row] for row in rows])
+    path.write_text(format_matroid(m))
+    assert run(["bw", "--matroid", str(path), "--exact"])[1].splitlines()[0] == "# width 2"
+    assert run(["bw", "--matroid", str(path)])[1].splitlines()[0] == "# width 3"
+    # above 9 elements the default search stays the greedy
+    dw_path = tmp_path / "out.dw"
+    code, _, err = run(["construct", "--matroid", str(path), "-o", str(dw_path)])
+    assert code == 0, err
+    greedy_tree = root_tree(greedy_branch_decomposition(m)[0])
+    assert dw_path.read_text() == serialize(construct(m, greedy_tree))
+    # the rank table, and so the exact search, stops at 20 elements
+    path.write_text(format_matroid(MatroidInstance.uniform(2, 21)))
+    code, _, err = run(["bw", "--matroid", str(path), "--exact"])
+    assert code == 2
+    assert "n <= 20" in err
 
 
 def test_bw_greedy_default(tmp_path):

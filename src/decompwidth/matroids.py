@@ -53,6 +53,9 @@ def iter_elements(mask: ElementSet):
         mask ^= low
 
 
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 class MatroidInstance:
     """A ground set 0..n-1 with a rank oracle.  Build via the classmethods."""
 
@@ -108,10 +111,12 @@ class MatroidInstance:
 
     @cached_property
     def column_bits(self) -> list[int] | None:
-        """A GF(2) instance's columns as ints (bit i = row i); None over other fields."""
+        """A GF(2) instance's columns as ints (bit i = row i); None over other fields.
+        Each column is read as a binary numeral, last row first, by C-level
+        ``bytes`` calls."""
         if self.field.q != 2:
             return None
-        return [sum(x << i for i, x in enumerate(col)) for col in self.columns]
+        return [int(bytes(col).translate(_BINARY_DIGITS)[::-1] or b"0", 2) for col in self.columns]
 
     @cached_property
     def dual_columns(self) -> list:

@@ -191,8 +191,10 @@ class NodeSubspaceData(NamedTuple):
 
 
 def construct_with_data(m, tree):
-    """``construct(m, tree)`` and every node's boundary and color spaces,
-    lifted from its separator rows into GF(q)^d as checked subspaces."""
+    """``construct(m, tree)`` as its row-tuple path builds it (over GF(2)
+    ``construct`` takes the int path, whose tables are the same), and every
+    node's boundary and color spaces, lifted from its separator rows into
+    GF(q)^d as checked subspaces."""
     # the package's ``construct`` name is the function, not the module
     module = importlib.import_module("decompwidth.construct")
     ambient = tuple(range(m.dim))

@@ -6,6 +6,8 @@ import importlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     GF2,
@@ -37,7 +39,7 @@ from decompwidth import (
     rref,
 )
 from decompwidth import gf
-from decompwidth.kdecomp import Inner, Leaf, node_states, serialize
+from decompwidth.kdecomp import Inner, KDecomposition, Leaf, node_states, serialize
 
 
 def test_u23_star_construction():
@@ -216,10 +218,18 @@ def banded_matroid(n, band=5):
     return MatroidInstance.linear(GF2, rows)
 
 
+def generic_construct(m, tree):
+    """The decomposition of ``construct``'s row-tuple path, which serves
+    every field but GF(2), on any linear instance."""
+    module = importlib.import_module("decompwidth.construct")
+    nodes = {node: entry for node, entry, *_ in module._local_tables(m, tree)}
+    return KDecomposition(tree.n, nodes, tree.root)
+
+
 def subspace_work(monkeypatch, m):
-    """Calls to construct's rref, _intersect and _meet plus the table
-    pairs its pair_traces yields, over the column-order caterpillar, and
-    the longest vector any of them returns or, for _meet, eliminates."""
+    """Calls to the row-tuple path's rref, _intersect and _meet plus the
+    table pairs its pair_traces yields, over the column-order caterpillar,
+    and the longest vector any of them returns or, for _meet, eliminates."""
     module = importlib.import_module("decompwidth.construct")
     lengths = []
     with monkeypatch.context() as patch:
@@ -245,8 +255,51 @@ def subspace_work(monkeypatch, m):
         patch.setattr(module, "_intersect", recorded_intersect)
         patch.setattr(module, "pair_traces", recorded_pairs)
         patch.setattr(module, "_meet", recorded_meet)
-        construct(m, left_deep_rooted_tree(m.n))
+        generic_construct(m, left_deep_rooted_tree(m.n))
     return len(lengths), max(lengths)
+
+
+def int_work(monkeypatch, m):
+    """Calls to the GF(2) path's int helpers plus the table pairs its
+    _gf2_pair_traces yields, over the column-order caterpillar, and the
+    largest bit_length of any int they take or give: (calls, longest
+    space row, longest Zassenhaus or meet stack row)."""
+    module = importlib.import_module("decompwidth.construct")
+    calls, spaces, stacks = [], [0], [0]
+
+    def longest(ints):
+        return max([x.bit_length() for x in ints], default=0)
+
+    with monkeypatch.context() as patch:
+
+        def recorded(name, returns_space):
+            op = getattr(module, name)
+
+            def call(*args):
+                calls.append(name)
+                for arg in args:
+                    if isinstance(arg, list) and arg and isinstance(arg[0], int):
+                        stacks.append(longest(arg))
+                result = op(*args)
+                (spaces if returns_space else stacks).append(longest(result))
+                return result
+
+            patch.setattr(module, name, call)
+
+        def recorded_pairs(width, bound, lefts, rights, op=module._gf2_pair_traces):
+            spaces.append(longest([x for space in (bound, *lefts, *rights) for x in space]))
+            for trace, joined in op(width, bound, lefts, rights):
+                calls.append("pair")
+                spaces.append(longest(trace))
+                yield trace, joined
+
+        recorded("_gf2_rref", False)
+        recorded("_gf2_extend", False)
+        recorded("_gf2_meet", True)
+        recorded("_gf2_intersect", True)
+        patch.setattr(module, "_gf2_pair_traces", recorded_pairs)
+        construct(m, left_deep_rooted_tree(m.n))
+    return len(calls), max(spaces), max(stacks)
 
 
 def test_construct_work_per_element_stays_flat_on_ladders(monkeypatch):
@@ -270,9 +323,32 @@ def test_construct_vectors_stay_band_long_on_banded_matrices(monkeypatch):
         assert longest <= 5, n
 
 
+def test_gf2_construct_work_per_element_stays_flat_on_ladders(monkeypatch):
+    # every window spans at most 3 rows, so a space row has at most 3 bits
+    # and a stacked row at most 6
+    per_element = []
+    for k in (16, 32, 64):
+        m = ladder_matroid(k)
+        calls, space, stack = int_work(monkeypatch, m)
+        assert space <= 3 and stack <= 6, (k, space, stack)
+        per_element.append(calls / m.n)
+    for small, large in zip(per_element, per_element[1:]):
+        assert large < 1.1 * small, per_element
+
+
+def test_gf2_construct_ints_stay_band_long_on_banded_matrices(monkeypatch):
+    # a window spans at most the band's 5 rows, whatever the ambient
+    # dimension; stacks put a second window above the first
+    for n in (20, 40, 80):
+        m = banded_matroid(n)
+        _, space, stack = int_work(monkeypatch, m)
+        assert space <= 5 and stack <= 10, (n, space, stack)
+
+
 def test_construct_checks_a_few_subspaces_per_tree_node(monkeypatch):
-    # every space is a row tuple once the matrix entries are checked; only
-    # the leaves' rref builds a checked subspace, one per element
+    # every space is a row tuple or an int tuple once the matrix entries are
+    # checked; only the leaves' rref builds a checked subspace, one per
+    # element, on both paths
     checks = []
     check = gf.Subspace._check_canonical
 
@@ -284,9 +360,53 @@ def test_construct_checks_a_few_subspaces_per_tree_node(monkeypatch):
     cases = [banded_matroid(n) for n in (20, 40, 80, 160)]
     cases += [ladder_matroid(k) for k in (16, 32, 64)]
     for m in cases:
-        checks.clear()
-        construct(m, left_deep_rooted_tree(m.n))
-        assert len(checks) <= m.n, (m.n, len(checks))
+        for build in (generic_construct, construct):
+            checks.clear()
+            build(m, left_deep_rooted_tree(m.n))
+            assert len(checks) <= m.n, (m.n, len(checks), build)
+
+
+@st.composite
+def gf2_matrices(draw):
+    """A GF(2) matrix of 1-6 rows and 1-9 columns, about one column in
+    five zero."""
+    rows = draw(st.integers(min_value=1, max_value=6))
+    cols = draw(st.integers(min_value=1, max_value=9))
+    bit = st.integers(min_value=0, max_value=1)
+    columns = [
+        [0] * rows if draw(st.integers(min_value=0, max_value=4)) == 0 else draw(st.lists(bit, min_size=rows, max_size=rows))
+        for _ in range(cols)
+    ]
+    return [[col[i] for col in columns] for i in range(rows)]
+
+
+def gf2_trees(m):
+    """The exact search's, the greedy's and the left-deep tree on m."""
+    trees = [left_deep_rooted_tree(m.n)]
+    if m.n > 1:
+        trees += [root_tree(exact_branch_decomposition(m)[0]), root_tree(greedy_branch_decomposition(m)[0])]
+    return trees
+
+
+@settings(max_examples=200, deadline=None)
+@given(gf2_matrices())
+def test_gf2_path_builds_the_row_tuple_paths_decomposition(matrix):
+    m = MatroidInstance.linear(GF2, matrix)
+    for tree in gf2_trees(m):
+        assert serialize(construct(m, tree)) == serialize(generic_construct(m, tree))
+
+
+def test_gf2_path_matches_on_loops_coloops_and_larger_matrices():
+    cases = [MatroidInstance.linear(GF2, [[0, 0, 0]]), MatroidInstance.linear(GF2, [[0] * 5] * 3), parallel_coloop()]
+    rng = random.Random(28)
+    for _ in range(20):
+        rows, cols = rng.randint(3, 8), rng.randint(10, 16)
+        density = rng.choice((0.15, 0.4, 0.7))
+        cases.append(MatroidInstance.linear(GF2, [[int(rng.random() < density) for _ in range(cols)] for _ in range(rows)]))
+    for m in cases:
+        trees = gf2_trees(m) if m.n <= 9 else [left_deep_rooted_tree(m.n), root_tree(greedy_branch_decomposition(m)[0])]
+        for tree in trees:
+            assert serialize(construct(m, tree)) == serialize(generic_construct(m, tree)), m.matrix
 
 
 # ---------------------------------------------------------------------------

@@ -58,26 +58,41 @@ builds a checked ``Subspace``, the meets and the boundaries
 (``gf._intersect``) are eliminated unchecked, and ``pair_traces`` checks
 only its input.
 
-Over GF(2) the same three walks run on Python ints (``_gf2_tables``).  A
-vector at v is one int over v's row window: bit k is matrix row lo_v + k,
-where lo_v is the least row of S_v (of S_c1 | S_c2 for the meets and the
-table at v), so moving a vector between windows is a shift.  A space is
-the tuple of its basis in canonical RREF with highest-bit pivots, found by
-xor elimination; colors are keyed by these tuples and still numbered by
-first appearance, so the tables are the row-tuple path's, bit for bit.  A
-meet moves the interior bits above the window, so they pivot first; a
-boundary and the pair traces are Zassenhaus eliminations on
-``u << width | u``.  The leaves' separators come from the instance's
-``column_bits`` and each leaf still builds its checked ``rref``.  Windows,
-not ints over all d rows: an int over all rows costs O(d) word operations
-per xor, shift and comparison however short its separator, so the work per
-element grows with d.  Over the caterpillar of the 2 x k ladder, with the
+Over GF(2) and GF(3) the same three walks run on Python ints
+(``_int_tables``).  A GF(2) vector at v is one int over v's row window:
+bit k is matrix row lo_v + k, where lo_v is the least row of S_v (of
+S_c1 | S_c2 for the meets and the table at v), so moving a vector between
+windows is a shift.  A GF(3) vector is two such ints, its bit planes
+(plus, minus): the bits of its entries 1 and of its entries 2.  A row
+operation on them is one bitsliced add of a few word operations, and
+negation swaps the planes (Boothby & Bradshaw, "Bitslicing and the Method
+of Four Russians over larger finite fields", 2009).  A space is the tuple
+of its basis in canonical RREF with highest-bit pivots, each pivot entry
+1; colors are keyed by these tuples and still numbered by first
+appearance, so the tables are the row-tuple path's, bit for bit.  A meet
+moves the interior bits above the window, so they pivot first; a boundary
+and the pair traces are Zassenhaus eliminations on ``u << width | u``,
+plane by plane over GF(3).  The leaves' separators come from the columns'
+bits (the instance's ``column_bits``, or planes read once per call over
+GF(3)) and each leaf still builds its checked ``rref``.  Windows, not ints
+over all d rows: an int over all rows costs O(d) word operations per xor,
+shift and comparison however short its separator, so the work per element
+grows with d.  Over the caterpillar of the 2 x k ladder, with the
 instance's ``column_bits`` built beforehand, windows took 33 µs per element
 at k = 128 and 36-38 µs at k = 2048; ints over all rows took 37-38 and
 46-59 µs.
+
+GF(4) and larger fields keep row tuples.  Their entries need two or more
+planes, and a row operation is no longer one add: over GF(2^k) scaling a
+row by a pivot's inverse mixes the planes, and over GF(p), p > 3, an entry
+needs three or more planes and the add many more word operations.  The
+benchmark's only such instances are two 4 x 9 GF(4) matrices.
 """
 
 from __future__ import annotations
+
+from itertools import compress
+from typing import Callable, NamedTuple
 
 from .branchdecomp import RootedBranchTree
 from .gf import FieldSpec, FVector, _echelon, _intersect, pair_traces
@@ -153,7 +168,8 @@ def _separators(m: MatroidInstance, tree: RootedBranchTree, touched: list[Coords
 def _boundaries(m: MatroidInstance, tree: RootedBranchTree):
     """Postorder, separator rows S_v, the coordinates S_c1 | S_c2 of every
     inner node, and every boundary on its separator rows."""
-    touched = [tuple(i for i, x in enumerate(col) if x) for col in m.columns]
+    rows = range(m.dim)
+    touched = [tuple(compress(rows, col)) for col in m.columns]
     order, seps, joint, up = _separators(m, tree, touched)
     field = m.field
     for node in order:
@@ -265,15 +281,17 @@ def _gf2_extend(stem: list[int], rows) -> list[int]:
     return new
 
 
-def _gf2_meet(rows, keep: int, shift: int, width: int) -> tuple[int, ...]:
-    """span(``rows``) meet {zero off the bits of ``keep << shift``}, for
-    rows below bit ``width``, shifted right by ``shift``.  The other bits
-    move above ``width``, so they pivot first, and the basis rows left
-    below it are the meet's canonical basis."""
+def _gf2_meet(parts, keep: int, shift: int, width: int) -> tuple[int, ...]:
+    """span(rows) meet {zero off the bits of ``keep << shift``}, for the
+    rows of every (space, k) in ``parts`` shifted up k bits, all below bit
+    ``width``, shifted right by ``shift``.  The other bits move above
+    ``width``, so they pivot first, and the basis rows left below it are
+    the meet's canonical basis."""
     if not keep:
         return ()
     keep <<= shift
     limit = 1 << width
+    rows = [x << k for space, k in parts for x in space]
     basis = _gf2_rref([(x & ~keep) << width | x & keep for x in rows])
     return tuple([v >> shift for v in basis if v < limit])
 
@@ -310,75 +328,204 @@ def _gf2_pair_traces(width: int, bound: tuple[int, ...], lefts: list, rights: li
             yield prefix if not high else canonical(low + high), len(stem) + len(new)
 
 
+_ONES = bytes.maketrans(b"\x00\x01\x02", b"010")
+_TWOS = bytes.maketrans(b"\x00\x01\x02", b"001")
+
+
+def _g3_columns(m: MatroidInstance) -> list[tuple[int, int]]:
+    """A GF(3) instance's columns as bit planes (plus, minus), bit i = row
+    i, each read as two binary numerals by C-level ``bytes`` calls."""
+    digits = [bytes(col)[::-1] for col in m.columns]
+    return [(int(d.translate(_ONES) or b"0", 2), int(d.translate(_TWOS) or b"0", 2)) for d in digits]
+
+
+def _g3_reduce(v: tuple[int, int], rows) -> tuple[int, int]:
+    """GF(3) vector ``v`` (bit planes) with the entry at each top bit of
+    ``rows`` cleared in turn, by adding or subtracting that row.  Every row
+    has top entry 1; a cleared entry stays 0 when each later row is zero at
+    it, as in an echelon form taken in decreasing order or a reduced one."""
+    p, m = v
+    for bp, bm in rows:
+        if p ^ bp < p:  # entry 1 at bp's top bit: subtract, i.e. add -b
+            bp, bm = bm, bp
+        elif m ^ bp >= m:
+            continue
+        # bitsliced add: an entry nonzero on one side only, or 2 + 2 = 1 and 1 + 1 = 2
+        u, w = p | m, bp | bm
+        p, m = p & ~w | bp & ~u | m & bm, m & ~w | bm & ~u | p & bp
+    return p, m
+
+
+def _g3_rref(rows) -> list[tuple[int, int]]:
+    """``_gf2_rref`` over GF(3): highest-bit pivots, each pivot entry 1 and
+    cleared in every other row, in decreasing order."""
+    basis: list[tuple[int, int]] = []
+    for v in rows:
+        p, m = _g3_reduce(v, basis)
+        if p | m:
+            v = (m, p) if m > p else (p, m)  # disjoint planes: the larger holds the top bit
+            basis = [_g3_reduce(b, (v,)) for b in basis]
+            basis.append(v)
+    basis.sort(reverse=True)
+    return basis
+
+
+def _g3_extend(stem: list, rows) -> list[tuple[int, int]]:
+    """``_gf2_extend`` over GF(3), every new row with top entry 1."""
+    new: list[tuple[int, int]] = []
+    for v in rows:
+        p, m = _g3_reduce(_g3_reduce(v, stem), new)
+        if p | m:
+            new.append((m, p) if m > p else (p, m))
+            new.sort(reverse=True)
+    return new
+
+
+def _g3_meet(parts, keep: int, shift: int, width: int) -> tuple[tuple[int, int], ...]:
+    """``_gf2_meet`` over GF(3), on both planes."""
+    if not keep:
+        return ()
+    keep <<= shift
+    limit = 1 << width
+    rows = [(p << k, m << k) for space, k in parts for p, m in space]
+    basis = _g3_rref([((p & ~keep) << width | p & keep, (m & ~keep) << width | m & keep) for p, m in rows])
+    return tuple([(p >> shift, m >> shift) for p, m in basis if p < limit])
+
+
+def _g3_intersect(rows1, rows2, width: int) -> tuple[tuple[int, int], ...]:
+    """``_gf2_intersect`` over GF(3), on both planes."""
+    if not rows1 or not rows2:
+        return ()
+    limit = 1 << width
+    stack = [(p << width | p, m << width | m) for p, m in rows1] + [(p << width, m << width) for p, m in rows2]
+    return tuple([v for v in _g3_rref(stack) if v[0] < limit])
+
+
+def _g3_pair_traces(width: int, bound: tuple, lefts: list, rights: list):
+    """``_gf2_pair_traces`` over GF(3), on both planes.  A row with top
+    entry 1 lies below bit ``width`` when its plus plane does."""
+    full, limit = len(bound), 1 << width
+
+    def canonical(rows):
+        return bound if len(rows) == full else tuple(_g3_rref(rows))
+
+    base = [(p << width | p, m << width | m) for p, m in bound]
+    reduced = [_g3_extend(base, [(p << width, m << width) for p, m in s2]) for s2 in rights]
+    for s1 in lefts:
+        stem = _g3_extend(base, [(p << width, m << width) for p, m in s1]) if s1 else []
+        low = [v for v in stem if v[0] < limit]
+        prefix = canonical(low)
+        for rows in reduced:
+            new = _g3_extend(stem, rows) if stem else rows
+            high = [v for v in new if v[0] < limit]
+            yield prefix if not high else canonical(low + high), len(stem) + len(new)
+
+
+class _IntField(NamedTuple):
+    """What ``_int_tables`` needs of a field whose vectors are ints (GF(2))
+    or bit-plane pairs (GF(3)) over a row window."""
+
+    columns: Callable  # instance -> its column vectors
+    support: Callable  # vector -> the int of its nonzero entries
+    lift: Callable  # (spaces, k) -> every space shifted up k bits
+    lower: Callable  # (spaces, k) -> every space shifted down k bits
+    meet: Callable
+    intersect: Callable
+    pair_traces: Callable
+
+
+_GF2 = _IntField(
+    lambda m: m.column_bits,
+    lambda v: v,
+    lambda spaces, k: [tuple([x << k for x in s]) for s in spaces],
+    lambda spaces, k: [tuple([x >> k for x in s]) for s in spaces],
+    _gf2_meet,
+    _gf2_intersect,
+    _gf2_pair_traces,
+)
+_GF3 = _IntField(
+    _g3_columns,
+    lambda v: v[0] | v[1],
+    lambda spaces, k: [tuple([(p << k, m << k) for p, m in s]) for s in spaces],
+    lambda spaces, k: [tuple([(p >> k, m >> k) for p, m in s]) for s in spaces],
+    _g3_meet,
+    _g3_intersect,
+    _g3_pair_traces,
+)
+
+
 def _window(rows: Coords) -> tuple[int, int]:
     """(lo, width): the least of ``rows`` and the bit count from it to the
     greatest; (0, 0) for no rows."""
     return (rows[0], rows[-1] - rows[0] + 1) if rows else (0, 0)
 
 
-def _gf2_tables(m: MatroidInstance, tree: RootedBranchTree):
-    """``_local_tables`` over GF(2), yielding (node, its Leaf or Inner).
+def _int_tables(m: MatroidInstance, tree: RootedBranchTree, field: _IntField):
+    """``_local_tables`` over GF(2) or GF(3), yielding (node, its Leaf or
+    Inner).
 
-    Every space is a tuple of ints in ``_gf2_rref``'s canonical form over a
-    row window: bit k of a vector at v is matrix row lo_v + k, lo_v the
-    least row of S_v, and of S_c1 | S_c2 for the meets and table of an
-    inner node, so moving a vector between windows is a shift."""
-    bits = m.column_bits
-    order, seps, joint, leaf_up = _separators(m, tree, [_bit_rows(v) for v in bits])
+    Every space is a tuple of vectors in canonical form (``_gf2_rref``,
+    ``_g3_rref``) over a row window: bit k of a vector at v is matrix row
+    lo_v + k, lo_v the least row of S_v, and of S_c1 | S_c2 for the meets
+    and table of an inner node, so moving a vector between windows is a
+    shift."""
+    columns = field.columns(m)
+    supports = [field.support(v) for v in columns]
+    order, seps, joint, leaf_up = _separators(m, tree, [_bit_rows(v) for v in supports])
     lo = {v: _window(rows)[0] for v, rows in seps.items()}
     mask = {v: sum([1 << i - lo[v] for i in rows]) for v, rows in seps.items()}  # S_v on its window
     wide = {v: _window(rows) for v, rows in joint.items()}
-    up: dict[int, tuple[int, ...]] = {}
+    up: dict[int, tuple] = {}
     for node in order:
         kids = tree.children.get(node, ())
         if not kids:
-            up[node] = (bits[node] >> lo[node],) if leaf_up[node] else ()
+            up[node] = field.lower([(columns[node],)], lo[node])[0] if leaf_up[node] else ()
             continue
         base, width = wide[node]
-        rows = [u << lo[kid] - base for kid in kids for u in up[kid]]
-        up[node] = _gf2_meet(rows, mask[node], lo[node] - base, width)
-    outside: dict[int, tuple[int, ...]] = {tree.root: ()}
-    boundary: dict[int, tuple[int, ...]] = {tree.root: ()}
+        up[node] = field.meet([(up[kid], lo[kid] - base) for kid in kids], mask[node], lo[node] - base, width)
+    outside: dict[int, tuple] = {tree.root: ()}
+    boundary: dict[int, tuple] = {tree.root: ()}
     for node in reversed(order):
         kids = tree.children.get(node, ())
         if not kids:
             continue
         base, width = wide[node]
-        above = [w << lo[node] - base for w in outside.pop(node)]
+        above = (outside.pop(node), lo[node] - base)
         for child, sibling in (kids, kids[::-1]):
-            rows = [u << lo[sibling] - base for u in up[sibling]] + above
-            outside[child] = _gf2_meet(rows, mask[child], lo[child] - base, width)
+            parts = ((up[sibling], lo[sibling] - base), above)
+            outside[child] = field.meet(parts, mask[child], lo[child] - base, width)
         for child in kids:
-            boundary[child] = _gf2_intersect(up.pop(child), outside[child], _window(seps[child])[1])
-    spaces: dict[int, list[tuple[int, ...]]] = {}
+            boundary[child] = field.intersect(up.pop(child), outside[child], _window(seps[child])[1])
+    spaces: dict[int, list[tuple]] = {}
     for node in order:
         bound = boundary.pop(node)
         kids = tree.children.get(node, ())
         if not kids:
             spaces[node] = [(), bound]
-            yield node, Leaf(node, not bits[node])
+            yield node, Leaf(node, not supports[node])
             continue
         left, right = kids
         base, width = wide[node]
-        lefts = [tuple([s << lo[left] - base for s in space]) for space in spaces.pop(left)]
-        rights = [tuple([s << lo[right] - base for s in space]) for space in spaces.pop(right)]
+        lefts = field.lift(spaces.pop(left), lo[left] - base)
+        rights = field.lift(spaces.pop(right), lo[right] - base)
         shift = lo[node] - base
-        pairs = _gf2_pair_traces(width, tuple([b << shift for b in bound]), lefts, rights)
+        pairs = field.pair_traces(width, field.lift([bound], shift)[0], lefts, rights)
         inner, traces = _inner(kids, pairs, lefts, rights)
-        spaces[node] = [tuple([x >> shift for x in trace]) for trace in traces]
+        spaces[node] = field.lower(traces, shift)
         yield node, inner
 
 
 def construct(m: MatroidInstance, tree: RootedBranchTree) -> KDecomposition:
     """Decomposition whose rank evaluation equals the matroid's rank oracle.
-    Over GF(2) the spaces are ints (``_gf2_tables``); over every other
-    field, row tuples (``_local_tables``).  Both give the same tables."""
+    Over GF(2) and GF(3) the spaces are ints or bit-plane pairs
+    (``_int_tables``); over every other field, row tuples
+    (``_local_tables``).  All give the same tables."""
     if m.kind != "linear":
         raise ValueError("construction needs a linear (represented) matroid")
     if m.n != tree.n:
         raise ValueError(f"matroid has {m.n} elements but the tree has {tree.n} leaves")
-    if m.field.q == 2:
-        nodes = dict(_gf2_tables(m, tree))
+    if m.field.q in (2, 3):
+        nodes = dict(_int_tables(m, tree, _GF2 if m.field.q == 2 else _GF3))
     else:
         nodes = {node: entry for node, entry, *_ in _local_tables(m, tree)}
     return KDecomposition(tree.n, nodes, tree.root)

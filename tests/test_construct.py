@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     GF2,
+    GF3,
     construct_exact,
     construct_with_data,
     fano,
@@ -207,20 +208,20 @@ def ladder_matroid(k):
     return MatroidInstance.linear(GF2, incidence_matrix(2 * k, edges))
 
 
-def banded_matroid(n, band=5):
-    """GF(2) column j on rows j//2 .. j//2 + band - 1, its top entry 1."""
+def banded_matroid(n, band=5, field=GF2):
+    """Column j on rows j//2 .. j//2 + band - 1, its top entry 1."""
     rng = random.Random(n)
     rows = [[0] * n for _ in range((n - 1) // 2 + band)]
     for j in range(n):
         rows[j // 2][j] = 1
         for i in range(j // 2 + 1, j // 2 + band):
-            rows[i][j] = rng.randrange(2)
-    return MatroidInstance.linear(GF2, rows)
+            rows[i][j] = rng.randrange(field.q)
+    return MatroidInstance.linear(field, rows)
 
 
 def generic_construct(m, tree):
     """The decomposition of ``construct``'s row-tuple path, which serves
-    every field but GF(2), on any linear instance."""
+    every field but GF(2) and GF(3), on any linear instance."""
     module = importlib.import_module("decompwidth.construct")
     nodes = {node: entry for node, entry, *_ in module._local_tables(m, tree)}
     return KDecomposition(tree.n, nodes, tree.root)
@@ -260,44 +261,50 @@ def subspace_work(monkeypatch, m):
 
 
 def int_work(monkeypatch, m):
-    """Calls to the GF(2) path's int helpers plus the table pairs its
-    _gf2_pair_traces yields, over the column-order caterpillar, and the
-    largest bit_length of any int they take or give: (calls, longest
-    space row, longest Zassenhaus or meet stack row)."""
+    """Calls to the int path's kernels (``_gf2_*`` over GF(2), ``_g3_*``
+    over GF(3)) plus the table pairs its pair_traces yields, over the
+    column-order caterpillar, and the largest bit_length of any int they
+    take or give, a GF(3) vector's two planes each on its own: (calls,
+    longest space row, longest Zassenhaus or meet stack row)."""
     module = importlib.import_module("decompwidth.construct")
+    prefix, field = ("_gf2_", "_GF2") if m.field.q == 2 else ("_g3_", "_GF3")
+    kernels = getattr(module, field)
     calls, spaces, stacks = [], [0], [0]
 
-    def longest(ints):
-        return max([x.bit_length() for x in ints], default=0)
+    def planes(vectors):
+        return [x for v in vectors for x in (v if isinstance(v, tuple) else (v,))]
+
+    def longest(vectors):
+        return max([x.bit_length() for x in planes(vectors)], default=0)
+
+    def is_vector(v):
+        return isinstance(v, int) or isinstance(v, tuple) and len(v) == 2 and all(isinstance(x, int) for x in v)
+
+    def recorded(name, op, returns_space):
+        def call(*args):
+            calls.append(name)
+            for arg in args:
+                if isinstance(arg, list) and arg and is_vector(arg[0]):
+                    stacks.append(longest(arg))
+            result = op(*args)
+            (spaces if returns_space else stacks).append(longest(result))
+            return result
+
+        return call
+
+    def recorded_pairs(width, bound, lefts, rights):
+        spaces.append(longest([x for space in (bound, *lefts, *rights) for x in space]))
+        for trace, joined in kernels.pair_traces(width, bound, lefts, rights):
+            calls.append("pair")
+            spaces.append(longest(trace))
+            yield trace, joined
 
     with monkeypatch.context() as patch:
-
-        def recorded(name, returns_space):
-            op = getattr(module, name)
-
-            def call(*args):
-                calls.append(name)
-                for arg in args:
-                    if isinstance(arg, list) and arg and isinstance(arg[0], int):
-                        stacks.append(longest(arg))
-                result = op(*args)
-                (spaces if returns_space else stacks).append(longest(result))
-                return result
-
-            patch.setattr(module, name, call)
-
-        def recorded_pairs(width, bound, lefts, rights, op=module._gf2_pair_traces):
-            spaces.append(longest([x for space in (bound, *lefts, *rights) for x in space]))
-            for trace, joined in op(width, bound, lefts, rights):
-                calls.append("pair")
-                spaces.append(longest(trace))
-                yield trace, joined
-
-        recorded("_gf2_rref", False)
-        recorded("_gf2_extend", False)
-        recorded("_gf2_meet", True)
-        recorded("_gf2_intersect", True)
-        patch.setattr(module, "_gf2_pair_traces", recorded_pairs)
+        for name in ("rref", "extend"):
+            patch.setattr(module, prefix + name, recorded(name, getattr(module, prefix + name), False))
+        meet = recorded("meet", kernels.meet, True)
+        intersect = recorded("intersect", kernels.intersect, True)
+        patch.setattr(module, field, kernels._replace(meet=meet, intersect=intersect, pair_traces=recorded_pairs))
         construct(m, left_deep_rooted_tree(m.n))
     return len(calls), max(spaces), max(stacks)
 
@@ -338,11 +345,13 @@ def test_gf2_construct_work_per_element_stays_flat_on_ladders(monkeypatch):
 
 def test_gf2_construct_ints_stay_band_long_on_banded_matrices(monkeypatch):
     # a window spans at most the band's 5 rows, whatever the ambient
-    # dimension; stacks put a second window above the first
-    for n in (20, 40, 80):
-        m = banded_matroid(n)
-        _, space, stack = int_work(monkeypatch, m)
-        assert space <= 5 and stack <= 10, (n, space, stack)
+    # dimension; stacks put a second window above the first.  Over GF(3)
+    # the bound holds for each bit plane
+    for field in (GF2, GF3):
+        for n in (20, 40, 80):
+            m = banded_matroid(n, field=field)
+            calls, space, stack = int_work(monkeypatch, m)
+            assert calls > n and space <= 5 and stack <= 10, (field, n, calls, space, stack)
 
 
 def test_construct_checks_a_few_subspaces_per_tree_node(monkeypatch):
@@ -359,6 +368,7 @@ def test_construct_checks_a_few_subspaces_per_tree_node(monkeypatch):
     monkeypatch.setattr(gf.Subspace, "_check_canonical", counted)
     cases = [banded_matroid(n) for n in (20, 40, 80, 160)]
     cases += [ladder_matroid(k) for k in (16, 32, 64)]
+    cases += [banded_matroid(n, 3, GF3) for n in (20, 40, 80)]
     for m in cases:
         for build in (generic_construct, construct):
             checks.clear()
@@ -367,17 +377,18 @@ def test_construct_checks_a_few_subspaces_per_tree_node(monkeypatch):
 
 
 @st.composite
-def gf2_matrices(draw):
-    """A GF(2) matrix of 1-6 rows and 1-9 columns, about one column in
-    five zero."""
+def small_matrices(draw):
+    """A GF(2) or GF(3) instance of 1-6 rows and 1-9 columns, about one
+    column in five zero."""
+    field = draw(st.sampled_from((GF2, GF3)))
     rows = draw(st.integers(min_value=1, max_value=6))
     cols = draw(st.integers(min_value=1, max_value=9))
-    bit = st.integers(min_value=0, max_value=1)
+    entry = st.integers(min_value=0, max_value=field.q - 1)
     columns = [
-        [0] * rows if draw(st.integers(min_value=0, max_value=4)) == 0 else draw(st.lists(bit, min_size=rows, max_size=rows))
+        [0] * rows if draw(st.integers(min_value=0, max_value=4)) == 0 else draw(st.lists(entry, min_size=rows, max_size=rows))
         for _ in range(cols)
     ]
-    return [[col[i] for col in columns] for i in range(rows)]
+    return MatroidInstance.linear(field, [[col[i] for col in columns] for i in range(rows)])
 
 
 def gf2_trees(m):
@@ -388,21 +399,27 @@ def gf2_trees(m):
     return trees
 
 
-@settings(max_examples=200, deadline=None)
-@given(gf2_matrices())
-def test_gf2_path_builds_the_row_tuple_paths_decomposition(matrix):
-    m = MatroidInstance.linear(GF2, matrix)
+@settings(max_examples=300, deadline=None)
+@given(small_matrices())
+def test_gf2_path_builds_the_row_tuple_paths_decomposition(m):
+    # the int path serves GF(2) on ints and GF(3) on bit-plane pairs
     for tree in gf2_trees(m):
         assert serialize(construct(m, tree)) == serialize(generic_construct(m, tree))
 
 
 def test_gf2_path_matches_on_loops_coloops_and_larger_matrices():
     cases = [MatroidInstance.linear(GF2, [[0, 0, 0]]), MatroidInstance.linear(GF2, [[0] * 5] * 3), parallel_coloop()]
+    cases += [MatroidInstance.linear(GF3, [[0, 0, 0]]), MatroidInstance.linear(GF3, [[0] * 5] * 3)]
+    cases.append(MatroidInstance.linear(GF3, [[1, 2, 0], [0, 0, 1]]))  # a parallel pair plus a coloop
     rng = random.Random(28)
-    for _ in range(20):
-        rows, cols = rng.randint(3, 8), rng.randint(10, 16)
-        density = rng.choice((0.15, 0.4, 0.7))
-        cases.append(MatroidInstance.linear(GF2, [[int(rng.random() < density) for _ in range(cols)] for _ in range(rows)]))
+    for field in (GF2, GF3):
+        for _ in range(20):
+            rows, cols = rng.randint(3, 8), rng.randint(10, 16)
+            density = rng.choice((0.15, 0.4, 0.7))
+            matrix = [[int(rng.random() < density) for _ in range(cols)] for _ in range(rows)]
+            if field is GF3:
+                matrix = [[x * rng.randrange(1, 3) for x in row] for row in matrix]
+            cases.append(MatroidInstance.linear(field, matrix))
     for m in cases:
         trees = gf2_trees(m) if m.n <= 9 else [left_deep_rooted_tree(m.n), root_tree(greedy_branch_decomposition(m)[0])]
         for tree in trees:

@@ -13,9 +13,9 @@ below the subspace count of the boundary.
 For child colors (g1, g2) naming boundary subspaces S1, S2, the parent entry
 is the color of (parent boundary) intersect hull(S1, S2), and the rank
 defect is dim S1 + dim S2 - dim hull(S1, S2): exactly the dimension lost
-when the two subtrees' spans meet.  ``gf.pair_traces`` gives both for all
+when the two subtrees' spans meet.  The pair traces give both for all
 pairs of a node from one Zassenhaus elimination per child color, extended
-once per pair, and builds no hull.  Colors are numbered by first
+once per pair, and build no hull.  Colors are numbered by first
 appearance in (g1, g2) order.
 
 Leaves color the empty set 0 and the selected singleton 1.  When a leaf's
@@ -31,62 +31,74 @@ elimination does (Duff & Reid, ACM TOMS 1983; George, SIAM J. Numer. Anal.
 1973).  The separator rows S_v are the matrix rows touched by columns both
 inside and outside E_v.  They lie in S_c1 | S_c2 and are found bottom-up
 from per-row touch counts; the rest of S_c1 | S_c2 become interior at v.
-Every space kept at v is zero off S_v and is stored on those rows only.
-The tree is walked three times:
+Every space kept at v is zero off S_v and is stored in v's frame, the
+field's coordinates on S_v; the meets and the table at an inner node work
+in the frame of S_c1 | S_c2.  ``_tables`` walks the tree three times, for
+every field:
 
 * Up: U_v, the vectors of span(E_v) zero off S_v, is (U_c1 + U_c2) meet
-  {zero on the rows interior at v}.  A leaf gets span(col) when no row of
-  its column is private to it, and {0} otherwise.
+  {zero on the rows interior at v}.  A leaf gets its column on its frame
+  when no row of the column is private to it, and {0} otherwise.
 * Down: W_v, the vectors of span(E - E_v) zero off S_v, starts from
   W_root = {0}.  A child c with sibling s gets W_c = (U_s + W_v) meet
   {zero off S_c}: rows interior to s, or outside v, cannot cancel between
   the summands.  Then B_v = U_v meet W_v.
-* Tables: the palette pairs of v combine in the coordinates S_c1 | S_c2,
-  through ``pair_traces``.
+* Tables: the palette pairs of v combine in the frame of S_c1 | S_c2,
+  through the field's pair traces.
 
-Coordinates keep the increasing row order, and RREF over an ordered subset
-of the coordinates is the RREF in GF(q)^d with the zero coordinates
-dropped, so every space, color and table entry is the one GF(q)^d gives,
-while a node works on vectors of length |S_c1 | S_c2|.  On a dense matrix
-every S_v but the root's is every row, and moving between equal coordinate
-lists is the identity.
+Every space is held as the tuple of its canonical basis (``()`` is {0}),
+and colors are keyed by these tuples.  Any canonical form numbers the
+colors alike, so every field's tables are the ones GF(q)^d gives, bit for
+bit.  The matrix entries are checked once, up front, when the
+``MatroidInstance`` is built; after that only each leaf's ``rref``
+builds a checked ``Subspace``, which tells whether U_v is {0}.  It stays
+because it is the one ``gf`` call of ``construct`` that perfbench's
+traced ``gf.calls`` counts.  A leaf's U_v is its bare column, in no
+canonical form: the meet above it and its boundary's intersection
+eliminate it again.
 
-Every space is held as its tuple of RREF rows (``()`` is {0}), and colors
-are keyed by them.  The matrix entries are checked once, up front, when
-the ``MatroidInstance`` is built; after that only the leaves' ``rref``
-builds a checked ``Subspace``, the meets and the boundaries
-(``gf._intersect``) are eliminated unchecked, and ``pair_traces`` checks
-only its input.
+Each field supplies a ``_Field``: its columns, their rows, its frames and
+its kernels (restrict a column to a frame, move spaces between frames,
+meet, intersect, pair traces).
 
-Over GF(2) and GF(3) the same three walks run on Python ints
-(``_int_tables``).  A GF(2) vector at v is one int over v's row window:
-bit k is matrix row lo_v + k, where lo_v is the least row of S_v (of
-S_c1 | S_c2 for the meets and the table at v), so moving a vector between
-windows is a shift.  A GF(3) vector is two such ints, its bit planes
-(plus, minus): the bits of its entries 1 and of its entries 2.  A row
-operation on them is one bitsliced add of a few word operations, and
-negation swaps the planes (Boothby & Bradshaw, "Bitslicing and the Method
-of Four Russians over larger finite fields", 2009).  A space is the tuple
-of its basis in canonical RREF with highest-bit pivots, each pivot entry
-1; colors are keyed by these tuples and still numbered by first
-appearance, so the tables are the row-tuple path's, bit for bit.  A meet
-moves the interior bits above the window, so they pivot first; a boundary
-and the pair traces are Zassenhaus eliminations on ``u << width | u``,
-plane by plane over GF(3).  The leaves' separators come from the columns'
-bits (the instance's ``column_bits``, or planes read once per call over
-GF(3)) and each leaf still builds its checked ``rref``.  Windows, not ints
-over all d rows: an int over all rows costs O(d) word operations per xor,
-shift and comparison however short its separator, so the work per element
-grows with d.  Over the caterpillar of the 2 x k ladder, with the
-instance's ``column_bits`` built beforehand, windows took 33 µs per element
-at k = 128 and 36-38 µs at k = 2048; ints over all rows took 37-38 and
-46-59 µs.
-
-GF(4) and larger fields keep row tuples.  Their entries need two or more
-planes, and a row operation is no longer one add: over GF(2^k) scaling a
-row by a pivot's inverse mixes the planes, and over GF(p), p > 3, an entry
-needs three or more planes and the add many more word operations.  The
-benchmark's only such instances are two 4 x 9 GF(4) matrices.
+* GF(4) and larger fields (``_row_field``): a frame is the tuple of the
+  rows, increasing, and a vector is the tuple of its entries on them.
+  The kernels are ``_moved``, ``_meet``, ``gf._intersect`` and
+  ``gf.pair_traces``, unchecked RREF with leftmost pivots.  RREF over an
+  ordered subset of the coordinates is the RREF in GF(q)^d with the zero
+  coordinates dropped, and a node works on vectors of length
+  |S_c1 | S_c2|.  On a dense matrix every S_v but the root's is every row,
+  and moving between equal frames is the identity.  These fields keep row
+  tuples: their entries need two or more bit planes, and a row operation
+  is no longer one add (over GF(2^k) scaling a row by a pivot's inverse
+  mixes the planes, and over GF(p), p > 3, an entry needs three or more
+  planes and the add many more word operations).  Nor do they take
+  windows: a window holds every row between a frame's least and greatest,
+  which on a sparse matrix makes a row tuple longer.  The benchmark's
+  only such instances are two 4 x 9 GF(4) matrices.
+* GF(2) (``_GF2``): a frame is the row window (lo, width, mask), with lo
+  the least row, width the bit count from it to the greatest and mask
+  the frame's rows on the window.  A vector is one int, bit k is matrix
+  row lo + k, and moving it between windows is a shift.  A space is its
+  basis in canonical RREF with highest-bit pivots, found by xor
+  elimination (``_gf2_rref``).  A meet moves the bits off the kept rows
+  above the window, so they pivot first; a boundary and the pair traces
+  are Zassenhaus eliminations on ``u << width | u``.  The columns are the
+  instance's ``column_bits``.  Windows, not ints over all d rows: an int
+  over all rows costs O(d) word operations per xor, shift and comparison
+  however short its separator, so the work per element grows with d.
+  Over the caterpillar of the 2 x k ladder, with the instance's
+  ``column_bits`` built beforehand, windows took 33 µs per element at
+  k = 128 and 36-38 µs at k = 2048; ints over all rows took 37-38 and
+  46-59 µs.
+* GF(3) (``_GF3``): the same windows, and a vector is two such ints, its
+  bit planes (plus, minus): the bits of its entries 1 and of its entries
+  2.  A row operation on them is one bitsliced add of a few word
+  operations, and negation swaps the planes (Boothby & Bradshaw,
+  "Bitslicing and the Method of Four Russians over larger finite fields",
+  2009).  Pivots are highest-bit with entry 1.  The planes are read once
+  per call from the columns (``_g3_columns``).  The GF(2) and GF(3)
+  kernels stay apart: each is its field's hot loop.
 """
 
 from __future__ import annotations
@@ -95,13 +107,14 @@ from itertools import compress
 from typing import Callable, NamedTuple
 
 from .branchdecomp import RootedBranchTree
-from .gf import FieldSpec, FVector, _echelon, _intersect, pair_traces
-from .gf import hull, intersect, rref  # noqa: F401  perfbench's traced run patches these names
+from .gf import FieldSpec, FVector, _echelon, _intersect, pair_traces, rref
+from .gf import hull, intersect  # noqa: F401  perfbench's traced run patches these names and rref
 from .kdecomp import Inner, KDecomposition, Leaf
 from .matroids import MatroidInstance
 
 Coords = tuple[int, ...]  # matrix rows in increasing order
 Rows = tuple[FVector, ...]  # RREF basis of a space, on some Coords
+Window = tuple[int, int, int]  # (lo, width, mask): bit k is matrix row lo + k
 
 
 def _moved(rows: Rows, src: Coords, dst: Coords) -> Rows:
@@ -120,24 +133,38 @@ def _moved(rows: Rows, src: Coords, dst: Coords) -> Rows:
     return tuple(out)
 
 
-def _meet(field: FieldSpec, parts, interior: Coords, keep: Coords) -> Rows:
-    """Span of ``parts`` ((rows, coordinates) pairs inside interior + keep)
-    meet {zero on ``interior``}, on the coordinates ``keep``.
+def _meet(field: FieldSpec, parts, keep: Coords, joint: Coords) -> Rows:
+    """Span of ``parts`` ((rows, coordinates) pairs inside ``joint``) meet
+    {zero off ``keep``}, on the coordinates ``keep``.
 
-    The interior rows are eliminated first, so the RREF rows that are zero
-    there have their pivots in ``keep`` and form its canonical basis.
+    The rows of ``joint`` off ``keep`` come first, so they are eliminated
+    first, and the RREF rows that are zero there have their pivots in
+    ``keep`` and form its canonical basis.
     """
-    order = interior + keep
+    kept = set(keep)
+    order = tuple([i for i in joint if i not in kept]) + keep
+    skip = len(order) - len(keep)
     rows = [v for space, coords in parts for v in _moved(space, coords, order)]
-    skip = len(interior)
     reduced = _echelon(field, len(order), rows)
     return tuple([v[skip:] for v in reduced if not any(v[:skip])])
 
 
+class _Field(NamedTuple):
+    """What ``_tables`` needs of a field: its vectors, frames and kernels."""
+
+    columns: Callable  # instance -> its column vectors
+    touched: Callable  # column vector -> its nonzero rows, increasing
+    frame: Callable  # rows, increasing -> their frame
+    restrict: Callable  # (column, frame) -> the column on the frame
+    move: Callable  # (spaces, frame, frame) -> the spaces moved between frames
+    meet: Callable  # (parts, keep, frame) -> span meet {zero off keep}, on keep
+    intersect: Callable  # (space, space, frame) -> their intersection
+    pair_traces: Callable  # (frame, bound, lefts, rights) -> (trace, dim(S1 + S2)) pairs
+
+
 def _separators(m: MatroidInstance, tree: RootedBranchTree, touched: list[Coords]):
-    """Postorder, the separator rows S_v of every node, the coordinates
-    S_c1 | S_c2 of every inner node, and U_v of every leaf as RREF rows on
-    its S_v, from the rows each column ``touched``."""
+    """Postorder, the separator rows S_v of every node and the rows
+    S_c1 | S_c2 of every inner node, from the rows each column ``touched``."""
     order = tree.postorder()
     total = [0] * m.dim
     for rows in touched:
@@ -146,14 +173,11 @@ def _separators(m: MatroidInstance, tree: RootedBranchTree, touched: list[Coords
     inside: dict[int, dict[int, int]] = {}  # per S_v row: columns under v touching it
     seps: dict[int, Coords] = {}
     joint: dict[int, Coords] = {}
-    leaf_up: dict[int, Rows] = {}
     for node in order:
         kids = tree.children.get(node, ())
         if not kids:
             sep = seps[node] = tuple(i for i in touched[node] if total[i] > 1)
             inside[node] = dict.fromkeys(sep, 1)
-            private = len(sep) < len(touched[node])
-            leaf_up[node] = rref(m.field, len(sep), [] if private else [[m.columns[node][i] for i in sep]]).rows
             continue
         left, right = kids
         counts = inside.pop(left)
@@ -162,38 +186,7 @@ def _separators(m: MatroidInstance, tree: RootedBranchTree, touched: list[Coords
         inside[node] = {i: c for i, c in counts.items() if c < total[i]}
         joint[node] = tuple(sorted(counts))
         seps[node] = tuple(i for i in joint[node] if i in inside[node])
-    return order, seps, joint, leaf_up
-
-
-def _boundaries(m: MatroidInstance, tree: RootedBranchTree):
-    """Postorder, separator rows S_v, the coordinates S_c1 | S_c2 of every
-    inner node, and every boundary on its separator rows."""
-    rows = range(m.dim)
-    touched = [tuple(compress(rows, col)) for col in m.columns]
-    order, seps, joint, up = _separators(m, tree, touched)
-    field = m.field
-    for node in order:
-        kids = tree.children.get(node, ())
-        if kids:
-            left, right = kids
-            keep = set(seps[node])
-            interior = tuple(i for i in joint[node] if i not in keep)
-            parts = ((up[left], seps[left]), (up[right], seps[right]))
-            up[node] = _meet(field, parts, interior, seps[node])
-    outside: dict[int, Rows] = {tree.root: ()}
-    boundary: dict[int, Rows] = {tree.root: ()}
-    for node in reversed(order):
-        kids = tree.children.get(node, ())
-        if not kids:
-            continue
-        above = (outside.pop(node), seps[node])
-        for child, sibling in (kids, kids[::-1]):
-            keep = seps[child]
-            interior = tuple(i for i in joint[node] if i not in keep)
-            outside[child] = _meet(field, ((up[sibling], seps[sibling]), above), interior, keep)
-        for child in kids:
-            boundary[child] = _intersect(field, len(seps[child]), up.pop(child), outside[child])
-    return order, seps, joint, boundary
+    return order, seps, joint
 
 
 def _inner(kids: tuple[int, int], pairs, lefts: list, rights: list):
@@ -210,28 +203,70 @@ def _inner(kids: tuple[int, int], pairs, lefts: list, rights: list):
     return Inner(kids, len(color_of), color_table, defect_table), list(color_of)
 
 
-def _local_tables(m: MatroidInstance, tree: RootedBranchTree):
-    """Per node in postorder: (node, its Leaf or Inner, S_v, boundary, color
-    spaces), every space as its RREF rows on the coordinates S_v.  A
+def _tables(m: MatroidInstance, tree: RootedBranchTree, field: _Field):
+    """Per node in postorder: (node, its Leaf or Inner, its frame, its
+    boundary, its color spaces), every space on the node's frame.  A
     child's color spaces are dropped once its parent's table is built."""
-    order, seps, joint, boundary = _boundaries(m, tree)
-    spaces: dict[int, list[Rows]] = {}
+    columns = field.columns(m)
+    touched = [field.touched(v) for v in columns]
+    order, seps, joint = _separators(m, tree, touched)
+    frame = {v: field.frame(rows) for v, rows in seps.items()}
+    wide = {v: field.frame(rows) for v, rows in joint.items()}
+    up: dict[int, tuple] = {}
     for node in order:
-        own = seps[node]
-        bound = boundary.pop(node)
+        kids = tree.children.get(node, ())
+        if kids:
+            up[node] = field.meet([(up[kid], frame[kid]) for kid in kids], frame[node], wide[node])
+            continue
+        # U_v is {0} for a loop or a column with a row no other column
+        # touches, else the column on its frame; the checked rref that
+        # tells which is the gf call perfbench's traced gf.calls counts
+        sep = seps[node]
+        private = len(sep) < len(touched[node])
+        checked = rref(m.field, len(sep), [] if private else [[m.columns[node][i] for i in sep]])
+        up[node] = (field.restrict(columns[node], frame[node]),) if checked.rows else ()
+    outside: dict[int, tuple] = {tree.root: ()}
+    boundary: dict[int, tuple] = {tree.root: ()}
+    for node in reversed(order):
+        kids = tree.children.get(node, ())
+        if not kids:
+            continue
+        above = (outside.pop(node), frame[node])
+        for child, sibling in (kids, kids[::-1]):
+            outside[child] = field.meet(((up[sibling], frame[sibling]), above), frame[child], wide[node])
+        for child in kids:
+            boundary[child] = field.intersect(up.pop(child), outside[child], frame[child])
+    spaces: dict[int, list[tuple]] = {}
+    for node in order:
+        own, bound = frame[node], boundary.pop(node)
         kids = tree.children.get(node, ())
         if not kids:
             spaces[node] = [(), bound]
-            yield node, Leaf(node, not any(m.columns[node])), own, bound, spaces[node]
+            yield node, Leaf(node, not touched[node]), own, bound, spaces[node]
             continue
         left, right = kids
-        coords = joint[node]
-        spaces_left = [_moved(s, seps[left], coords) for s in spaces.pop(left)]
-        spaces_right = [_moved(s, seps[right], coords) for s in spaces.pop(right)]
-        pairs = pair_traces(m.field, len(coords), _moved(bound, own, coords), spaces_left, spaces_right)
-        inner, traces = _inner(kids, pairs, spaces_left, spaces_right)
-        spaces[node] = [_moved(trace, coords, own) for trace in traces]
+        at = wide[node]
+        lefts = field.move(spaces.pop(left), frame[left], at)
+        rights = field.move(spaces.pop(right), frame[right], at)
+        pairs = field.pair_traces(at, field.move([bound], own, at)[0], lefts, rights)
+        inner, traces = _inner(kids, pairs, lefts, rights)
+        spaces[node] = field.move(traces, at, own)
         yield node, inner, own, bound, spaces[node]
+
+
+def _row_field(spec: FieldSpec) -> _Field:
+    """The ``_Field`` of row tuples over ``spec``: a frame is the tuple of
+    its rows.  The kernels are looked up by name when called."""
+    return _Field(
+        lambda m: m.columns,
+        lambda col: tuple(compress(range(len(col)), col)),
+        lambda rows: rows,
+        lambda col, rows: tuple([col[i] for i in rows]),
+        lambda spaces, src, dst: [_moved(s, src, dst) for s in spaces],
+        lambda parts, keep, joint: _meet(spec, parts, keep, joint),
+        lambda rows1, rows2, rows: _intersect(spec, len(rows), rows1, rows2),
+        lambda rows, bound, lefts, rights: pair_traces(spec, len(rows), bound, lefts, rights),
+    )
 
 
 def _bit_rows(v: int) -> Coords:
@@ -242,6 +277,16 @@ def _bit_rows(v: int) -> Coords:
         rows.append(low.bit_length() - 1)
         v ^= low
     return tuple(rows)
+
+
+def _window(rows: Coords) -> Window:
+    """The row window of ``rows``: (lo, width, mask), with lo the least row,
+    width the bit count from it to the greatest and mask the bits of
+    ``rows`` from lo; (0, 0, 0) for no rows."""
+    if not rows:
+        return 0, 0, 0
+    lo = rows[0]
+    return lo, rows[-1] - lo + 1, sum([1 << i - lo for i in rows])
 
 
 def _gf2_rref(rows) -> list[int]:
@@ -281,36 +326,46 @@ def _gf2_extend(stem: list[int], rows) -> list[int]:
     return new
 
 
-def _gf2_meet(parts, keep: int, shift: int, width: int) -> tuple[int, ...]:
-    """span(rows) meet {zero off the bits of ``keep << shift``}, for the
-    rows of every (space, k) in ``parts`` shifted up k bits, all below bit
-    ``width``, shifted right by ``shift``.  The other bits move above
-    ``width``, so they pivot first, and the basis rows left below it are
-    the meet's canonical basis."""
-    if not keep:
+def _gf2_move(spaces: list, src: Window, dst: Window) -> list:
+    """GF(2) ``spaces`` on window ``src`` moved to window ``dst``: a shift."""
+    k = src[0] - dst[0]
+    if k < 0:
+        return [tuple([x >> -k for x in s]) for s in spaces]
+    return [tuple([x << k for x in s]) for s in spaces] if k else spaces
+
+
+def _gf2_meet(parts, keep: Window, at: Window) -> tuple[int, ...]:
+    """span(rows) meet {zero off the rows of ``keep``}, on window ``keep``,
+    for the rows of every (space, window) in ``parts``, all inside window
+    ``at``.  On ``at``, the bits off ``keep`` move above its width, so they
+    pivot first, and the basis rows left below it are the meet's canonical
+    basis."""
+    if not keep[2]:
         return ()
-    keep <<= shift
-    limit = 1 << width
-    rows = [x << k for space, k in parts for x in space]
-    basis = _gf2_rref([(x & ~keep) << width | x & keep for x in rows])
+    lo, width, _ = at
+    shift = keep[0] - lo
+    mask, limit = keep[2] << shift, 1 << width
+    rows = [x << w[0] - lo for space, w in parts for x in space]
+    basis = _gf2_rref([(x & ~mask) << width | x & mask for x in rows])
     return tuple([v >> shift for v in basis if v < limit])
 
 
-def _gf2_intersect(rows1, rows2, width: int) -> tuple[int, ...]:
-    """span(``rows1``) ∩ span(``rows2``), for rows below bit ``width``, by
+def _gf2_intersect(rows1, rows2, at: Window) -> tuple[int, ...]:
+    """span(``rows1``) ∩ span(``rows2``), for rows on window ``at``, by
     Zassenhaus elimination on ``u << width | u`` and ``w << width``."""
     if not rows1 or not rows2:
         return ()
+    width = at[1]
     limit = 1 << width
     basis = _gf2_rref([u << width | u for u in rows1] + [w << width for w in rows2])
     return tuple([v for v in basis if v < limit])
 
 
-def _gf2_pair_traces(width: int, bound: tuple[int, ...], lefts: list, rights: list):
-    """``pair_traces`` on GF(2) spaces held as ints below bit ``width``:
-    B = ``bound`` stacks as ``b << width | b``, a color's rows as
-    ``s << width``, and the rows of an echelon form below bit ``width``
-    span the trace."""
+def _gf2_pair_traces(at: Window, bound: tuple[int, ...], lefts: list, rights: list):
+    """``gf.pair_traces`` on GF(2) spaces on window ``at``: B = ``bound``
+    stacks as ``b << width | b``, a color's rows as ``s << width``, and the
+    rows of an echelon form below bit ``width`` span the trace."""
+    width = at[1]
     full, limit = len(bound), 1 << width
 
     def canonical(rows):
@@ -381,29 +436,40 @@ def _g3_extend(stem: list, rows) -> list[tuple[int, int]]:
     return new
 
 
-def _g3_meet(parts, keep: int, shift: int, width: int) -> tuple[tuple[int, int], ...]:
+def _g3_move(spaces: list, src: Window, dst: Window) -> list:
+    """``_gf2_move`` over GF(3), on both planes."""
+    k = src[0] - dst[0]
+    if k < 0:
+        return [tuple([(p >> -k, m >> -k) for p, m in s]) for s in spaces]
+    return [tuple([(p << k, m << k) for p, m in s]) for s in spaces] if k else spaces
+
+
+def _g3_meet(parts, keep: Window, at: Window) -> tuple[tuple[int, int], ...]:
     """``_gf2_meet`` over GF(3), on both planes."""
-    if not keep:
+    if not keep[2]:
         return ()
-    keep <<= shift
-    limit = 1 << width
-    rows = [(p << k, m << k) for space, k in parts for p, m in space]
-    basis = _g3_rref([((p & ~keep) << width | p & keep, (m & ~keep) << width | m & keep) for p, m in rows])
+    lo, width, _ = at
+    shift = keep[0] - lo
+    mask, limit = keep[2] << shift, 1 << width
+    rows = [(p << w[0] - lo, m << w[0] - lo) for space, w in parts for p, m in space]
+    basis = _g3_rref([((p & ~mask) << width | p & mask, (m & ~mask) << width | m & mask) for p, m in rows])
     return tuple([(p >> shift, m >> shift) for p, m in basis if p < limit])
 
 
-def _g3_intersect(rows1, rows2, width: int) -> tuple[tuple[int, int], ...]:
+def _g3_intersect(rows1, rows2, at: Window) -> tuple[tuple[int, int], ...]:
     """``_gf2_intersect`` over GF(3), on both planes."""
     if not rows1 or not rows2:
         return ()
+    width = at[1]
     limit = 1 << width
     stack = [(p << width | p, m << width | m) for p, m in rows1] + [(p << width, m << width) for p, m in rows2]
     return tuple([v for v in _g3_rref(stack) if v[0] < limit])
 
 
-def _g3_pair_traces(width: int, bound: tuple, lefts: list, rights: list):
+def _g3_pair_traces(at: Window, bound: tuple, lefts: list, rights: list):
     """``_gf2_pair_traces`` over GF(3), on both planes.  A row with top
     entry 1 lies below bit ``width`` when its plus plane does."""
+    width = at[1]
     full, limit = len(bound), 1 << width
 
     def canonical(rows):
@@ -421,111 +487,38 @@ def _g3_pair_traces(width: int, bound: tuple, lefts: list, rights: list):
             yield prefix if not high else canonical(low + high), len(stem) + len(new)
 
 
-class _IntField(NamedTuple):
-    """What ``_int_tables`` needs of a field whose vectors are ints (GF(2))
-    or bit-plane pairs (GF(3)) over a row window."""
-
-    columns: Callable  # instance -> its column vectors
-    support: Callable  # vector -> the int of its nonzero entries
-    lift: Callable  # (spaces, k) -> every space shifted up k bits
-    lower: Callable  # (spaces, k) -> every space shifted down k bits
-    meet: Callable
-    intersect: Callable
-    pair_traces: Callable
-
-
-_GF2 = _IntField(
+_GF2 = _Field(
     lambda m: m.column_bits,
-    lambda v: v,
-    lambda spaces, k: [tuple([x << k for x in s]) for s in spaces],
-    lambda spaces, k: [tuple([x >> k for x in s]) for s in spaces],
+    _bit_rows,
+    _window,
+    lambda v, at: v >> at[0],
+    _gf2_move,
     _gf2_meet,
     _gf2_intersect,
     _gf2_pair_traces,
 )
-_GF3 = _IntField(
+_GF3 = _Field(
     _g3_columns,
-    lambda v: v[0] | v[1],
-    lambda spaces, k: [tuple([(p << k, m << k) for p, m in s]) for s in spaces],
-    lambda spaces, k: [tuple([(p >> k, m >> k) for p, m in s]) for s in spaces],
+    lambda v: _bit_rows(v[0] | v[1]),
+    _window,
+    lambda v, at: (v[0] >> at[0], v[1] >> at[0]),
+    _g3_move,
     _g3_meet,
     _g3_intersect,
     _g3_pair_traces,
 )
 
 
-def _window(rows: Coords) -> tuple[int, int]:
-    """(lo, width): the least of ``rows`` and the bit count from it to the
-    greatest; (0, 0) for no rows."""
-    return (rows[0], rows[-1] - rows[0] + 1) if rows else (0, 0)
-
-
-def _int_tables(m: MatroidInstance, tree: RootedBranchTree, field: _IntField):
-    """``_local_tables`` over GF(2) or GF(3), yielding (node, its Leaf or
-    Inner).
-
-    Every space is a tuple of vectors in canonical form (``_gf2_rref``,
-    ``_g3_rref``) over a row window: bit k of a vector at v is matrix row
-    lo_v + k, lo_v the least row of S_v, and of S_c1 | S_c2 for the meets
-    and table of an inner node, so moving a vector between windows is a
-    shift."""
-    columns = field.columns(m)
-    supports = [field.support(v) for v in columns]
-    order, seps, joint, leaf_up = _separators(m, tree, [_bit_rows(v) for v in supports])
-    lo = {v: _window(rows)[0] for v, rows in seps.items()}
-    mask = {v: sum([1 << i - lo[v] for i in rows]) for v, rows in seps.items()}  # S_v on its window
-    wide = {v: _window(rows) for v, rows in joint.items()}
-    up: dict[int, tuple] = {}
-    for node in order:
-        kids = tree.children.get(node, ())
-        if not kids:
-            up[node] = field.lower([(columns[node],)], lo[node])[0] if leaf_up[node] else ()
-            continue
-        base, width = wide[node]
-        up[node] = field.meet([(up[kid], lo[kid] - base) for kid in kids], mask[node], lo[node] - base, width)
-    outside: dict[int, tuple] = {tree.root: ()}
-    boundary: dict[int, tuple] = {tree.root: ()}
-    for node in reversed(order):
-        kids = tree.children.get(node, ())
-        if not kids:
-            continue
-        base, width = wide[node]
-        above = (outside.pop(node), lo[node] - base)
-        for child, sibling in (kids, kids[::-1]):
-            parts = ((up[sibling], lo[sibling] - base), above)
-            outside[child] = field.meet(parts, mask[child], lo[child] - base, width)
-        for child in kids:
-            boundary[child] = field.intersect(up.pop(child), outside[child], _window(seps[child])[1])
-    spaces: dict[int, list[tuple]] = {}
-    for node in order:
-        bound = boundary.pop(node)
-        kids = tree.children.get(node, ())
-        if not kids:
-            spaces[node] = [(), bound]
-            yield node, Leaf(node, not supports[node])
-            continue
-        left, right = kids
-        base, width = wide[node]
-        lefts = field.lift(spaces.pop(left), lo[left] - base)
-        rights = field.lift(spaces.pop(right), lo[right] - base)
-        shift = lo[node] - base
-        pairs = field.pair_traces(width, field.lift([bound], shift)[0], lefts, rights)
-        inner, traces = _inner(kids, pairs, lefts, rights)
-        spaces[node] = field.lower(traces, shift)
-        yield node, inner
-
-
 def construct(m: MatroidInstance, tree: RootedBranchTree) -> KDecomposition:
-    """Decomposition whose rank evaluation equals the matroid's rank oracle.
-    Over GF(2) and GF(3) the spaces are ints or bit-plane pairs
-    (``_int_tables``); over every other field, row tuples
-    (``_local_tables``).  All give the same tables."""
+    """Decomposition whose rank evaluation equals the matroid's rank oracle,
+    from ``_tables`` in the frames of the instance's field: windows of
+    ints over GF(2), of bit-plane pairs over GF(3), and row tuples over
+    every other field.  All give the same tables."""
     if m.kind != "linear":
         raise ValueError("construction needs a linear (represented) matroid")
     if m.n != tree.n:
         raise ValueError(f"matroid has {m.n} elements but the tree has {tree.n} leaves")
-    if m.field.q in (2, 3):
-        nodes = dict(_int_tables(m, tree, _GF2 if m.field.q == 2 else _GF3))
-    else:
-        nodes = {node: entry for node, entry, *_ in _local_tables(m, tree)}
+    q = m.field.q
+    field = _GF2 if q == 2 else _GF3 if q == 3 else _row_field(m.field)
+    nodes = {node: entry for node, entry, *_ in _tables(m, tree, field)}
     return KDecomposition(tree.n, nodes, tree.root)

@@ -191,15 +191,15 @@ class NodeSubspaceData(NamedTuple):
 
 
 def construct_with_data(m, tree):
-    """``construct(m, tree)`` as its row-tuple path builds it (over GF(2)
-    ``construct`` takes the int path, whose tables are the same), and every
-    node's boundary and color spaces, lifted from its separator rows into
-    GF(q)^d as checked subspaces."""
+    """``construct(m, tree)`` as its row-tuple frames build it (over GF(2)
+    and GF(3) ``construct`` takes row windows, whose tables are the same),
+    and every node's boundary and color spaces, lifted from its separator
+    rows into GF(q)^d as checked subspaces."""
     # the package's ``construct`` name is the function, not the module
     module = importlib.import_module("decompwidth.construct")
     ambient = tuple(range(m.dim))
     nodes, data = {}, {}
-    for node, entry, coords, bound, color_spaces in module._local_tables(m, tree):
+    for node, entry, coords, bound, color_spaces in module._tables(m, tree, module._row_field(m.field)):
         nodes[node] = entry
         lift = [Subspace(m.field, m.dim, module._moved(rows, coords, ambient)) for rows in (bound, *color_spaces)]
         data[node] = NodeSubspaceData(lift[0], lift[1:])

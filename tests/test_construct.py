@@ -220,16 +220,16 @@ def banded_matroid(n, band=5, field=GF2):
 
 
 def generic_construct(m, tree):
-    """The decomposition of ``construct``'s row-tuple path, which serves
-    every field but GF(2) and GF(3), on any linear instance."""
+    """The decomposition ``construct`` builds in row-tuple frames, which
+    serve every field but GF(2) and GF(3), on any linear instance."""
     module = importlib.import_module("decompwidth.construct")
-    nodes = {node: entry for node, entry, *_ in module._local_tables(m, tree)}
+    nodes = {node: entry for node, entry, *_ in module._tables(m, tree, module._row_field(m.field))}
     return KDecomposition(tree.n, nodes, tree.root)
 
 
 def subspace_work(monkeypatch, m):
-    """Calls to the row-tuple path's rref, _intersect and _meet plus the
-    table pairs its pair_traces yields, over the column-order caterpillar,
+    """Calls to the row-tuple frames' rref, _intersect and _meet plus the
+    table pairs their pair_traces yields, over the column-order caterpillar,
     and the longest vector any of them returns or, for _meet, eliminates."""
     module = importlib.import_module("decompwidth.construct")
     lengths = []
@@ -248,9 +248,9 @@ def subspace_work(monkeypatch, m):
                 lengths.append(d)
                 yield trace, joined
 
-        def recorded_meet(field, parts, interior, keep, op=module._meet):
-            lengths.append(len(interior) + len(keep))
-            return op(field, parts, interior, keep)
+        def recorded_meet(field, parts, keep, joint, op=module._meet):
+            lengths.append(len(joint))
+            return op(field, parts, keep, joint)
 
         patch.setattr(module, "rref", recorded_rref)
         patch.setattr(module, "_intersect", recorded_intersect)
@@ -261,8 +261,8 @@ def subspace_work(monkeypatch, m):
 
 
 def int_work(monkeypatch, m):
-    """Calls to the int path's kernels (``_gf2_*`` over GF(2), ``_g3_*``
-    over GF(3)) plus the table pairs its pair_traces yields, over the
+    """Calls to the window frames' kernels (``_gf2_*`` over GF(2), ``_g3_*``
+    over GF(3)) plus the table pairs their pair_traces yields, over the
     column-order caterpillar, and the largest bit_length of any int they
     take or give, a GF(3) vector's two planes each on its own: (calls,
     longest space row, longest Zassenhaus or meet stack row)."""
@@ -355,9 +355,9 @@ def test_gf2_construct_ints_stay_band_long_on_banded_matrices(monkeypatch):
 
 
 def test_construct_checks_a_few_subspaces_per_tree_node(monkeypatch):
-    # every space is a row tuple or an int tuple once the matrix entries are
-    # checked; only the leaves' rref builds a checked subspace, one per
-    # element, on both paths
+    # every space is a tuple of row tuples, ints or bit-plane pairs once the
+    # matrix entries are checked; only the leaves' rref builds a checked
+    # subspace, one per element, in every frame
     checks = []
     check = gf.Subspace._check_canonical
 
@@ -402,9 +402,39 @@ def gf2_trees(m):
 @settings(max_examples=300, deadline=None)
 @given(small_matrices())
 def test_gf2_path_builds_the_row_tuple_paths_decomposition(m):
-    # the int path serves GF(2) on ints and GF(3) on bit-plane pairs
+    # row windows serve GF(2) on ints and GF(3) on bit-plane pairs
     for tree in gf2_trees(m):
         assert serialize(construct(m, tree)) == serialize(generic_construct(m, tree))
+
+
+def window_vectors(m, window, space):
+    """A space on a GF(2) or GF(3) row window, as vectors of GF(q)^d: bit k
+    of a GF(2) int, or of a GF(3) pair's plus and minus planes, is row
+    lo + k."""
+    lo = window[0]
+    vectors = []
+    for v in space:
+        plus, minus = (v, 0) if isinstance(v, int) else v
+        vectors.append([(plus >> i - lo & 1) + 2 * (minus >> i - lo & 1) if i >= lo else 0 for i in range(m.dim)])
+    return vectors
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrices())
+def test_window_frames_hold_the_row_tuple_frames_spaces(m):
+    # every boundary and color space, lifted from its row window into
+    # GF(q)^d, is the one the row-tuple frames give, and its tuple is a
+    # basis: equal tables alone would not show a wrong boundary
+    module = importlib.import_module("decompwidth.construct")
+    field = module._GF2 if m.field.q == 2 else module._GF3
+    for tree in gf2_trees(m):
+        data = construct_with_data(m, tree)[1]
+        for node, _, window, bound, color_spaces in module._tables(m, tree, field):
+            spaces = (bound, *color_spaces)
+            lifted = [rref(m.field, m.dim, window_vectors(m, window, s)) for s in spaces]
+            assert [u.dim for u in lifted] == [len(s) for s in spaces]
+            assert lifted[0] == data[node].boundary
+            assert lifted[1:] == data[node].color_spaces
 
 
 def test_gf2_path_matches_on_loops_coloops_and_larger_matrices():

@@ -38,12 +38,9 @@ from .kdecomp import (
     validate_structure,
 )
 from .matroids import (
-    AxiomVerdict,
     MatroidInstance,
-    brute_axiom_check,
     format_matroid,
     incidence_matrix,
-    loops_and_coloops,
     parse_matroid,
     prefix_sweep,
     rank_table,

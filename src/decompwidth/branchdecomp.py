@@ -211,7 +211,7 @@ def exact_branch_decomposition(m: MatroidInstance) -> tuple[BranchTree, int]:
         raise ValueError("matroid has no elements")
     rank = rank_table(m)
     if n == 1:
-        return BranchTree(1, {0: ()}), 0
+        return _tree_from_edges(1, []), 0
     full = (1 << n) - 1
     total = rank[full]
     g = [rank[x] + rank[full ^ x] - total for x in range(full + 1)]
@@ -242,12 +242,8 @@ def exact_branch_decomposition(m: MatroidInstance) -> tuple[BranchTree, int]:
             sides += [a, x ^ a]
             pairs += [(x, a), (x, x ^ a)]
     ids = {side: n + i for i, side in enumerate(s for s in sides if s & (s - 1))}
-    adj: dict[int, list[int]] = {}
-    for x, y in pairs:
-        u, v = (ids.get(s, s.bit_length() - 1) for s in (x, y))
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    return BranchTree(n, {u: tuple(vs) for u, vs in adj.items()}), g[full]
+    edges = [[ids.get(side, side.bit_length() - 1) for side in pair] for pair in pairs]
+    return _tree_from_edges(n, edges), g[full]
 
 
 def greedy_branch_decomposition(m: MatroidInstance) -> tuple[BranchTree, int]:
@@ -302,7 +298,8 @@ def _greedy_order(
     """Greedy element order: each step appends the element whose extended
     prefix has the smallest separation rank, ties to the smallest id; with
     ``first``, that element opens the order and the greedy picks the rest.
-    Returned with ``prefix_sweep`` of the order, recorded as it grows.
+    Returned with its ``_GrowingSet``'s record, which is ``prefix_sweep``
+    of the order.
 
     With prefix P, a candidate e has λ(P + e) - λ(P) + 1 =
     [e not in cl(P)] + [e not in cl*(P)], so a step reads cl(P) and
@@ -310,23 +307,17 @@ def _greedy_order(
     first nonempty candidate set of score 0, 1 or 2.
     """
     grown = _GrowingSet(m)
-    order: list[int] = []
-    lams, closures, coclosures = [grown.lam], [grown.closure], [grown.coclosure]
     rest = m.full_set
     while rest:
-        if first is not None and not order:
+        if first is not None and not grown.order:
             e = first
         else:
             cl, cocl = grown.closure, grown.coclosure
             best = next(mask for mask in (rest & cl & cocl, rest & (cl | cocl), rest) if mask)
             e = (best & -best).bit_length() - 1
-        order.append(e)
         grown.add(e)
         rest ^= 1 << e
-        lams.append(grown.lam)
-        closures.append(grown.closure)
-        coclosures.append(grown.coclosure)
-    return order, (lams, closures, coclosures)
+    return grown.order, grown.record
 
 
 def _best_move(order: list[int], prefix, suffix):
@@ -381,24 +372,23 @@ def caterpillar_tree(n: int, order: list[int]) -> BranchTree:
     """Caterpillar whose spine visits the leaves in the given order."""
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of 0..n-1")
-    if n == 1:
-        return BranchTree(1, {0: ()})
-    if n == 2:
-        return BranchTree(2, {order[0]: (order[1],), order[1]: (order[0],)})
-    adj: dict[int, list[int]] = {}
+    if n <= 2:
+        return _tree_from_edges(n, [order] if n == 2 else [])
+    spine = range(n, 2 * n - 2)
+    edges = [(order[0], n), (order[n - 1], 2 * n - 3)]
+    edges += [(order[i + 1], u) for i, u in enumerate(spine)]
+    edges += [(u, u + 1) for u in spine[:-1]]
+    return _tree_from_edges(n, edges)
 
-    def link(a, b):
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
 
-    spine = [n + i for i in range(n - 2)]
-    link(order[0], spine[0])
-    link(order[1], spine[0])
-    for i in range(1, n - 2):
-        link(spine[i - 1], spine[i])
-        link(order[i + 1], spine[i])
-    link(order[n - 1], spine[-1])
-    return BranchTree(n, {u: tuple(vs) for u, vs in adj.items()})
+def _tree_from_edges(n: int, edges) -> BranchTree:
+    """The ``BranchTree`` on leaves 0..n-1 with the given (u, v) edges;
+    inner nodes enter the adjacency in the order the edges name them."""
+    adj: dict[int, list[int]] = {leaf: [] for leaf in range(n)}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    return BranchTree(n, adj)
 
 
 def default_root_edge(tree: BranchTree) -> Edge | None:
@@ -548,17 +538,12 @@ def parse_branch_tree(text: str) -> BranchTree | RootedBranchTree:
     if 0 < n <= 2 and not node_lines:
         # the forced shape, which the writer leaves out
         return caterpillar_tree(n, list(range(n)))
-    adj: dict[int, list[int]] = {leaf: [] for leaf in range(n)}
+    edges = []
     for lineno, node_id, tokens in node_lines:
         if node_id < n:
             raise ParseError(lineno, f"inner node id {node_id} collides with leaf ids")
-        adj.setdefault(node_id, [])
-        for token in tokens:
-            child = resolve(token, lineno)
-            adj.setdefault(child, [])
-            adj[node_id].append(child)
-            adj[child].append(node_id)
+        edges += [(node_id, resolve(token, lineno)) for token in tokens]
     try:
-        return BranchTree(n, {u: tuple(vs) for u, vs in adj.items()})
+        return _tree_from_edges(n, edges)
     except ValueError as exc:
         raise ParseError(1, str(exc)) from None

@@ -110,7 +110,7 @@ from .branchdecomp import RootedBranchTree
 from .gf import FieldSpec, FVector, _echelon, _intersect, pair_traces, rref
 from .gf import hull, intersect  # noqa: F401  perfbench's traced run patches these names and rref
 from .kdecomp import Inner, KDecomposition, Leaf
-from .matroids import MatroidInstance
+from .matroids import MatroidInstance, iter_elements
 
 Coords = tuple[int, ...]  # matrix rows in increasing order
 Rows = tuple[FVector, ...]  # RREF basis of a space, on some Coords
@@ -267,16 +267,6 @@ def _row_field(spec: FieldSpec) -> _Field:
         lambda rows1, rows2, rows: _intersect(spec, len(rows), rows1, rows2),
         lambda rows, bound, lefts, rights: pair_traces(spec, len(rows), bound, lefts, rights),
     )
-
-
-def _bit_rows(v: int) -> Coords:
-    """The rows of the set bits of ``v``, in increasing order."""
-    rows = []
-    while v:
-        low = v & -v
-        rows.append(low.bit_length() - 1)
-        v ^= low
-    return tuple(rows)
 
 
 def _window(rows: Coords) -> Window:
@@ -489,7 +479,7 @@ def _g3_pair_traces(at: Window, bound: tuple, lefts: list, rights: list):
 
 _GF2 = _Field(
     lambda m: m.column_bits,
-    _bit_rows,
+    lambda v: tuple(iter_elements(v)),
     _window,
     lambda v, at: v >> at[0],
     _gf2_move,
@@ -499,7 +489,7 @@ _GF2 = _Field(
 )
 _GF3 = _Field(
     _g3_columns,
-    lambda v: _bit_rows(v[0] | v[1]),
+    lambda v: tuple(iter_elements(v[0] | v[1])),
     _window,
     lambda v, at: (v[0] >> at[0], v[1] >> at[0]),
     _g3_move,

@@ -1,4 +1,4 @@
-"""Matroid instances with rank oracles, plus the brute-force reference suite.
+"""Matroid instances with rank oracles.
 
 Subsets of the ground set are plain int bitmasks (bit i = element i).  Four
 backends share one interface:
@@ -32,7 +32,6 @@ The text format (one record per file, '#' comments):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import gf
@@ -43,7 +42,6 @@ from .gf import rref  # noqa: F401  perfbench's traced run counts gf calls by pa
 ElementSet = int
 
 _FULL_TABLE_LIMIT = 20  # the largest n whose 2^n subsets are tabulated or enumerated
-_AXIOM_PAIR_LIMIT = 12
 
 
 def iter_elements(mask: ElementSet):
@@ -111,10 +109,10 @@ class MatroidInstance:
 
     @cached_property
     def column_bits(self) -> list[int] | None:
-        """A GF(2) instance's columns as ints (bit i = row i); None over other fields.
-        Each column is read as a binary numeral, last row first, by C-level
-        ``bytes`` calls."""
-        if self.field.q != 2:
+        """A GF(2) instance's columns as ints (bit i = row i); None for every
+        other instance.  Each column is read as a binary numeral, last row
+        first, by C-level ``bytes`` calls."""
+        if self.kind != "linear" or self.field.q != 2:
             return None
         return [int(bytes(col).translate(_BINARY_DIGITS)[::-1] or b"0", 2) for col in self.columns]
 
@@ -247,56 +245,6 @@ def _validate_rank_table(table, n: int) -> None:
                 raise ValueError(f"rank not submodular at {bad:#x} with elements {e}, {f}")
 
 
-def loops_and_coloops(m: MatroidInstance) -> tuple[ElementSet, ElementSet]:
-    """(loops, coloops): rank({e}) = 0, and rank(E-{e}) = rank(E) - 1;
-    that is, cl({}) and cl*({})."""
-    empty = _GrowingSet(m)
-    return empty.closure, empty.coclosure
-
-
-@dataclass
-class AxiomVerdict:
-    valid: bool
-    kind: str | None = None  # "empty" | "singleton" | "monotonicity" | "submodularity"
-    witness: tuple[ElementSet, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.valid
-
-
-def brute_axiom_check(table) -> AxiomVerdict:
-    """Check a full rank table against the matroid rank axioms, pair by pair.
-
-    Valid iff r(empty) = 0, r is monotone, r({e}) <= 1 for every e, and
-    r(A|B) + r(A&B) <= r(A) + r(B) for every pair.  Returns the first
-    violating witness in (A ascending, B ascending) order.
-    """
-    size = len(table)
-    n = size.bit_length() - 1
-    if size != 1 << n:
-        raise ValueError("rank table length must be a power of two")
-    if n > _AXIOM_PAIR_LIMIT:
-        raise ValueError(f"subset-pair check limited to n <= {_AXIOM_PAIR_LIMIT}")
-    import numpy as np
-
-    r = np.asarray(table, dtype=np.int64)
-    if r[0] != 0:
-        return AxiomVerdict(False, "empty", (0,))
-    for e in range(n):
-        if r[1 << e] > 1:
-            return AxiomVerdict(False, "singleton", (1 << e,))
-    idx = np.arange(size, dtype=np.int64)
-    for a in range(size):
-        mono = ((idx & a) == a) & (r < r[a])
-        sub = r[idx | a] + r[idx & a] > r[idx] + r[a]
-        bad = mono | sub
-        if bad.any():
-            b = int(np.flatnonzero(bad)[0])
-            kind = "monotonicity" if mono[b] else "submodularity"
-            return AxiomVerdict(False, kind, (a, b))
-    return AxiomVerdict(True)
-
-
 def rank_table(m: MatroidInstance) -> list[int]:
     """Full rank table of an instance (2^n entries), n <= 20.
 
@@ -384,6 +332,8 @@ class _GrowingSet:
     the dual M*, and ``lam`` is λ(P) = r(P) + r*(P) - |P|, which equals
     r(P) + r(E - P) - r(E).  For e outside P,
     λ(P + e) = λ(P) + [e not in cl(P)] + [e not in cl*(P)] - 1.
+    ``order`` lists the added elements, and ``record`` holds the lists of
+    λ, cl and cl* of P, one entry from P = {} on and one per add.
 
     A linear instance keeps a ``_PrefixSpan`` over its checked columns and
     one over those of M* (``dual_columns``), and a graphic instance the
@@ -393,6 +343,8 @@ class _GrowingSet:
 
     def __init__(self, m: MatroidInstance):
         self.m, self.members, self._spans = m, 0, ()
+        self.order: list[int] = []
+        self.record: tuple[list[int], list[ElementSet], list[ElementSet]] = ([], [], [])
         if m.kind in ("linear", "graphic"):
             rep = m if m.kind == "linear" else m.twin
             self._spans = (_PrefixSpan(rep.field, rep.columns), _PrefixSpan(rep.field, rep.dual_columns))
@@ -403,6 +355,7 @@ class _GrowingSet:
         if not 0 <= e < self.m.n or self.members >> e & 1:
             raise ValueError(f"element {e} is not in the rest")
         self.members |= 1 << e
+        self.order.append(e)
         for span in self._spans:
             span.add(e)
         self._read()
@@ -411,12 +364,16 @@ class _GrowingSet:
         m, inside = self.m, self.members
         if self._spans:
             primal, dual = self._spans
-            self.closure, self.coclosure = primal.closure, dual.closure
-            self.lam = primal.rank + dual.rank - inside.bit_count()
+            lam, cl, cocl = primal.rank + dual.rank - inside.bit_count(), primal.closure, dual.closure
         else:
             outside = m.full_set & ~inside
-            self.closure, self.coclosure = m.closure(inside), inside | m.coloops(outside)
-            self.lam = m.rank(inside) + m.rank(outside) - m.rank(m.full_set)
+            lam = m.rank(inside) + m.rank(outside) - m.rank(m.full_set)
+            cl, cocl = m.closure(inside), inside | m.coloops(outside)
+        self.lam, self.closure, self.coclosure = lam, cl, cocl
+        lams, closures, coclosures = self.record
+        lams.append(lam)
+        closures.append(cl)
+        coclosures.append(cocl)
 
 
 def prefix_sweep(
@@ -424,21 +381,17 @@ def prefix_sweep(
 ) -> tuple[list[int], list[ElementSet], list[ElementSet]]:
     """``(lams, closures, coclosures)`` of every prefix P_k = order[:k],
     k = 0..len(order): λ(P_k), cl(P_k) and cl*(P_k), the closure in the
-    dual M*, in one pass of a ``_GrowingSet``.  ``order`` lists distinct
-    elements."""
+    dual M*, the ``record`` of one ``_GrowingSet``.  ``order`` lists
+    distinct elements."""
     order = list(order)
     mask = sum(1 << e for e in order)
     if mask.bit_count() != len(order):
         raise ValueError("order repeats an element")
     m._check_subset(mask)
     grown = _GrowingSet(m)
-    lams, closures, coclosures = [grown.lam], [grown.closure], [grown.coclosure]
     for e in order:
         grown.add(e)
-        lams.append(grown.lam)
-        closures.append(grown.closure)
-        coclosures.append(grown.coclosure)
-    return lams, closures, coclosures
+    return grown.record
 
 
 def incidence_matrix(num_vertices: int, edges) -> list[tuple[int, ...]]:

@@ -4,6 +4,7 @@ import copy
 import importlib
 import random
 from contextlib import contextmanager
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import NamedTuple
@@ -23,6 +24,7 @@ from decompwidth import (
 )
 from decompwidth.gf import Subspace
 from decompwidth.kdecomp import Inner, KDecomposition, Leaf, eval_rank, fold, node_states, offsets
+from decompwidth.matroids import ElementSet, _GrowingSet
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -109,6 +111,59 @@ def edge_width(m, tree, edge):
     side = tree.side_mask(*edge)
     full = m.full_set
     return m.rank(side) + m.rank(full & ~side) - m.rank(full)
+
+
+def loops_and_coloops(m: MatroidInstance) -> tuple[ElementSet, ElementSet]:
+    """(loops, coloops): rank({e}) = 0, and rank(E-{e}) = rank(E) - 1;
+    that is, cl({}) and cl*({})."""
+    _, closures, coclosures = _GrowingSet(m).record
+    return closures[0], coclosures[0]
+
+
+@dataclass
+class AxiomVerdict:
+    valid: bool
+    kind: str | None = None  # "empty" | "singleton" | "monotonicity" | "submodularity"
+    witness: tuple[ElementSet, ...] = ()
+
+    def __bool__(self) -> bool:
+        return self.valid
+
+
+_AXIOM_PAIR_LIMIT = 12
+
+
+def brute_axiom_check(table) -> AxiomVerdict:
+    """Check a full rank table against the matroid rank axioms, pair by pair.
+
+    Valid iff r(empty) = 0, r is monotone, r({e}) <= 1 for every e, and
+    r(A|B) + r(A&B) <= r(A) + r(B) for every pair.  Returns the first
+    violating witness in (A ascending, B ascending) order.
+    """
+    size = len(table)
+    n = size.bit_length() - 1
+    if size != 1 << n:
+        raise ValueError("rank table length must be a power of two")
+    if n > _AXIOM_PAIR_LIMIT:
+        raise ValueError(f"subset-pair check limited to n <= {_AXIOM_PAIR_LIMIT}")
+    import numpy as np
+
+    r = np.asarray(table, dtype=np.int64)
+    if r[0] != 0:
+        return AxiomVerdict(False, "empty", (0,))
+    for e in range(n):
+        if r[1 << e] > 1:
+            return AxiomVerdict(False, "singleton", (1 << e,))
+    idx = np.arange(size, dtype=np.int64)
+    for a in range(size):
+        mono = ((idx & a) == a) & (r < r[a])
+        sub = r[idx | a] + r[idx & a] > r[idx] + r[a]
+        bad = mono | sub
+        if bad.any():
+            b = int(np.flatnonzero(bad)[0])
+            kind = "monotonicity" if mono[b] else "submodularity"
+            return AxiomVerdict(False, kind, (a, b))
+    return AxiomVerdict(True)
 
 
 def fraction_point_dp(dec, x, y):

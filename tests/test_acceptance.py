@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    brute_axiom_check,
     c5_linear,
     construct_exact,
     fano,
@@ -30,7 +31,6 @@ from conftest import (
     u23,
 )
 from decompwidth import (
-    brute_axiom_check,
     brute_whitney,
     dw_width,
     eval_rank,

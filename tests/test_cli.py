@@ -368,6 +368,44 @@ def test_construct_with_bd_file(tmp_path):
     assert out.strip() == "ok 128 subsets"
 
 
+# CI's g12: a GF(3) 4 x 12 matrix; its first 9 columns are CI's g9
+G12_ROWS = [
+    "1 0 0 0 1 1 2 0 1 2 1 0",
+    "0 1 0 0 1 2 1 1 0 0 2 1",
+    "0 0 1 0 0 1 1 2 1 1 0 2",
+    "0 0 0 1 0 0 0 1 2 1 1 1",
+]
+
+
+@pytest.mark.parametrize("cols, search", [(12, "greedy"), (9, "exact")])
+def test_construct_bd_search_writes_what_bw_then_construct_writes(tmp_path, cols, search):
+    matroid_path = tmp_path / "g.matroid"
+    rows = [" ".join(row.split()[:cols]) for row in G12_ROWS]
+    matroid_path.write_text(f"matroid linear q=3 rows=4 cols={cols}\n" + "\n".join(rows) + "\n")
+    code, out, err = run(["bw", "--matroid", str(matroid_path)] + (["--exact"] if search == "exact" else []))
+    assert code == 0, err
+    bd_path = tmp_path / "g.bd"
+    bd_path.write_text(out)
+    via_bd, searched = tmp_path / "via_bd.dw", tmp_path / "searched.dw"
+    code, _, err = run(["construct", "--matroid", str(matroid_path), "--bd", str(bd_path), "-o", str(via_bd)])
+    assert code == 0, err
+    code, _, err = run(["construct", "--matroid", str(matroid_path), "--bd-search", search, "-o", str(searched)])
+    assert code == 0, err
+    assert searched.read_bytes() == via_bd.read_bytes()
+
+
+def test_construct_refuses_bd_with_bd_search(tmp_path):
+    matroid_path = tmp_path / "u12.matroid"
+    matroid_path.write_text(format_matroid(u12()))
+    bd_path = tmp_path / "u12.bd"
+    bd_path.write_text(format_branch_tree(greedy_branch_decomposition(u12())[0]))
+    code, out, err = run(
+        ["construct", "--matroid", str(matroid_path), "--bd", str(bd_path), "--bd-search", "greedy"]
+    )
+    assert (code, out) == (2, "")
+    assert "not allowed with argument" in err
+
+
 def test_bw_output_feeds_construct_on_two_elements(tmp_path):
     matroid_path = tmp_path / "u12.matroid"
     matroid_path.write_text(format_matroid(u12()))

@@ -15,10 +15,12 @@ from conftest import (
     GF3,
     K4_EDGES,
     KERNEL_FIELDS,
+    brute_axiom_check,
     c5_graphic,
     c5_linear,
     dependent_rows,
     fano,
+    loops_and_coloops,
     mk4_graphic,
     mk4_linear,
     rank_calls,
@@ -31,10 +33,8 @@ import decompwidth
 from decompwidth import (
     MatroidInstance,
     WhitneyTable,
-    brute_axiom_check,
     brute_whitney,
     format_matroid,
-    loops_and_coloops,
     parse_matroid,
     prefix_sweep,
     rank_table,
@@ -411,6 +411,20 @@ def test_a_direct_linear_instance_derives_what_linear_does(m):
         assert m.column_bits == [sum(row[e] << i for i, row in enumerate(m.matrix)) for e in range(m.n)]
 
 
+@pytest.mark.parametrize(
+    "m",
+    [
+        MatroidInstance.graphic(3, [(0, 1), (1, 2), (0, 2)]),
+        MatroidInstance.uniform(2, 3),
+        MatroidInstance.explicit([0, 1, 1, 1]),
+        MatroidInstance.linear(GF3, [[1, 0, 1], [0, 1, 2]]),
+    ],
+    ids=["graphic", "uniform", "explicit", "gf3"],
+)
+def test_column_bits_is_none_off_gf2_linear_instances(m):
+    assert m.column_bits is None
+
+
 # ---------------------------------------------------------------------------
 # brute-force whitney table
 # ---------------------------------------------------------------------------
@@ -618,7 +632,7 @@ def test_parse_rejects_bad_header_fields(header, message):
 
 
 def test_import_leaves_numpy_unloaded():
-    # numpy serves only the explicit-table validator and the brute axiom check
+    # numpy serves only the explicit-table validator
     src = Path(decompwidth.__file__).resolve().parents[1]
     probe = "import sys, decompwidth; print('numpy' in sys.modules)"
     out = subprocess.run(

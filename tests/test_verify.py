@@ -9,6 +9,7 @@ from hypothesis import given, settings
 
 from conftest import (
     GF2,
+    brute_axiom_check,
     c5_linear,
     construct_exact,
     fano,
@@ -23,7 +24,6 @@ from conftest import (
 )
 from decompwidth import (
     MatroidInstance,
-    brute_axiom_check,
     construct,
     eval_rank,
     extract_witness,

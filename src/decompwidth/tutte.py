@@ -6,11 +6,12 @@ it determines the Tutte polynomial through
     T(x, y) = sum over (n', r') of N(n', r') (x-1)^(r-r') (y-1)^(n'-r')
 
 with r the rank of the ground set.  ``whitney_coefficients`` fills the table
-by a bottom-up counting DP: per node and color it keeps the least label and,
-per subset size, one Python integer that packs the counts by label in slots
-of n + 1 bits.  Two children combine through the node's color and defect
-tables with one multiplication per pair of size rows, which convolves the
-label axis.  Counts are exact Python integers.
+by a bottom-up counting DP: per node, color and subset size it keeps one
+row, a Python integer that packs the counts by label in slots of n + 1 bits
+from the row's own least label to its greatest.  Two children combine
+through the node's color and defect tables with one multiplication per pair
+of rows, which convolves the label axis; a product joins its row shifted by
+the difference of their least labels.  Counts are exact Python integers.
 
 ``evaluate`` computes T at a point without the coefficient table: per node
 and color it accumulates sums of (x-1)^(|Ev|-label) (y-1)^(|F|-label), so
@@ -67,59 +68,61 @@ def whitney_coefficients(dec: KDecomposition, check: bool = True) -> WhitneyTabl
     ValueError at the first negative rank label, and other non-matroids are
     counted as their tables say.  Per node the convolution takes one
     multiplication for each pair of reachable (color, size) rows, so the
-    work is K^2 * n1 * n2 products over the child subtree sizes.  A row for
-    size s has at most s + 1 slots of n + 1 bits.
+    work is K^2 * n1 * n2 products over the child subtree sizes; a row that
+    is a single count of 1, as every leaf row is, multiplies nothing.  A row
+    holds the slots from its own least label to its greatest, each n + 1
+    bits, so a row for size s has at most s + 1 and no empty lowest slot.
     """
     if check:
         result = verify(dec)
         if not result:
             raise NotAMatroidError(result)
 
-    # a row holds the count of label lo + i in slot i, ``width`` bits wide.
-    # Each subset of a subtree lands in one (color, size, label) cell, so no
+    # a row holds the count of label lo + i in slot i, ``width`` bits wide,
+    # from its own least label lo, so its lowest slot is never empty.  Each
+    # subset of a subtree lands in one (color, size, label) cell, so no
     # count, partial product or sum exceeds 2^n and no slot carries into the
     # next.
     width = dec.n + 1
 
     def leaf(node_id, node):
-        return {0: (0, {0: 1}), 1: (0 if node.loop else 1, {1: 1})}
+        return {0: {0: (0, 1)}, 1: {1: (0 if node.loop else 1, 1)}}
 
     def combine(node_id, node, table1, table2):
         color, defect = node.color, node.defect
-        pairs = []
-        least: dict[int, int] = {}
-        for g1, (lo1, rows1) in table1.items():
-            for g2, (lo2, rows2) in table2.items():
-                lo = lo1 + lo2 - defect[g1][g2]
-                if lo < 0:
-                    raise ValueError(
-                        "negative rank label while counting; "
-                        "the decomposition does not define a matroid"
-                    )
-                g = color[g1][g2]
-                least[g] = min(lo, least.get(g, lo))
-                pairs.append((g, lo, rows1, rows2))
-        merged = {g: (lo, {}) for g, lo in least.items()}
-        for g, lo, rows1, rows2 in pairs:
-            base, bucket = merged[g]
-            shift = (lo - base) * width
-            if shift:
-                for s1, v1 in rows1.items():
-                    for s2, v2 in rows2.items():
+        merged: dict[int, dict[int, tuple[int, int]]] = {}
+        for g1, rows1 in table1.items():
+            colors, drops = color[g1], defect[g1]
+            for g2, rows2 in table2.items():
+                bucket = merged.setdefault(colors[g2], {})
+                drop = drops[g2]
+                for s1, (lo1, v1) in rows1.items():
+                    for s2, (lo2, v2) in rows2.items():
+                        lo = lo1 + lo2 - drop
+                        if lo < 0:
+                            raise ValueError(
+                                "negative rank label while counting; "
+                                "the decomposition does not define a matroid"
+                            )
+                        v = v2 if v1 == 1 else v1 if v2 == 1 else v1 * v2
                         s = s1 + s2
-                        bucket[s] = bucket.get(s, 0) + (v1 * v2 << shift)
-            else:
-                for s1, v1 in rows1.items():
-                    for s2, v2 in rows2.items():
-                        s = s1 + s2
-                        bucket[s] = bucket.get(s, 0) + v1 * v2
+                        held = bucket.get(s)
+                        if held is None:
+                            bucket[s] = (lo, v)
+                        else:
+                            base, row = held
+                            if lo == base:
+                                bucket[s] = (lo, row + v)
+                            elif lo > base:
+                                bucket[s] = (base, row + (v << (lo - base) * width))
+                            else:
+                                bucket[s] = (lo, (row << (base - lo) * width) + v)
         return merged
 
     counts: dict[tuple[int, int], int] = {}
     mask = (1 << width) - 1
-    for lo, rows in fold(dec, leaf, combine).values():
-        for size, row in rows.items():
-            label = lo
+    for rows in fold(dec, leaf, combine).values():
+        for size, (label, row) in rows.items():
             while row:
                 if row & mask:
                     key = (size, label)

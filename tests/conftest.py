@@ -353,6 +353,17 @@ def path_matroid(n):
     return MatroidInstance.linear(GF2, incidence_matrix(n + 1, [(i, i + 1) for i in range(n)]))
 
 
+def ladder_matroid(k):
+    """The 2 x k ladder's GF(2) incidence columns: rung i, then the rails
+    from column i to i + 1."""
+    edges = []
+    for i in range(k):
+        edges.append((2 * i, 2 * i + 1))
+        if i + 1 < k:
+            edges += [(2 * i, 2 * i + 2), (2 * i + 1, 2 * i + 3)]
+    return MatroidInstance.linear(GF2, incidence_matrix(2 * k, edges))
+
+
 def path_caterpillar_decomposition(n):
     """Decomposition of the n-edge path matroid over a left-deep caterpillar.
 

@@ -17,6 +17,7 @@ from conftest import (
     fano,
     galois_number,
     label_mismatch,
+    ladder_matroid,
     left_deep_rooted_tree,
     mk4_graphic,
     mk4_linear,
@@ -34,7 +35,6 @@ from decompwidth import (
     exact_branch_decomposition,
     field_of_order,
     greedy_branch_decomposition,
-    incidence_matrix,
     intersect,
     root_tree,
     rref,
@@ -195,17 +195,6 @@ def test_single_element_construction():
 # ---------------------------------------------------------------------------
 # per-node work in separator coordinates
 # ---------------------------------------------------------------------------
-
-
-def ladder_matroid(k):
-    """The 2 x k ladder's GF(2) incidence columns: rung i, then the rails
-    from column i to i + 1."""
-    edges = []
-    for i in range(k):
-        edges.append((2 * i, 2 * i + 1))
-        if i + 1 < k:
-            edges += [(2 * i, 2 * i + 2), (2 * i + 1, 2 * i + 3)]
-    return MatroidInstance.linear(GF2, incidence_matrix(2 * k, edges))
 
 
 def banded_matroid(n, band=5, field=GF2):

@@ -29,12 +29,14 @@ parallel pair plus a coloop comes out rank 3 instead of 2).
 Construction works in separator-row coordinates, as multifrontal
 elimination does (Duff & Reid, ACM TOMS 1983; George, SIAM J. Numer. Anal.
 1973).  The separator rows S_v are the matrix rows touched by columns both
-inside and outside E_v.  They lie in S_c1 | S_c2 and are found bottom-up
-from per-row touch counts; the rest of S_c1 | S_c2 become interior at v.
-Every space kept at v is zero off S_v and is stored in v's frame, the
-field's coordinates on S_v; the meets and the table at an inner node work
-in the frame of S_c1 | S_c2.  ``_tables`` walks the tree three times, for
-every field:
+inside and outside E_v, found as row masks: inside_v, the OR of the
+column supports under v, in one walk up, and outside_v in one walk down,
+outside_c = outside_v | inside_s for a child c with sibling s; then
+S_v = inside_v & outside_v.  They lie in S_c1 | S_c2, and the rest of
+S_c1 | S_c2 become interior at v.  Every space kept at v is zero off S_v
+and is stored in v's frame, the field's coordinates on S_v; the meets and
+the table at an inner node work in the frame of S_c1 | S_c2.  ``_tables``
+walks the tree three times, for every field:
 
 * Up: U_v, the vectors of span(E_v) zero off S_v, is (U_c1 + U_c2) meet
   {zero on the rows interior at v}.  A leaf gets its column on its frame
@@ -42,7 +44,8 @@ every field:
 * Down: W_v, the vectors of span(E - E_v) zero off S_v, starts from
   W_root = {0}.  A child c with sibling s gets W_c = (U_s + W_v) meet
   {zero off S_c}: rows interior to s, or outside v, cannot cancel between
-  the summands.  Then B_v = U_v meet W_v.
+  the summands.  Then B_v = U_v meet W_v, the pair trace of W_v against
+  {0} + U_v.
 * Tables: the palette pairs of v combine in the frame of S_c1 | S_c2,
   through the field's pair traces.
 
@@ -54,19 +57,19 @@ bit.  The matrix entries are checked once, up front, when the
 builds a checked ``Subspace``, which tells whether U_v is {0}.  It stays
 because it is the one ``gf`` call of ``construct`` that perfbench's
 traced ``gf.calls`` counts.  A leaf's U_v is its bare column, in no
-canonical form: the meet above it and its boundary's intersection
+canonical form: the meet above it and its boundary's pair trace
 eliminate it again.
 
-Each field supplies a ``_Field``: its columns, their rows, its frames and
-its kernels (restrict a column to a frame, move spaces between frames,
-meet, intersect, pair traces).
+Each field supplies a ``_Field``: its columns, their row masks, its frames
+and its kernels (move spaces between frames, meet, pair traces).  A
+leaf's column is moved onto its frame from the frame of all rows.
 
 * GF(4) and larger fields (``_row_field``): a frame is the tuple of the
   rows, increasing, and a vector is the tuple of its entries on them.
-  The kernels are ``_moved``, ``_meet``, ``gf._intersect`` and
-  ``gf.pair_traces``, unchecked RREF with leftmost pivots.  RREF over an
-  ordered subset of the coordinates is the RREF in GF(q)^d with the zero
-  coordinates dropped, and a node works on vectors of length
+  The kernels are ``_moved``, ``_meet`` and ``gf.pair_traces``,
+  unchecked RREF with leftmost pivots.  RREF over an ordered subset of
+  the coordinates is the RREF in GF(q)^d with the zero coordinates
+  dropped, and a node works on vectors of length
   |S_c1 | S_c2|.  On a dense matrix every S_v but the root's is every row,
   and moving between equal frames is the identity.  These fields keep row
   tuples: their entries need two or more bit planes, and a row operation
@@ -103,11 +106,10 @@ meet, intersect, pair traces).
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import Callable, NamedTuple
 
 from .branchdecomp import RootedBranchTree
-from .gf import FieldSpec, FVector, _echelon, _intersect, pair_traces, rref
+from .gf import FieldSpec, FVector, _echelon, pair_traces, rref
 from .gf import hull, intersect  # noqa: F401  perfbench's traced run patches these names and rref
 from .kdecomp import Inner, KDecomposition, Leaf
 from .matroids import MatroidInstance, iter_elements
@@ -153,39 +155,29 @@ class _Field(NamedTuple):
     """What ``_tables`` needs of a field: its vectors, frames and kernels."""
 
     columns: Callable  # instance -> its column vectors
-    touched: Callable  # column vector -> its nonzero rows, increasing
-    frame: Callable  # rows, increasing -> their frame
-    restrict: Callable  # (column, frame) -> the column on the frame
+    support: Callable  # column vector -> the mask of its nonzero rows
+    frame: Callable  # row mask -> the frame of its rows
     move: Callable  # (spaces, frame, frame) -> the spaces moved between frames
     meet: Callable  # (parts, keep, frame) -> span meet {zero off keep}, on keep
-    intersect: Callable  # (space, space, frame) -> their intersection
     pair_traces: Callable  # (frame, bound, lefts, rights) -> (trace, dim(S1 + S2)) pairs
 
 
-def _separators(m: MatroidInstance, tree: RootedBranchTree, touched: list[Coords]):
-    """Postorder, the separator rows S_v of every node and the rows
-    S_c1 | S_c2 of every inner node, from the rows each column ``touched``."""
+def _separators(tree: RootedBranchTree, support: list[int]):
+    """Postorder, and as row masks the separator rows S_v of every node and
+    the rows S_c1 | S_c2 of every inner node, from each column's
+    ``support``: S_v holds the rows touched both under v and outside it."""
     order = tree.postorder()
-    total = [0] * m.dim
-    for rows in touched:
-        for i in rows:
-            total[i] += 1
-    inside: dict[int, dict[int, int]] = {}  # per S_v row: columns under v touching it
-    seps: dict[int, Coords] = {}
-    joint: dict[int, Coords] = {}
+    inside: dict[int, int] = {}
     for node in order:
-        kids = tree.children.get(node, ())
-        if not kids:
-            sep = seps[node] = tuple(i for i in touched[node] if total[i] > 1)
-            inside[node] = dict.fromkeys(sep, 1)
-            continue
-        left, right = kids
-        counts = inside.pop(left)
-        for i, c in inside.pop(right).items():
-            counts[i] = counts.get(i, 0) + c
-        inside[node] = {i: c for i, c in counts.items() if c < total[i]}
-        joint[node] = tuple(sorted(counts))
-        seps[node] = tuple(i for i in joint[node] if i in inside[node])
+        kids = tree.children.get(node)
+        inside[node] = inside[kids[0]] | inside[kids[1]] if kids else support[node]
+    outside, seps = {tree.root: 0}, {}
+    for node in reversed(order):
+        seps[node] = inside[node] & outside[node]
+        if node in tree.children:
+            left, right = tree.children[node]
+            outside[left], outside[right] = outside[node] | inside[right], outside[node] | inside[left]
+    joint = {node: seps[left] | seps[right] for node, (left, right) in tree.children.items()}
     return order, seps, joint
 
 
@@ -208,10 +200,11 @@ def _tables(m: MatroidInstance, tree: RootedBranchTree, field: _Field):
     boundary, its color spaces), every space on the node's frame.  A
     child's color spaces are dropped once its parent's table is built."""
     columns = field.columns(m)
-    touched = [field.touched(v) for v in columns]
-    order, seps, joint = _separators(m, tree, touched)
+    support = [field.support(v) for v in columns]
+    order, seps, joint = _separators(tree, support)
     frame = {v: field.frame(rows) for v, rows in seps.items()}
     wide = {v: field.frame(rows) for v, rows in joint.items()}
+    everywhere = field.frame((1 << m.dim) - 1)
     up: dict[int, tuple] = {}
     for node in order:
         kids = tree.children.get(node, ())
@@ -222,9 +215,9 @@ def _tables(m: MatroidInstance, tree: RootedBranchTree, field: _Field):
         # touches, else the column on its frame; the checked rref that
         # tells which is the gf call perfbench's traced gf.calls counts
         sep = seps[node]
-        private = len(sep) < len(touched[node])
-        checked = rref(m.field, len(sep), [] if private else [[m.columns[node][i] for i in sep]])
-        up[node] = (field.restrict(columns[node], frame[node]),) if checked.rows else ()
+        private = support[node] & ~sep
+        checked = rref(m.field, sep.bit_count(), [] if private else [[m.columns[node][i] for i in iter_elements(sep)]])
+        up[node] = field.move([(columns[node],)], everywhere, frame[node])[0] if checked.rows else ()
     outside: dict[int, tuple] = {tree.root: ()}
     boundary: dict[int, tuple] = {tree.root: ()}
     for node in reversed(order):
@@ -235,14 +228,15 @@ def _tables(m: MatroidInstance, tree: RootedBranchTree, field: _Field):
         for child, sibling in (kids, kids[::-1]):
             outside[child] = field.meet(((up[sibling], frame[sibling]), above), frame[child], wide[node])
         for child in kids:
-            boundary[child] = field.intersect(up.pop(child), outside[child], frame[child])
+            # B_c = W_c meet U_c: W_c, from a meet, is canonical, as a bound must be
+            boundary[child] = next(field.pair_traces(frame[child], outside[child], [()], [up.pop(child)]))[0]
     spaces: dict[int, list[tuple]] = {}
     for node in order:
         own, bound = frame[node], boundary.pop(node)
         kids = tree.children.get(node, ())
         if not kids:
             spaces[node] = [(), bound]
-            yield node, Leaf(node, not touched[node]), own, bound, spaces[node]
+            yield node, Leaf(node, not support[node]), own, bound, spaces[node]
             continue
         left, right = kids
         at = wide[node]
@@ -259,24 +253,22 @@ def _row_field(spec: FieldSpec) -> _Field:
     its rows.  The kernels are looked up by name when called."""
     return _Field(
         lambda m: m.columns,
-        lambda col: tuple(compress(range(len(col)), col)),
-        lambda rows: rows,
-        lambda col, rows: tuple([col[i] for i in rows]),
+        lambda col: sum([1 << i for i, x in enumerate(col) if x]),
+        lambda mask: tuple(iter_elements(mask)),
         lambda spaces, src, dst: [_moved(s, src, dst) for s in spaces],
         lambda parts, keep, joint: _meet(spec, parts, keep, joint),
-        lambda rows1, rows2, rows: _intersect(spec, len(rows), rows1, rows2),
         lambda rows, bound, lefts, rights: pair_traces(spec, len(rows), bound, lefts, rights),
     )
 
 
-def _window(rows: Coords) -> Window:
-    """The row window of ``rows``: (lo, width, mask), with lo the least row,
-    width the bit count from it to the greatest and mask the bits of
-    ``rows`` from lo; (0, 0, 0) for no rows."""
+def _window(rows: int) -> Window:
+    """The row window of the row mask ``rows``: (lo, width, mask), with lo
+    the least row, width the bit count from it to the greatest and mask
+    ``rows`` shifted down by lo; (0, 0, 0) for no rows."""
     if not rows:
         return 0, 0, 0
-    lo = rows[0]
-    return lo, rows[-1] - lo + 1, sum([1 << i - lo for i in rows])
+    lo = (rows & -rows).bit_length() - 1
+    return lo, rows.bit_length() - lo, rows >> lo
 
 
 def _gf2_rref(rows) -> list[int]:
@@ -338,17 +330,6 @@ def _gf2_meet(parts, keep: Window, at: Window) -> tuple[int, ...]:
     rows = [x << w[0] - lo for space, w in parts for x in space]
     basis = _gf2_rref([(x & ~mask) << width | x & mask for x in rows])
     return tuple([v >> shift for v in basis if v < limit])
-
-
-def _gf2_intersect(rows1, rows2, at: Window) -> tuple[int, ...]:
-    """span(``rows1``) ∩ span(``rows2``), for rows on window ``at``, by
-    Zassenhaus elimination on ``u << width | u`` and ``w << width``."""
-    if not rows1 or not rows2:
-        return ()
-    width = at[1]
-    limit = 1 << width
-    basis = _gf2_rref([u << width | u for u in rows1] + [w << width for w in rows2])
-    return tuple([v for v in basis if v < limit])
 
 
 def _gf2_pair_traces(at: Window, bound: tuple[int, ...], lefts: list, rights: list):
@@ -446,16 +427,6 @@ def _g3_meet(parts, keep: Window, at: Window) -> tuple[tuple[int, int], ...]:
     return tuple([(p >> shift, m >> shift) for p, m in basis if p < limit])
 
 
-def _g3_intersect(rows1, rows2, at: Window) -> tuple[tuple[int, int], ...]:
-    """``_gf2_intersect`` over GF(3), on both planes."""
-    if not rows1 or not rows2:
-        return ()
-    width = at[1]
-    limit = 1 << width
-    stack = [(p << width | p, m << width | m) for p, m in rows1] + [(p << width, m << width) for p, m in rows2]
-    return tuple([v for v in _g3_rref(stack) if v[0] < limit])
-
-
 def _g3_pair_traces(at: Window, bound: tuple, lefts: list, rights: list):
     """``_gf2_pair_traces`` over GF(3), on both planes.  A row with top
     entry 1 lies below bit ``width`` when its plus plane does."""
@@ -479,22 +450,18 @@ def _g3_pair_traces(at: Window, bound: tuple, lefts: list, rights: list):
 
 _GF2 = _Field(
     lambda m: m.column_bits,
-    lambda v: tuple(iter_elements(v)),
+    lambda v: v,
     _window,
-    lambda v, at: v >> at[0],
     _gf2_move,
     _gf2_meet,
-    _gf2_intersect,
     _gf2_pair_traces,
 )
 _GF3 = _Field(
     _g3_columns,
-    lambda v: tuple(iter_elements(v[0] | v[1])),
+    lambda v: v[0] | v[1],
     _window,
-    lambda v, at: (v[0] >> at[0], v[1] >> at[0]),
     _g3_move,
     _g3_meet,
-    _g3_intersect,
     _g3_pair_traces,
 )
 

@@ -41,8 +41,7 @@ echelon form once per S1, and each S2 only extends it, so a pair costs
 the reduction of dim S2 rows and, when the trace gains a row and is not
 all of B, one RREF of at most dim B rows.  It takes and yields tuples of
 RREF rows, checks only its input's lengths and entries, and echelons each
-trace by ``rref``'s unchecked core ``_echelon``, as ``intersect``'s
-unchecked core ``_intersect`` does.
+trace by ``rref``'s unchecked core ``_echelon``, as ``intersect`` does.
 """
 
 from __future__ import annotations
@@ -504,23 +503,17 @@ def hull(u1: Subspace, u2: Subspace) -> Subspace:
     return rref(u1.field, u1.d, u1.rows + u2.rows)
 
 
-def _intersect(field: FieldSpec, d: int, rows1, rows2) -> tuple[FVector, ...]:
-    """Unchecked RREF basis of span(rows1) ∩ span(rows2), for rows of
-    length d (Zassenhaus block elimination)."""
-    zero = (0,) * d
-    stacked = [row + row for row in rows1] + [row + zero for row in rows2]
-    reduced = _echelon(field, 2 * d, stacked)
-    # rows with a zero left half are the bottom of the RREF; their right
-    # halves are already reduced against each other
-    return tuple([row[d:] for row in reduced if not any(row[:d])])
-
-
 def intersect(u1: Subspace, u2: Subspace) -> Subspace:
     """Intersection of two subspaces (Zassenhaus block elimination)."""
     if u1.d != u2.d or u1.field != u2.field:
         raise ValueError("ambient spaces differ")
+    d, zero = u1.d, (0,) * u1.d
     # the stack is built from checked rows; only the result is checked
-    return Subspace(u1.field, u1.d, _intersect(u1.field, u1.d, u1.rows, u2.rows))
+    stacked = [row + row for row in u1.rows] + [row + zero for row in u2.rows]
+    reduced = _echelon(u1.field, 2 * d, stacked)
+    # rows with a zero left half are the bottom of the RREF; their right
+    # halves are already reduced against each other
+    return Subspace(u1.field, d, tuple([row[d:] for row in reduced if not any(row[:d])]))
 
 
 def _extend(field: FieldSpec, width: int, stem: list, rows: list) -> list:

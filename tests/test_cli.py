@@ -588,6 +588,81 @@ def test_deterministic_output(u23_files):
 
 
 # ---------------------------------------------------------------------------
+# defects of a file or an argument: exit status and message, exactly
+# ---------------------------------------------------------------------------
+
+TWO_ELEMENTS = "dw version=1 n=2 K=1\nleaf 0 elem=0 loop=0\nleaf 1 elem=1 loop=0\ninner 2 left=0 right=1 kv=1\nroot 2\n"
+U23 = format_matroid(u23())
+
+
+def run_on(tmp_path, files, argv):
+    """``run`` with each argument that names a key of ``files`` replaced by
+    the path of a file holding its text."""
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    return run([str(tmp_path / arg) if arg in files else arg for arg in argv])
+
+
+def parallel_class_files(n):
+    """A matroid of n parallel GF(2) elements and its decomposition."""
+    m = MatroidInstance.linear(GF2, [[1] * n])
+    dec = construct(m, root_tree(greedy_branch_decomposition(m)[0]))
+    return {"m.matroid": format_matroid(m), "m.dw": serialize(dec)}
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("root 2", "inner 2 left=0 right=1 kv=1\nroot 2", "line 5: duplicate node id 2"),
+        ("root 2", "root 2\nroot 2", "line 6: duplicate root line"),
+        ("leaf 1 elem=1", "leaf 1 elem=5", "line 3: leaf element 5 outside 0..1"),
+        ("kv=1", "kv=0", "line 4: kv=0 must be >= 1"),
+        ("right=1", "right=7", "line 4: child 7 is undefined"),
+        ("root 2", "root 9", "line 1: root 9 is not a node"),
+    ],
+    ids=["duplicate-node", "duplicate-root", "leaf-element", "kv-0", "undefined-child", "root-not-a-node"],
+)
+def test_dw_defects_exit_2_naming_their_line(tmp_path, old, new, message):
+    text = TWO_ELEMENTS.replace(old, new)
+    assert run_on(tmp_path, {"bad.dw": text}, ["verify", "bad.dw"]) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "files, argv, status, message",
+    [
+        (
+            {"bad.matroid": "matroid uniform r=1 n=2\n1\n"},
+            ["bw", "--matroid", "bad.matroid"],
+            2,
+            "error: line 2: uniform matroids take no body lines",
+        ),
+        (
+            {"u23.matroid": U23, "bad.bd": "bd n=3\nnode 1 L0 L1\nnode 4 1 L2\nroot 4\n"},
+            ["construct", "--matroid", "u23.matroid", "--bd", "bad.bd"],
+            2,
+            "error: line 2: inner node id 1 collides with leaf ids",
+        ),
+        ({"m.dw": TWO_ELEMENTS}, ["rank", "m.dw", "--set", "0,x"], 2, "error: bad element 'x' in --set"),
+        (
+            {"u23.matroid": U23, "m.dw": TWO_ELEMENTS},
+            ["check", "m.dw", "--matroid", "u23.matroid"],
+            1,
+            "mismatch: matroid has 3 elements, decomposition 2",
+        ),
+        (
+            parallel_class_files(21),
+            ["check", "m.dw", "--matroid", "m.matroid", "--exhaustive"],
+            2,
+            "error: exhaustive check limited to n <= 20",
+        ),
+    ],
+    ids=["matroid-body", "bd-inner-id", "rank-set", "check-sizes", "check-exhaustive"],
+)
+def test_matroid_bd_and_argument_defects_exit_with_their_message(tmp_path, files, argv, status, message):
+    assert run_on(tmp_path, files, argv) == (status, "", message + "\n")
+
+
+# ---------------------------------------------------------------------------
 # fuzzing: mutated files never escape main
 # ---------------------------------------------------------------------------
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import (
     GF2,
     GF3,
+    balanced_rooted_tree,
     construct_exact,
     construct_with_data,
     fano,
@@ -217,9 +218,10 @@ def generic_construct(m, tree):
 
 
 def subspace_work(monkeypatch, m):
-    """Calls to the row-tuple frames' rref, _intersect and _meet plus the
-    table pairs their pair_traces yields, over the column-order caterpillar,
-    and the longest vector any of them returns or, for _meet, eliminates."""
+    """Calls to the row-tuple frames' rref and _meet plus the pairs their
+    pair_traces yields for the boundaries and tables, over the column-order
+    caterpillar, and the longest vector any of them returns or, for _meet,
+    eliminates."""
     module = importlib.import_module("decompwidth.construct")
     lengths = []
     with monkeypatch.context() as patch:
@@ -227,10 +229,6 @@ def subspace_work(monkeypatch, m):
         def recorded_rref(field, d, rows, op=module.rref):
             lengths.append(d)
             return op(field, d, rows)
-
-        def recorded_intersect(field, d, rows1, rows2, op=module._intersect):
-            lengths.append(d)
-            return op(field, d, rows1, rows2)
 
         def recorded_pairs(field, d, *args, op=module.pair_traces):
             for trace, joined in op(field, d, *args):
@@ -242,7 +240,6 @@ def subspace_work(monkeypatch, m):
             return op(field, parts, keep, joint)
 
         patch.setattr(module, "rref", recorded_rref)
-        patch.setattr(module, "_intersect", recorded_intersect)
         patch.setattr(module, "pair_traces", recorded_pairs)
         patch.setattr(module, "_meet", recorded_meet)
         generic_construct(m, left_deep_rooted_tree(m.n))
@@ -251,10 +248,11 @@ def subspace_work(monkeypatch, m):
 
 def int_work(monkeypatch, m):
     """Calls to the window frames' kernels (``_gf2_*`` over GF(2), ``_g3_*``
-    over GF(3)) plus the table pairs their pair_traces yields, over the
-    column-order caterpillar, and the largest bit_length of any int they
-    take or give, a GF(3) vector's two planes each on its own: (calls,
-    longest space row, longest Zassenhaus or meet stack row)."""
+    over GF(3)) plus the pairs their pair_traces yields for the boundaries
+    and tables, over the column-order caterpillar, and the largest
+    bit_length of any int they take or give, a GF(3) vector's two planes
+    each on its own: (calls, longest space row, longest Zassenhaus or meet
+    stack row)."""
     module = importlib.import_module("decompwidth.construct")
     prefix, field = ("_gf2_", "_GF2") if m.field.q == 2 else ("_g3_", "_GF3")
     kernels = getattr(module, field)
@@ -292,8 +290,7 @@ def int_work(monkeypatch, m):
         for name in ("rref", "extend"):
             patch.setattr(module, prefix + name, recorded(name, getattr(module, prefix + name), False))
         meet = recorded("meet", kernels.meet, True)
-        intersect = recorded("intersect", kernels.intersect, True)
-        patch.setattr(module, field, kernels._replace(meet=meet, intersect=intersect, pair_traces=recorded_pairs))
+        patch.setattr(module, field, kernels._replace(meet=meet, pair_traces=recorded_pairs))
         construct(m, left_deep_rooted_tree(m.n))
     return len(calls), max(spaces), max(stacks)
 
@@ -363,6 +360,45 @@ def test_construct_checks_a_few_subspaces_per_tree_node(monkeypatch):
             checks.clear()
             build(m, left_deep_rooted_tree(m.n))
             assert len(checks) <= m.n, (m.n, len(checks), build)
+
+
+def sparse_matroid(field, rows, cols, rng):
+    """A random sparse instance over ``field``: column 0 is zero, and column
+    1 alone touches row 0."""
+    matrix = [
+        [rng.randrange(1, field.q) if i and j and rng.random() < 0.3 else 0 for j in range(cols)]
+        for i in range(rows)
+    ]
+    matrix[0][1] = 1
+    return MatroidInstance.linear(field, matrix)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4))
+def test_separators_are_the_rows_touched_inside_and_outside_each_subtree(q):
+    # S_v by its definition, from each node's element mask and the rows
+    # each column touches; the row masks come from the field's own support
+    module = importlib.import_module("decompwidth.construct")
+    spec = field_of_order(q)
+    field = {2: module._GF2, 3: module._GF3}.get(q) or module._row_field(spec)
+    rng = random.Random(q)
+    for _ in range(12):
+        m = sparse_matroid(spec, rng.randint(3, 8), rng.randint(4, 14), rng)
+        touched = [sum([1 << i for i, x in enumerate(col) if x]) for col in m.columns]
+        support = [field.support(v) for v in field.columns(m)]
+        assert support == touched and touched[0] == 0
+        trees = (left_deep_rooted_tree(m.n), balanced_rooted_tree(m.n), root_tree(greedy_branch_decomposition(m)[0]))
+        for tree in trees:
+            order, seps, joint = module._separators(tree, support)
+            assert order == tree.postorder()
+            for node, mask in tree.subtree_masks().items():
+                inside = outside = 0
+                for e in range(m.n):
+                    if mask >> e & 1:
+                        inside |= touched[e]
+                    else:
+                        outside |= touched[e]
+                assert seps[node] == inside & outside, (m.matrix, node)
+            assert joint == {v: seps[a] | seps[b] for v, (a, b) in tree.children.items()}
 
 
 @st.composite

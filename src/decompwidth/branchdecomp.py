@@ -333,7 +333,8 @@ def _best_move(order: list[int], prefix, suffix):
     to j < i turns the cuts j+1..i into P_{k-1} + e.  For X not holding e,
     λ(X + e) = λ(X) + [e not in cl(X)] + [e not in cl*(X)] - 1.  With the
     running max and sum of λ outside the moved cuts, every one of the
-    n(n-1) moves costs O(1).
+    n(n-1) moves costs O(1), and a move whose max exceeds the best one's
+    so far is dropped before its key is built.
     """
     (lam, p_cl, p_cocl), (_, s_cl, s_cocl) = prefix, suffix
     n = len(order)
@@ -346,25 +347,50 @@ def _best_move(order: list[int], prefix, suffix):
     tail_sum = [*accumulate(spine[:0:-1])][::-1] + [0]
     score = (head_max[n], head_sum[n])
     # keys (max, sum, i, j) compare whole, so ties go to the first (i, j)
-    # whatever order the moves are scored in
+    # whatever order the moves are scored in.  A move whose max exceeds
+    # the best key's cannot win and builds no key.  Each inner loop walks
+    # j away from i, so the max over the moved cuts and the cuts on i's
+    # side of them (``fixed``) only grows: once it exceeds the best max,
+    # no later j of the loop can win either
     best = (*score, -1, -1)
+    bound = score[0]
     for i, e in enumerate(order):
         run_max = run_sum = 0
+        fixed = tail_max[i]
         for j in range(i - 1, -1, -1):
             if lo <= j + 1 <= hi:
                 value = lam[j] + 1 - (p_cl[j] >> e & 1) - (p_cocl[j] >> e & 1)
-                run_max, run_sum = max(run_max, value), run_sum + value
-            key = (max(head_max[j + 1], run_max, tail_max[i]), head_sum[j + 1] + run_sum + tail_sum[i], i, j)
+                run_sum += value
+                if value > run_max:
+                    run_max = value
+            top = run_max if run_max > fixed else fixed
+            if top > bound:
+                break
+            if head_max[j + 1] > top:
+                top = head_max[j + 1]
+                if top > bound:
+                    continue
+            key = (top, head_sum[j + 1] + run_sum + tail_sum[i], i, j)
             if key < best:
-                best = key
+                best, bound = key, top
         run_max = run_sum = 0
+        fixed = head_max[i + 1]
         for j in range(i + 1, n):
             if lo <= j <= hi:
                 value = lam[j + 1] + 1 - (s_cl[j + 1] >> e & 1) - (s_cocl[j + 1] >> e & 1)
-                run_max, run_sum = max(run_max, value), run_sum + value
-            key = (max(head_max[i + 1], run_max, tail_max[j]), head_sum[i + 1] + run_sum + tail_sum[j], i, j)
+                run_sum += value
+                if value > run_max:
+                    run_max = value
+            top = run_max if run_max > fixed else fixed
+            if top > bound:
+                break
+            if tail_max[j] > top:
+                top = tail_max[j]
+                if top > bound:
+                    continue
+            key = (top, head_sum[i + 1] + run_sum + tail_sum[j], i, j)
             if key < best:
-                best = key
+                best, bound = key, top
     return lam, score, best
 
 

@@ -99,8 +99,9 @@ leaf's column is moved onto its frame from the frame of all rows.
   2.  A row operation on them is one bitsliced add of a few word
   operations, and negation swaps the planes (Boothby & Bradshaw,
   "Bitslicing and the Method of Four Russians over larger finite fields",
-  2009).  Pivots are highest-bit with entry 1.  The planes are read once
-  per call from the columns (``_g3_columns``).  The GF(2) and GF(3)
+  2009).  Pivots are highest-bit with entry 1.  The columns are the
+  instance's ``column_planes``, read once per instance, and the add is
+  ``matroids._g3_reduce``; the search shares both.  The GF(2) and GF(3)
   kernels stay apart: each is its field's hot loop.
 """
 
@@ -112,7 +113,7 @@ from .branchdecomp import RootedBranchTree
 from .gf import FieldSpec, FVector, _echelon, pair_traces, rref
 from .gf import hull, intersect  # noqa: F401  perfbench's traced run patches these names and rref
 from .kdecomp import Inner, KDecomposition, Leaf
-from .matroids import MatroidInstance, iter_elements
+from .matroids import MatroidInstance, _g3_reduce, iter_elements
 
 Coords = tuple[int, ...]  # matrix rows in increasing order
 Rows = tuple[FVector, ...]  # RREF basis of a space, on some Coords
@@ -354,34 +355,6 @@ def _gf2_pair_traces(at: Window, bound: tuple[int, ...], lefts: list, rights: li
             yield prefix if not high else canonical(low + high), len(stem) + len(new)
 
 
-_ONES = bytes.maketrans(b"\x00\x01\x02", b"010")
-_TWOS = bytes.maketrans(b"\x00\x01\x02", b"001")
-
-
-def _g3_columns(m: MatroidInstance) -> list[tuple[int, int]]:
-    """A GF(3) instance's columns as bit planes (plus, minus), bit i = row
-    i, each read as two binary numerals by C-level ``bytes`` calls."""
-    digits = [bytes(col)[::-1] for col in m.columns]
-    return [(int(d.translate(_ONES) or b"0", 2), int(d.translate(_TWOS) or b"0", 2)) for d in digits]
-
-
-def _g3_reduce(v: tuple[int, int], rows) -> tuple[int, int]:
-    """GF(3) vector ``v`` (bit planes) with the entry at each top bit of
-    ``rows`` cleared in turn, by adding or subtracting that row.  Every row
-    has top entry 1; a cleared entry stays 0 when each later row is zero at
-    it, as in an echelon form taken in decreasing order or a reduced one."""
-    p, m = v
-    for bp, bm in rows:
-        if p ^ bp < p:  # entry 1 at bp's top bit: subtract, i.e. add -b
-            bp, bm = bm, bp
-        elif m ^ bp >= m:
-            continue
-        # bitsliced add: an entry nonzero on one side only, or 2 + 2 = 1 and 1 + 1 = 2
-        u, w = p | m, bp | bm
-        p, m = p & ~w | bp & ~u | m & bm, m & ~w | bm & ~u | p & bp
-    return p, m
-
-
 def _g3_rref(rows) -> list[tuple[int, int]]:
     """``_gf2_rref`` over GF(3): highest-bit pivots, each pivot entry 1 and
     cleared in every other row, in decreasing order."""
@@ -457,7 +430,7 @@ _GF2 = _Field(
     _gf2_pair_traces,
 )
 _GF3 = _Field(
-    _g3_columns,
+    lambda m: m.column_planes,
     lambda v: v[0] | v[1],
     _window,
     _g3_move,

@@ -332,18 +332,18 @@ def serialize(dec: KDecomposition) -> str:
 
 def parse(text: str) -> KDecomposition:
     """Parse the decomposition text format; errors carry line numbers."""
-    header = None
+    header: tuple[int, int, int] | None = None  # (n, K, line)
     leaves: dict[int, tuple[int, int, bool]] = {}
     inners: dict[int, tuple[int, int, int, int]] = {}
     phis: list[tuple[int, int, int, int, int, int]] = []
-    root: int | None = None
+    root: tuple[int, int] | None = None  # (id, line)
     for lineno, tok in records(text):
         if tok[0] == "dw":
             if header is not None:
                 raise ParseError(lineno, "duplicate header")
             if len(tok) != 4 or tok[1] != "version=1":
                 raise ParseError(lineno, "header must be 'dw version=1 n=<n> K=<K>'")
-            header = (keyed(tok[2], "n", lineno), keyed(tok[3], "K", lineno))
+            header = (keyed(tok[2], "n", lineno), keyed(tok[3], "K", lineno), lineno)
             if header[1] < 1:
                 # every leaf has palette 2, so every decomposition has width >= 1
                 raise ParseError(lineno, f"K={header[1]} must be >= 1")
@@ -381,16 +381,17 @@ def parse(text: str) -> KDecomposition:
                 raise ParseError(lineno, "duplicate root line")
             if len(tok) != 2:
                 raise ParseError(lineno, "root line needs: root <id>")
-            root = integers(tok[1:2], lineno, "node id must be an integer")[0]
+            root = (integers(tok[1:2], lineno, "node id must be an integer")[0], lineno)
         else:
             raise ParseError(lineno, f"unknown record {tok[0]!r}")
     if header is None:
         raise ParseError(1, "missing 'dw' header")
-    n, width_cap = header
+    n, width_cap, header_line = header
     if root is None:
         raise ParseError(1, "missing 'root' line")
+    root, root_line = root
     if len(leaves) != n:
-        raise ParseError(1, f"header declares n={n} but file has {len(leaves)} leaves")
+        raise ParseError(header_line, f"header declares n={n} but file has {len(leaves)} leaves")
 
     nodes: dict[int, Leaf | Inner] = {}
     for node_id, (lineno, elem, loop) in leaves.items():
@@ -435,5 +436,5 @@ def parse(text: str) -> KDecomposition:
         node.color[g1][g2] = color
         node.defect[g1][g2] = drop
     if root not in nodes:
-        raise ParseError(1, f"root {root} is not a node")
+        raise ParseError(root_line, f"root {root} is not a node")
     return KDecomposition(n, nodes, root)

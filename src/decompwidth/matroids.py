@@ -7,7 +7,10 @@ backends share one interface:
                instance is built; rank = dimension of the span (bit-packed
                elimination for GF(2), pivot counting by gf's elimination
                else); rank_table and prefix_sweep eliminate in bulk, the
-               latter over the columns of M and of its dual M*
+               latter over the columns of M and of its dual M*, on the
+               (plus, minus) bit planes of ``column_planes`` and
+               ``dual_planes`` over GF(3) and on row tuples over every
+               other field
 * graphic   -- edges of a graph; rank = vertices minus components, through
                union-find; prefix_sweep runs on its GF(2) incidence matrix
 * uniform   -- rank(F) = min(|F|, r)
@@ -15,8 +18,9 @@ backends share one interface:
                matroid axioms checked eagerly at construction
 
 An instance keeps its data and what it derives from it on first use (a
-graphic ``twin``, a linear instance's dual columns and GF(2) column bits),
-never rank answers; instances are immutable, so concurrent readers are fine.
+graphic ``twin``, a linear instance's dual columns, GF(2) column bits and
+GF(3) column planes), never rank answers; instances are immutable, so
+concurrent readers are fine.
 
 ``closure`` and ``coloops`` ask ``rank`` once per element.  The branch-
 decomposition search instead grows a set P one element at a time and reads
@@ -52,6 +56,35 @@ def iter_elements(mask: ElementSet):
 
 
 _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_ONES = bytes.maketrans(b"\x00\x01\x02", b"010")
+_TWOS = bytes.maketrans(b"\x00\x01\x02", b"001")
+
+
+def _g3_planes(columns) -> list[tuple[int, int]]:
+    """GF(3) ``columns`` as bit planes (plus, minus), the bits of their
+    entries 1 and of their entries 2 (bit i = row i), each plane read as a
+    binary numeral, last row first, by C-level ``bytes`` calls."""
+    digits = [bytes(col)[::-1] for col in columns]
+    return [(int(d.translate(_ONES) or b"0", 2), int(d.translate(_TWOS) or b"0", 2)) for d in digits]
+
+
+def _g3_reduce(v: tuple[int, int], rows) -> tuple[int, int]:
+    """GF(3) vector ``v`` (bit planes) with the entry at each top bit of
+    ``rows`` cleared in turn, by adding or subtracting that row.  Every row
+    has top entry 1; a cleared entry stays 0 when each later row is zero at
+    it, as in an echelon form taken in decreasing order or a reduced one.
+    Negation swaps the planes (Boothby & Bradshaw, "Bitslicing and the
+    Method of Four Russians over larger finite fields", 2009)."""
+    p, m = v
+    for bp, bm in rows:
+        if p ^ bp < p:  # entry 1 at bp's top bit: subtract, i.e. add -b
+            bp, bm = bm, bp
+        elif m ^ bp >= m:
+            continue
+        # bitsliced add: an entry nonzero on one side only, or 2 + 2 = 1 and 1 + 1 = 2
+        u, w = p | m, bp | bm
+        p, m = p & ~w | bp & ~u | m & bm, m & ~w | bm & ~u | p & bp
+    return p, m
 
 
 class MatroidInstance:
@@ -115,6 +148,20 @@ class MatroidInstance:
         if self.kind != "linear" or self.field.q != 2:
             return None
         return [int(bytes(col).translate(_BINARY_DIGITS)[::-1] or b"0", 2) for col in self.columns]
+
+    @cached_property
+    def column_planes(self) -> list[tuple[int, int]] | None:
+        """A GF(3) instance's columns as bit planes (plus, minus), bit i =
+        row i (``_g3_planes``); None for every other instance."""
+        if self.kind != "linear" or self.field.q != 3:
+            return None
+        return _g3_planes(self.columns)
+
+    @cached_property
+    def dual_planes(self) -> list[tuple[int, int]] | None:
+        """A GF(3) instance's ``dual_columns`` as bit planes; None for every
+        other instance."""
+        return None if self.column_planes is None else _g3_planes(self.dual_columns)
 
     @cached_property
     def dual_columns(self) -> list:
@@ -250,23 +297,23 @@ def rank_table(m: MatroidInstance) -> list[int]:
 
     A linear instance walks the subsets depth first, adding elements in
     increasing order.  Each subset carries the residues of the columns
-    above its largest element against its pivots.  A child whose new
-    column has a zero residue has its parent's rank and reuses its
-    parent's residues; any other child scales that residue to a pivot and
-    reduces only the later residues against it, one row operation per
-    residue with a nonzero entry at the pivot; the instance checked the
-    entries when it was built.  An explicit instance returns its table;
-    the others ask ``rank`` per subset.  The exact search,
-    ``tutte.brute_whitney`` and an every-subset ``check`` read it."""
+    above its largest element against its pivots: over GF(3) the bit
+    planes of ``column_planes``, over every other field row tuples.  A
+    child whose new column has a zero residue has its parent's rank and
+    reuses its parent's residues; any other child makes that residue a
+    pivot (``_pivot``) and clears its pivot entry from only the later
+    residues that have one, by one row operation each, over GF(3) one
+    bitsliced add (``_g3_reduce``); the instance checked the entries when
+    it was built.  An explicit instance returns its table; the others ask
+    ``rank`` per subset.  The exact search, ``tutte.brute_whitney`` and an
+    every-subset ``check`` read it."""
     if m.n > _FULL_TABLE_LIMIT:
         raise ValueError(f"full tables limited to n <= {_FULL_TABLE_LIMIT}")
     if m.kind == "explicit":
         return list(m.table)
     if m.kind != "linear":
         return [m.rank(subset) for subset in range(1 << m.n)]
-    field, columns = m.field, m.columns
-    scale, reduce = field._row_kernels
-    n = m.n
+    field, n = m.field, m.n
     table = [0] * (1 << n)
 
     def walk(subset: ElementSet, rank: int, rows: list, start: int) -> None:
@@ -276,31 +323,51 @@ def rank_table(m: MatroidInstance) -> list[int]:
         for i in range(start, last + 1):
             child = subset | 1 << (low + i)
             row = rows[i]
-            lead = next(filter(None, row), 0)
-            if not lead:
+            if not any(row):
                 table[child] = rank
                 if i < last:
                     walk(child, rank, rows, i + 1)
                 continue
             table[child] = rank + 1
             if i < last:
-                col = row.index(lead)
-                if lead != 1:
-                    row = scale(field.inv(lead), row)
-                later = [reduce(r, r[col], row) if r[col] else r for r in rows[i + 1:]]
+                pivot, at = _pivot(field, row)
+                if planes is not None:
+                    later = [_g3_reduce(r, (pivot,)) if (r[0] | r[1]) & at else r for r in rows[i + 1:]]
+                else:
+                    later = [reduce(r, r[at], pivot) if r[at] else r for r in rows[i + 1:]]
                 walk(child, rank + 1, later, 0)
 
-    walk(0, 0, columns, 0)
+    planes, reduce = m.column_planes, field._row_kernels[1]
+    walk(0, 0, m.columns if planes is None else planes, 0)
     return table
+
+
+def _pivot(field: FieldSpec, residue):
+    """The nonzero ``residue`` made a pivot, and where its pivot entry
+    lies.  Over GF(3) a residue is a bit-plane pair, its pivot entry is its
+    top bit, made 1 by swapping the planes, and the place is that bit;
+    over every other field it is a row tuple, its pivot entry the first
+    nonzero one, made 1 by scaling, and the place is its index.  Rank and
+    closure do not depend on the pivot chosen."""
+    if field.q == 3:
+        p, m = residue  # disjoint planes: the larger holds the top bit
+        return (m, p) if m > p else residue, 1 << (p | m).bit_length() - 1
+    lead = next(filter(None, residue))
+    col = residue.index(lead)
+    return residue if lead == 1 else field._row_kernels[0](field.inv(lead), residue), col
 
 
 class _PrefixSpan:
     """cl(P) and r(P) of a set P of ``columns`` that grows one element at a
-    time.  Every column outside the closure keeps a residue, reduced once
-    against each new pivot, and joins cl(P) when its residue is zero."""
+    time: bit-plane pairs over GF(3), row tuples over every other field.
+    Every column outside the closure keeps a residue.  A new element's
+    residue becomes a pivot (``_pivot``), and each residue with a nonzero
+    entry at its pivot entry has it cleared by one row operation, over
+    GF(3) one bitsliced add (``_g3_reduce``); a residue joins cl(P) when
+    it is zero."""
 
     def __init__(self, field: FieldSpec, columns: list):
-        self.field, self.rank = field, 0
+        self.field, self.rank, self.planes = field, 0, field.q == 3
         self.live = {e: col for e, col in enumerate(columns) if any(col)}
         self.closure: ElementSet = sum(1 << e for e, col in enumerate(columns) if not any(col))
 
@@ -308,16 +375,15 @@ class _PrefixSpan:
         pivot = self.live.pop(e, None)
         if pivot is None:
             return
-        field, live = self.field, self.live
-        scale, reduce = field._row_kernels
-        lead = next(filter(None, pivot))
-        col = pivot.index(lead)
-        if lead != 1:
-            pivot = scale(field.inv(lead), pivot)
+        live, closure = self.live, self.closure | 1 << e
         self.rank += 1
-        closure = self.closure | 1 << e
-        for f, row in [(f, row) for f, row in live.items() if row[col]]:
-            row = reduce(row, row[col], pivot)
+        pivot, at = _pivot(self.field, pivot)
+        if self.planes:
+            hits = [(f, _g3_reduce(row, (pivot,))) for f, row in live.items() if (row[0] | row[1]) & at]
+        else:
+            reduce = self.field._row_kernels[1]
+            hits = [(f, reduce(row, row[at], pivot)) for f, row in live.items() if row[at]]
+        for f, row in hits:
             if any(row):
                 live[f] = row
             else:
@@ -336,7 +402,8 @@ class _GrowingSet:
     λ, cl and cl* of P, one entry from P = {} on and one per add.
 
     A linear instance keeps a ``_PrefixSpan`` over its checked columns and
-    one over those of M* (``dual_columns``), and a graphic instance the
+    one over those of M* (``dual_columns``), as bit planes over GF(3)
+    (``column_planes`` and ``dual_planes``), and a graphic instance the
     same over its ``twin``, its GF(2) incidence matrix.  The other
     backends ask ``closure(P)`` and, since e outside P lies in cl*(P) iff
     it is a coloop of M|(E - P), ``coloops(E - P)``."""
@@ -347,7 +414,10 @@ class _GrowingSet:
         self.record: tuple[list[int], list[ElementSet], list[ElementSet]] = ([], [], [])
         if m.kind in ("linear", "graphic"):
             rep = m if m.kind == "linear" else m.twin
-            self._spans = (_PrefixSpan(rep.field, rep.columns), _PrefixSpan(rep.field, rep.dual_columns))
+            if rep.column_planes is None:
+                self._spans = (_PrefixSpan(rep.field, rep.columns), _PrefixSpan(rep.field, rep.dual_columns))
+            else:
+                self._spans = (_PrefixSpan(rep.field, rep.column_planes), _PrefixSpan(rep.field, rep.dual_planes))
         self._read()
 
     def add(self, e: int) -> None:

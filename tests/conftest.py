@@ -6,7 +6,7 @@ import random
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from typing import NamedTuple
 
 import pytest
@@ -111,6 +111,39 @@ def edge_width(m, tree, edge):
     side = tree.side_mask(*edge)
     full = m.full_set
     return m.rank(side) + m.rank(full & ~side) - m.rank(full)
+
+
+def best_move_by_full_scan(order, prefix, suffix):
+    """``branchdecomp._best_move`` by scoring every one of the n(n-1)
+    moves: a key (max, sum, i, j) per move, each compared whole with the
+    best so far.  The oracle that the pruned scan is checked against."""
+    (lam, p_cl, p_cocl), (_, s_cl, s_cocl) = prefix, suffix
+    n = len(order)
+    lo, hi = 2, n - 2
+    spine = [value if lo <= k <= hi else 0 for k, value in enumerate(lam)]
+    head_max, head_sum = [0, *accumulate(spine, max)], [0, *accumulate(spine)]
+    tail_max = [*accumulate(spine[:0:-1], max)][::-1] + [0]
+    tail_sum = [*accumulate(spine[:0:-1])][::-1] + [0]
+    score = (head_max[n], head_sum[n])
+    best = (*score, -1, -1)
+    for i, e in enumerate(order):
+        run_max = run_sum = 0
+        for j in range(i - 1, -1, -1):
+            if lo <= j + 1 <= hi:
+                value = lam[j] + 1 - (p_cl[j] >> e & 1) - (p_cocl[j] >> e & 1)
+                run_max, run_sum = max(run_max, value), run_sum + value
+            key = (max(head_max[j + 1], run_max, tail_max[i]), head_sum[j + 1] + run_sum + tail_sum[i], i, j)
+            if key < best:
+                best = key
+        run_max = run_sum = 0
+        for j in range(i + 1, n):
+            if lo <= j <= hi:
+                value = lam[j + 1] + 1 - (s_cl[j + 1] >> e & 1) - (s_cocl[j + 1] >> e & 1)
+                run_max, run_sum = max(run_max, value), run_sum + value
+            key = (max(head_max[i + 1], run_max, tail_max[j]), head_sum[i + 1] + run_sum + tail_sum[j], i, j)
+            if key < best:
+                best = key
+    return lam, score, best
 
 
 def loops_and_coloops(m: MatroidInstance) -> tuple[ElementSet, ElementSet]:

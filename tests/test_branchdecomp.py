@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     GF2,
     GF3,
+    best_move_by_full_scan,
     c5_graphic,
     edge_width,
     fano,
@@ -36,7 +37,7 @@ from decompwidth import (
     root_tree,
     width,
 )
-from decompwidth.branchdecomp import _greedy_order, default_root_edge
+from decompwidth.branchdecomp import _best_move, _greedy_order, default_root_edge
 from decompwidth.errors import ParseError
 
 
@@ -340,6 +341,24 @@ def test_greedy_matches_the_reference_on_random_matrices(q):
         assert all(w <= width(m, caterpillar_tree(n, order)) for order in starts)
         moved += tree != caterpillar_tree(n, chosen)
     assert moved >= 5
+
+
+@pytest.mark.parametrize("n", range(4, 25))
+def test_pruned_move_scoring_matches_the_full_scan(n):
+    # random λ, cl and cl* records; λ drawn from a range of one or two
+    # values, and closures that hold every element or none, force ties
+    rng = random.Random(n)
+    for low, high in ((1, 1), (0, 1), (1, 2), (0, 3), (0, 5)):
+        for density in (0.0, 0.3, 0.7, 1.0):
+
+            def closures():
+                return [sum(1 << e for e in range(n) if rng.random() < density) for _ in range(n + 1)]
+
+            order = rng.sample(range(n), n)
+            lam = [rng.randint(low, high) for _ in range(n + 1)]
+            prefix = (lam, closures(), closures())
+            suffix = (lam, closures(), closures())
+            assert _best_move(order, prefix, suffix) == best_move_by_full_scan(order, prefix, suffix)
 
 
 def test_refinement_beats_the_greedy_order_on_five_columns():

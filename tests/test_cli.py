@@ -618,9 +618,18 @@ def parallel_class_files(n):
         ("leaf 1 elem=1", "leaf 1 elem=5", "line 3: leaf element 5 outside 0..1"),
         ("kv=1", "kv=0", "line 4: kv=0 must be >= 1"),
         ("right=1", "right=7", "line 4: child 7 is undefined"),
-        ("root 2", "root 9", "line 1: root 9 is not a node"),
+        ("root 2", "root 9", "line 5: root 9 is not a node"),
+        ("dw version=1 n=2", "# a comment\ndw version=1 n=3", "line 2: header declares n=3 but file has 2 leaves"),
     ],
-    ids=["duplicate-node", "duplicate-root", "leaf-element", "kv-0", "undefined-child", "root-not-a-node"],
+    ids=[
+        "duplicate-node",
+        "duplicate-root",
+        "leaf-element",
+        "kv-0",
+        "undefined-child",
+        "root-not-a-node",
+        "leaf-count-after-a-comment",
+    ],
 )
 def test_dw_defects_exit_2_naming_their_line(tmp_path, old, new, message):
     text = TWO_ELEMENTS.replace(old, new)

@@ -198,6 +198,24 @@ def twelve_columns(q):
     return MatroidInstance.linear(f, [[col[i] for col in columns] for i in range(3)])
 
 
+def seventy_two_rows():
+    """72 x 11 over GF(3), so that a bit plane spans two 64-bit words:
+    seeded random columns, one with top entry 2 next to its negative, one
+    with top entry 1 and a copy of it, a zero column, sums of earlier
+    columns, and a column on rows 64..71 only."""
+    rng = random.Random(72)
+
+    def column(top):
+        col = [rng.randrange(3) for _ in range(71)]
+        return col + [top]
+
+    a, b, c, d = column(2), column(1), column(1), column(2)
+    high = [0] * 64 + [rng.randrange(1, 3) for _ in range(8)]
+    columns = [a, [GF3.neg(x) for x in a], [0] * 72, b, c, b, [GF3.add(x, y) for x, y in zip(c, d)], d, high]
+    columns += [[GF3.sub(x, y) for x, y in zip(a, high)], [GF3.add(x, y) for x, y in zip(b, d)]]
+    return MatroidInstance.linear(GF3, [[col[i] for col in columns] for i in range(72)])
+
+
 def rref_dimensions(m):
     """The rank of every subset of a linear instance, as the dimension of
     the checked ``rref`` of its columns."""
@@ -228,8 +246,10 @@ def test_rank_table_matches_the_rank_oracle(m):
 @example(twelve_columns(8))
 @example(twelve_columns(9))
 @example(twelve_columns(2**10))
+@example(seventy_two_rows())
 def test_rank_table_matches_elimination_on_wide_instances(m):
-    # zero and repeated columns, and every row-kernel family, on up to 12 columns
+    # zero and repeated columns, and every row-kernel family, on up to 12
+    # columns; GF(3) planes over two machine words
     assert rank_table(m) == rref_dimensions(m)
 
 
@@ -258,6 +278,8 @@ def test_dual_columns_represent_the_dual(m):
 @pytest.mark.parametrize("q", KERNEL_FIELDS)
 def test_dual_columns_over_every_kernel_field(q):
     check_dual_columns(twelve_columns(q))
+    if q == 3:
+        check_dual_columns(seventy_two_rows())
 
 
 def check_dual_columns(m):
@@ -265,7 +287,8 @@ def check_dual_columns(m):
     ranks, full = rank_table(m), m.full_set
     expected = [s.bit_count() + ranks[full & ~s] - ranks[full] for s in range(1 << m.n)]
     assert dual_rank_table(m) == expected
-    assert m.dual_columns is m.dual_columns  # computed once per instance
+    # computed once per instance
+    assert m.dual_columns is m.dual_columns and m.dual_planes is m.dual_planes
 
 
 def check_prefix_sweep(m, order):
@@ -320,8 +343,9 @@ def test_prefix_split_matches_the_oracle_per_move(m, data):
         MatroidInstance.graphic(2, [(0, 0), (0, 1), (1, 0)]),
         MatroidInstance.uniform(0, 1),
         MatroidInstance.explicit([0, 1, 1, 1]),
+        seventy_two_rows(),
     ],
-    ids=["empty", "loop", "coloop", "zero-columns", "graphic", "uniform", "explicit"],
+    ids=["empty", "loop", "coloop", "zero-columns", "graphic", "uniform", "explicit", "gf3-72-rows"],
 )
 def test_prefix_sweep_on_edge_instances(m):
     for order in ([*range(m.n)], [*range(m.n)][::-1]):
